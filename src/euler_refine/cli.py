@@ -1,7 +1,8 @@
 """Command-line front end: tables, verification, ratios, exploration, export.
 
 Exit codes: 0 on success (all checks passing), 1 when a verification
-fails, 2 on usage errors.  All output is deterministic for fixed flags;
+fails, 2 on usage or I/O errors, reported on one line without a
+traceback.  All output is deterministic for fixed flags;
 big integers are rendered as decimal strings in JSON and CSV so no
 consumer ever sees a rounded value.
 """
@@ -43,9 +44,12 @@ def enumeration_cap(flag_value: Optional[int]) -> int:
     env = os.environ.get(CAP_ENV_VAR)
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise CliError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
+        if cap < 0:
+            raise CliError(f"{CAP_ENV_VAR} must be non-negative, got {cap}")
+        return cap
     return DEFAULT_ENUM_CAP
 
 
@@ -599,9 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 0:
+        parser.error(f"--cap must be non-negative, got {args.cap}")
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,11 @@ checked against.  Permutations are kept in one-line notation with
 1-based values; a permutation is up-down when its values strictly
 zigzag starting with a rise, down-up when starting with a descent.
 
+The counts walk the pruned search tree without materialising any
+permutation: each leaf is classified in place and tallied.  The
+:class:`Permutation` generator and :func:`classify` serve the
+bijections and callers that need the permutations themselves.
+
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
 """
@@ -15,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .seq import CountTable
 
@@ -209,27 +214,89 @@ def enumerate_alternating_by_filter(n: int, kind: AltKind) -> Iterator[Permutati
             yield p
 
 
+class _Tally(NamedTuple):
+    """Leaf counts of one alternating population, one counter per class."""
+
+    total: int
+    minmax: int
+    maxmin: int
+    upper: int
+    lower: int
+
+
+def _tally_walk(n: int, kind: AltKind) -> _Tally:
+    """Count one alternating population by class without building permutations.
+
+    Walks the same pruned tree as :func:`enumerate_alternating`, recording
+    the 0-based position of each value as it is placed.  At each leaf,
+    min-max means 1 sits before n, and second-max-upper means n - 1 sits
+    at a peak: an odd index for up-down, an even one for down-up.
+    """
+    used = bytearray(n + 1)
+    pos = [0] * (n + 1)
+    # Rises and peaks share a parity: odd indices for up-down, even for down-up.
+    peak_parity = 1 if kind is AltKind.UP_DOWN else 0
+    last = n - 1
+    total = minmax = maxmin = upper = lower = 0
+
+    def extend(idx: int, prev: int) -> None:
+        nonlocal total, minmax, maxmin, upper, lower
+        if idx % 2 == peak_parity:
+            candidates = range(prev + 1, n + 1)
+        else:
+            candidates = range(1, prev)
+        if idx == last:
+            # One value is left; it either extends the chain or nothing does.
+            for v in candidates:
+                if not used[v]:
+                    pos[v] = idx
+                    total += 1
+                    if pos[1] < pos[n]:
+                        minmax += 1
+                    else:
+                        maxmin += 1
+                    if pos[last] % 2 == peak_parity:
+                        upper += 1
+                    else:
+                        lower += 1
+                    return
+            return
+        for v in candidates:
+            if not used[v]:
+                used[v] = 1
+                pos[v] = idx
+                extend(idx + 1, v)
+                used[v] = 0
+
+    for v in range(1, n + 1):
+        used[v] = 1
+        pos[v] = 0
+        extend(1, v)
+        used[v] = 0
+    return _Tally(total, minmax, maxmin, upper, lower)
+
+
 def count_minmax(n: int, kind: AltKind) -> tuple[int, int]:
     """(min-max, max-min) counts over one alternating population.
 
+    Tallied by the same permutation-free walk as :func:`count_refinements`.
     The two populations differ at even degree: the complement bijection
     sends up-down min-max onto down-up max-min, so the down-up pair is
     the up-down pair reversed.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    minmax = maxmin = 0
-    for p in enumerate_alternating(n, kind):
-        if classify(p).minmax is MinMaxKind.MIN_MAX:
-            minmax += 1
-        else:
-            maxmin += 1
-    return minmax, maxmin
+    tally = _tally_walk(n, kind)
+    return tally.minmax, tally.maxmin
 
 
 @lru_cache(maxsize=None)
 def count_refinements(n: int) -> CountTable:
-    """Classify every alternating permutation of degree n and tally all splits.
+    """Tally every split of the alternating permutations of degree n.
+
+    Walks the up-down and the down-up trees once each, classifying every
+    leaf in place; no permutation is materialised.  The two walks are
+    independent, and their totals must agree.
 
     ``ene``/``enw`` are counted over the up-down population (the
     convention under which they refine E_n rather than 2 E_n);
@@ -237,26 +304,11 @@ def count_refinements(n: int) -> CountTable:
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    e = ene = enw = eup = edown = 0
-    for p in enumerate_alternating(n, AltKind.UP_DOWN):
-        c = classify(p)
-        e += 1
-        if c.minmax is MinMaxKind.MIN_MAX:
-            ene += 1
-        else:
-            enw += 1
-        if c.secondmax is SecondMaxKind.UPPER:
-            eup += 1
-        else:
-            edown += 1
-    e_downup = dup = ddown = 0
-    for p in enumerate_alternating(n, AltKind.DOWN_UP):
-        e_downup += 1
-        if classify(p).secondmax is SecondMaxKind.UPPER:
-            dup += 1
-        else:
-            ddown += 1
-    if e_downup != e:
-        raise AssertionError(f"population mismatch at degree {n}: {e} vs {e_downup}")
-    return CountTable(n=n, e=e, ene=ene, enw=enw, eup=eup, edown=edown,
-                      dup=dup, ddown=ddown)
+    up = _tally_walk(n, AltKind.UP_DOWN)
+    down = _tally_walk(n, AltKind.DOWN_UP)
+    if down.total != up.total:
+        raise AssertionError(
+            f"population mismatch at degree {n}: {up.total} vs {down.total}"
+        )
+    return CountTable(n=n, e=up.total, ene=up.minmax, enw=up.maxmin, eup=up.upper,
+                      edown=up.lower, dup=down.upper, ddown=down.lower)

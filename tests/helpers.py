@@ -1,9 +1,10 @@
-"""Shared fixtures: cached enumerations and frozen reference rows."""
+"""Shared fixtures: cached enumerations, frozen reference rows, counting oracle."""
 
 from functools import lru_cache
 
 from euler_refine import (
     AltKind,
+    CountTable,
     MinMaxKind,
     SecondMaxKind,
     classify,
@@ -40,3 +41,33 @@ def smu_set(n):
 @lru_cache(maxsize=None)
 def maxmin_set(n):
     return tuple(p for p in updown(n) if classify(p).minmax is MinMaxKind.MAX_MIN)
+
+
+def reference_tally(n, kind):
+    """(total, min-max, max-min, upper, lower) by classifying each generated permutation.
+
+    The counting path the leaf-tallying walk replaced, kept as its oracle.
+    """
+    total = minmax = maxmin = upper = lower = 0
+    for p in enumerate_alternating(n, kind):
+        c = classify(p)
+        total += 1
+        if c.minmax is MinMaxKind.MIN_MAX:
+            minmax += 1
+        else:
+            maxmin += 1
+        if c.secondmax is SecondMaxKind.UPPER:
+            upper += 1
+        else:
+            lower += 1
+    return total, minmax, maxmin, upper, lower
+
+
+def reference_count_table(n):
+    """The CountTable the classify-over-generator path builds for degree n."""
+    e, ene, enw, eup, edown = reference_tally(n, AltKind.UP_DOWN)
+    e_downup, _, _, dup, ddown = reference_tally(n, AltKind.DOWN_UP)
+    if e_downup != e:
+        raise AssertionError(f"population mismatch at degree {n}: {e} vs {e_downup}")
+    return CountTable(n=n, e=e, ene=ene, enw=enw, eup=eup, edown=edown,
+                      dup=dup, ddown=ddown)

@@ -1,8 +1,14 @@
 """CLI behaviour: golden outputs, formats, caps, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import euler_refine
 
 from euler_refine import euler_numbers
 from euler_refine.cli import main, parse_bfile
@@ -120,6 +126,22 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert rc == 1
     assert "overall: FAIL" in out
     assert "left=0 right=1" in out
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("min-max split 1+1 != 3"),
+    AssertionError("population mismatch at degree 3: 2 vs 1"),
+])
+def test_verify_reports_enumeration_faults_as_failures(capsys, monkeypatch, error):
+    def broken(n):
+        raise error
+    monkeypatch.setattr("euler_refine.perm.count_refinements", broken)
+    rc, out, err = run_cli(capsys, "verify", "--max-n", "4", "--egf-order", "6")
+    assert rc == 1
+    assert "[FAIL] alternating count: enumeration vs triangle" in out
+    assert f"(left: {error})" in out
+    assert "overall: FAIL" in out
+    assert "Traceback" not in err
 
 
 def test_ratios_output(capsys):
@@ -250,3 +272,22 @@ def test_usage_error_without_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "1"],
+    ["export", "--sequence", "E", "--max-n", "-1"],
+    ["export", "--sequence", "E", "--max-n", "5", "--out", "{missing}/x"],
+    ["table", "--max-n", "5", "--cap", "-3"],
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    src = str(Path(euler_refine.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("EULER_REFINE_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "euler_refine.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
+    assert proc.stdout == ""

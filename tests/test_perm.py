@@ -21,7 +21,19 @@ from euler_refine import (
     upper_row,
 )
 
-from helpers import EDOWN, ENE, ENW, EULER, EUP, downup, updown
+from euler_refine.perm import _tally_walk
+
+from helpers import (
+    EDOWN,
+    ENE,
+    ENW,
+    EULER,
+    EUP,
+    downup,
+    reference_count_table,
+    reference_tally,
+    updown,
+)
 
 P = Permutation.from_text
 
@@ -200,6 +212,18 @@ def test_count_minmax_populations():
         assert du == (ud[1], ud[0])
     assert count_minmax(2, AltKind.UP_DOWN) == (1, 0)
     assert count_minmax(2, AltKind.DOWN_UP) == (0, 1)
+
+
+@pytest.mark.parametrize("kind", list(AltKind))
+def test_tally_walk_equals_classify_oracle(kind):
+    # Every per-class counter, not only the totals the partitions imply.
+    for n in range(2, 10):
+        assert tuple(_tally_walk(n, kind)) == reference_tally(n, kind), n
+
+
+def test_count_refinements_equals_classify_oracle():
+    for n in range(2, 10):
+        assert count_refinements(n) == reference_count_table(n), n
 
 
 def test_second_max_lower_positions_are_extremal():
