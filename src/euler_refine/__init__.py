@@ -3,7 +3,7 @@ refinements of the Euler (secant and tangent) numbers.
 
 Four independent routes to every count: brute-force enumeration
 (:mod:`~euler_refine.perm`), convolution formulas and recurrences
-(:mod:`~euler_refine.seq`), exact truncated series over rationals
+(:mod:`~euler_refine.seq`), exact truncated series over integer counts
 (:mod:`~euler_refine.series`), and explicit bijections
 (:mod:`~euler_refine.bij`).  :mod:`~euler_refine.verify` compares them
 all; :mod:`~euler_refine.cli` is the command-line front end.

@@ -10,16 +10,17 @@ consumer ever sees a rounded value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
 from typing import Optional, Sequence
 
 from . import perm, seq, series
@@ -93,11 +94,37 @@ def render_json(obj) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    """Write to stdout, or to the file `out`.
+
+    A new or regular file is replaced atomically: the text goes to a
+    temporary file beside `out` that is renamed over it, so `out` never
+    holds partial output; on any error the temporary file is removed and
+    `out` is left as it was.  Anything else, such as a symlink or a
+    device like /dev/stdout, is written through in place, because a
+    rename would replace the link or device node itself.
+    """
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        write_through = not stat.S_ISREG(os.lstat(out).st_mode)
+    except FileNotFoundError:
+        write_through = False
+    if write_through:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    directory, name = os.path.split(out)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _decimal10(value: Fraction) -> str:
@@ -355,7 +382,7 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- openq
 
-def _candidate_library(order: int) -> list[tuple[str, tuple[Fraction, ...]]]:
+def _candidate_library(order: int) -> list[tuple[str, tuple[int, ...]]]:
     """Small sec/tan products (exponents <= 3, coefficients 1..3) and their sums."""
     sec = series.sec_egf(order)
     tan = series.tan_egf(order)
@@ -385,11 +412,11 @@ def _candidate_library(order: int) -> list[tuple[str, tuple[Fraction, ...]]]:
         if a or b
         for c in (1, 2, 3)
     ]
-    seen: dict[tuple[Fraction, ...], str] = {}
-    out: list[tuple[str, tuple[Fraction, ...]]] = []
+    seen: dict[tuple[int, ...], str] = {}
+    out: list[tuple[str, tuple[int, ...]]] = []
 
     def add(name: str, f: series.TruncatedEGF) -> None:
-        key = f.coeffs
+        key = f.counts
         if key not in seen:
             seen[key] = name
             out.append((name, key))
@@ -418,12 +445,12 @@ def openq_data(max_n: int) -> dict:
     if terms >= CONJECTURE_MIN_TERMS:
         order = max_n - 2
         targets = {
-            "Dup": [Fraction(tables[n].dup, factorial(n - 2)) for n in range(2, max_n + 1)],
-            "Ddown": [Fraction(tables[n].ddown, factorial(n - 2)) for n in range(2, max_n + 1)],
+            "Dup": [tables[n].dup for n in range(2, max_n + 1)],
+            "Ddown": [tables[n].ddown for n in range(2, max_n + 1)],
         }
-        for name, coeffs in _candidate_library(order):
+        for name, counts in _candidate_library(order):
             for target_name, target in targets.items():
-                if list(coeffs) == target:
+                if list(counts) == target:
                     conjectures.append((target_name, name))
     return {"rows": rows, "conjectures": conjectures, "terms": terms}
 

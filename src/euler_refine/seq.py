@@ -107,9 +107,30 @@ def e_up_terms(
     return terms
 
 
+def _three_block(total: int, ee: Sequence[int], s2_start: int) -> int:
+    """Sum of C(total, s1) C(total-s1, s2) E_{s1} E_{s2} E_{s3} over s1 + s2 + s3 = total,
+    s1 odd, and s2 of the parity of s2_start.
+
+    Factored as an outer sum over s1 of C(total, s1) E_{s1} times the
+    pair convolution sum_{s2} C(m, s2) E_{s2} E_{m-s2} with m = total - s1.
+    """
+    acc = 0
+    for s1 in range(1, total + 1, 2):
+        m = total - s1
+        pair = sum(comb(m, s2) * ee[s2] * ee[m - s2] for s2 in range(s2_start, m + 1, 2))
+        acc += comb(total, s1) * ee[s1] * pair
+    return acc
+
+
 def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
-    """Count of up-down permutations of degree n with n-1 at a peak position."""
-    return 2 * sum(term for _, term in e_up_terms(n, euler))
+    """Count of up-down permutations of degree n with n-1 at a peak position.
+
+    Twice the sum of the :func:`e_up_terms` triples (s1, s2 odd).
+    """
+    if n < 2:
+        raise ValueError("degree must be at least 2")
+    ee = _euler_prefix(n - 2, euler) if n > 2 else []
+    return 2 * _three_block(n - 2, ee, 1)
 
 
 def e_down_recurrence(n: int, euler: Optional[Sequence[int]] = None) -> int:
@@ -138,13 +159,7 @@ def e_nw_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
         raise ValueError("convolution applies to even degree only; "
                          "use e_ne_nw_pair for odd degree")
     ee = _euler_prefix(n - 2, euler) if n > 2 else []
-    total = n - 2
-    acc = 0
-    for s1 in range(1, total + 1, 2):
-        for s2 in range(0, total - s1 + 1, 2):
-            s3 = total - s1 - s2
-            acc += comb(total, s1) * comb(total - s1, s2) * ee[s1] * ee[s2] * ee[s3]
-    return acc
+    return _three_block(n - 2, ee, 0)
 
 
 def e_ne_nw_pair(n: int, euler: Optional[Sequence[int]] = None) -> tuple[int, int]:

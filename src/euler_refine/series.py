@@ -1,39 +1,90 @@
-"""Exact truncated exponential generating functions.
+"""Exact truncated exponential generating functions over integer counts.
 
-A counting series F(x) = sum_n a_n x^n/n! is stored through its plain
-power-series coefficients c_n = a_n/n!, kept as exact rationals.  With
-that convention a product of two series is an ordinary Cauchy
-convolution and no factorial bookkeeping is needed until the counts are
-read back out with :func:`extract_counts`.
+A counting series F(x) = sum_n a_n x^n/n! is stored by its counts
+a_0..a_N themselves.  A product of two such series is the binomial
+convolution (fg)_n = sum_k C(n, k) f_k g_{n-k}, and the reciprocal of a
+series whose constant term is 1 or -1 (such as cos, giving sec) stays
+integral, so the counting series never leave the integers.  A series
+with non-integral counts (one built from arbitrary rational
+coefficients) holds those counts as ``Fraction`` and the same
+arithmetic applies to it.  The plain power-series coefficients
+c_n = a_n/n! remain available as the read-only view ``coeffs``.
 
 Everything here is exact: equality of series means equality of the
-coefficient vectors, with no tolerance anywhere.
+count vectors, with no tolerance anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import islice
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+def _exact(x: Rational) -> Rational:
+    """x as an int when it is integral, otherwise as a Fraction."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _quotient(a: Rational, b: Rational) -> Rational:
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _exact(Fraction(a) / b)
+
+
+def _pascal_rows(n: int) -> Iterable[list[int]]:
+    """Rows 0..n of Pascal's triangle, each [C(m, 0), ..., C(m, m)]."""
+    row = [1]
+    yield row
+    for _ in range(n):
+        row = [1, *map(int.__add__, row, row[1:]), 1]
+        yield row
+
+
+@dataclass(frozen=True, init=False)
 class TruncatedEGF:
-    """A series truncated at x^N, holding exact [x^n] coefficients c_0..c_N."""
+    """A series truncated at x^N, holding its exact counts a_0..a_N.
 
-    coeffs: tuple[Fraction, ...]
+    ``TruncatedEGF(coeffs)`` builds the series from its power-series
+    coefficients c_n = a_n/n!; :func:`egf_from_counts` builds it from
+    the counts.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    counts: tuple[Rational, ...]
+
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
+        counts = []
+        fact = 1
+        for n, c in enumerate(coeffs):
+            fact *= n or 1
+            counts.append(_exact(Fraction(c) * fact))
+        _init_counts(self, counts)
+
+    @classmethod
+    def _of_counts(cls, counts: Iterable[Rational]) -> "TruncatedEGF":
+        f = object.__new__(cls)
+        _init_counts(f, counts)
+        return f
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.counts) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-series coefficients c_n = a_n/n!."""
+        out = []
+        fact = 1
+        for n, a in enumerate(self.counts):
+            fact *= n or 1
+            out.append(Fraction(a) / fact)
+        return tuple(out)
 
     def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         return egf_add(self, other)
@@ -51,81 +102,88 @@ class TruncatedEGF:
         return NotImplemented
 
     def scale(self, c: Rational) -> "TruncatedEGF":
-        c = Fraction(c)
-        return TruncatedEGF(tuple(c * x for x in self.coeffs))
+        c = _exact(Fraction(c))
+        return TruncatedEGF._of_counts(_exact(c * a) for a in self.counts)
 
     def to_json_dict(self) -> dict:
         """JSON form {"order": N, "a": [...]} with a_n as decimal strings."""
         return {"order": self.order, "a": [str(a) for a in extract_counts(self)]}
 
 
+def _init_counts(f: TruncatedEGF, counts: Iterable[Rational]) -> None:
+    counts = tuple(counts)
+    if not counts:
+        raise ValueError("a truncated series needs at least the constant term")
+    object.__setattr__(f, "counts", counts)
+
+
 def zero_egf(order: int) -> TruncatedEGF:
-    return TruncatedEGF((Fraction(0),) * (order + 1))
+    return TruncatedEGF._of_counts((0,) * (order + 1))
 
 
 def one_egf(order: int) -> TruncatedEGF:
-    return TruncatedEGF((Fraction(1),) + (Fraction(0),) * order)
+    return TruncatedEGF._of_counts((1,) + (0,) * order)
 
 
 def egf_from_coeffs(coeffs: Iterable[Rational]) -> TruncatedEGF:
-    return TruncatedEGF(tuple(Fraction(c) for c in coeffs))
+    return TruncatedEGF(coeffs)
 
 
-def egf_from_counts(counts: Sequence[int]) -> TruncatedEGF:
+def egf_from_counts(counts: Sequence[Rational]) -> TruncatedEGF:
     """Build the series with a_n = counts[n], i.e. c_n = counts[n]/n!."""
-    return TruncatedEGF(tuple(Fraction(a, factorial(n)) for n, a in enumerate(counts)))
+    return TruncatedEGF._of_counts(_exact(Fraction(a)) for a in counts)
 
 
 def egf_add(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} != {g.order}")
-    return TruncatedEGF(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+    return TruncatedEGF._of_counts(_exact(a + b) for a, b in zip(f.counts, g.counts))
 
 
 def egf_mul(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
-    """Cauchy product truncated at the common order."""
+    """Binomial convolution (fg)_m = sum_i C(m, i) f_i g_{m-i}, truncated at the common order."""
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} != {g.order}")
-    n = f.order
-    fc, gc = f.coeffs, g.coeffs
+    fa, ga = f.counts, g.counts
     out = []
-    for m in range(n + 1):
-        out.append(sum((fc[i] * gc[m - i] for i in range(m + 1)), Fraction(0)))
-    return TruncatedEGF(tuple(out))
+    for m, row in enumerate(_pascal_rows(f.order)):
+        out.append(_exact(sum(map(mul, map(mul, row, fa), ga[m::-1]))))
+    return TruncatedEGF._of_counts(out)
 
 
 def egf_reciprocal(f: TruncatedEGF) -> TruncatedEGF:
     """Multiplicative inverse up to the truncation order.
 
     Uses the triangular recurrence g_0 = 1/f_0,
-    g_n = -(sum_{i=1..n} f_i g_{n-i}) / f_0.
+    g_m = -(sum_{i=1..m} C(m, i) f_i g_{m-i}) / f_0, which stays integral
+    when f_0 is 1 or -1.
     """
-    if f.coeffs[0] == 0:
+    fa = f.counts
+    f0 = fa[0]
+    if f0 == 0:
         raise ValueError("series with zero constant term has no reciprocal")
-    f0 = f.coeffs[0]
-    inv = [1 / f0]
-    for m in range(1, f.order + 1):
-        acc = sum((f.coeffs[i] * inv[m - i] for i in range(1, m + 1)), Fraction(0))
-        inv.append(-acc / f0)
-    return TruncatedEGF(tuple(inv))
+    tail = fa[1:]
+    inv = [_quotient(1, f0)]
+    for row in islice(_pascal_rows(f.order), 1, None):
+        acc = sum(map(mul, map(mul, row[1:], tail), reversed(inv)))
+        inv.append(_quotient(-acc, f0))
+    return TruncatedEGF._of_counts(inv)
 
 
 def sin_egf(order: int) -> TruncatedEGF:
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1, 2):
-        coeffs[m] = Fraction((-1) ** ((m - 1) // 2), factorial(m))
-    return TruncatedEGF(tuple(coeffs))
+    return TruncatedEGF._of_counts(
+        0 if m % 2 == 0 else (-1) ** ((m - 1) // 2) for m in range(order + 1)
+    )
 
 
 def cos_egf(order: int) -> TruncatedEGF:
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [Fraction(0)] * (order + 1)
-    for m in range(0, order + 1, 2):
-        coeffs[m] = Fraction((-1) ** (m // 2), factorial(m))
-    return TruncatedEGF(tuple(coeffs))
+    return TruncatedEGF._of_counts(
+        (-1) ** (m // 2) if m % 2 == 0 else 0 for m in range(order + 1)
+    )
 
 
 def sec_egf(order: int) -> TruncatedEGF:
@@ -137,14 +195,11 @@ def tan_egf(order: int) -> TruncatedEGF:
 
 
 def extract_counts(f: TruncatedEGF) -> list[int]:
-    """Read off (a_0, ..., a_N) with a_n = n! * c_n, requiring each to be integral."""
-    counts = []
-    for n, c in enumerate(f.coeffs):
-        a = c * factorial(n)
-        if a.denominator != 1:
+    """Read off (a_0, ..., a_N), requiring each to be integral."""
+    for n, a in enumerate(f.counts):
+        if type(a) is not int:
             raise ValueError(f"coefficient of x^{n} gives non-integral count {a}")
-        counts.append(a.numerator)
-    return counts
+    return list(f.counts)
 
 
 # Named series for the refined counting sequences, each shifted two steps:

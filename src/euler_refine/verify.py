@@ -38,6 +38,28 @@ def _theorem_report(max_n: int, euler: Sequence[int]) -> VerifyReport:
         return report
 
 
+def _per_degree(compute: Callable[[int], object]) -> Callable[[int], object]:
+    """`compute` evaluated at most once per degree.
+
+    An exception it raises is kept and raised again on every later call
+    for that degree, so each entry that reads the degree fails.
+    """
+    done: dict[int, object] = {}
+
+    def value(n: int) -> object:
+        if n not in done:
+            try:
+                done[n] = compute(n)
+            except Exception as exc:
+                done[n] = exc
+        result = done[n]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return value
+
+
 def _pairwise_report(
     identity: str,
     left_method: str,
@@ -72,18 +94,8 @@ def run_verification(
     ns = range(2, max_n + 1)
     odd_ns = range(3, max_n + 1, 2)
     # A degree whose enumeration raises fails the entries that read it.
-    built: dict[int, object] = {}
-    for n in ns:
-        try:
-            built[n] = perm.count_refinements(n)
-        except Exception as exc:
-            built[n] = exc
-
-    def table(n: int) -> seq.CountTable:
-        t = built[n]
-        if isinstance(t, Exception):
-            raise t
-        return t
+    table = _per_degree(perm.count_refinements)
+    pair = _per_degree(lambda n: seq.e_ne_nw_pair(n, ee))
 
     sec = series.sec_egf(egf_order)
     tan = series.tan_egf(egf_order)
@@ -109,12 +121,12 @@ def run_verification(
         _pairwise_report(
             "min-max count: enumeration vs convolution", "enumeration", "formula",
             ns, "Ene_n",
-            lambda n: table(n).ene, lambda n: seq.e_ne_nw_pair(n, ee)[0],
+            lambda n: table(n).ene, lambda n: pair(n)[0],
         ),
         _pairwise_report(
             "max-min count: enumeration vs convolution", "enumeration", "formula",
             ns, "Enw_n",
-            lambda n: table(n).enw, lambda n: seq.e_ne_nw_pair(n, ee)[1],
+            lambda n: table(n).enw, lambda n: pair(n)[1],
         ),
         _pairwise_report(
             "second-max-upper count: enumeration vs convolution", "enumeration", "formula",
@@ -150,12 +162,12 @@ def run_verification(
         _pairwise_report(
             "series identity: min-max counts vs sec^2(sec+tan)", "formula", "egf",
             range(2, egf_order + 3), "Ene_n",
-            lambda n: seq.e_ne_nw_pair(n, ee)[0], lambda n: ene_counts[n - 2],
+            lambda n: pair(n)[0], lambda n: ene_counts[n - 2],
         ),
         _pairwise_report(
             "series identity: max-min counts vs sec tan(sec+tan)", "formula", "egf",
             range(2, egf_order + 3), "Enw_n",
-            lambda n: seq.e_ne_nw_pair(n, ee)[1], lambda n: enw_counts[n - 2],
+            lambda n: pair(n)[1], lambda n: enw_counts[n - 2],
         ),
         _pairwise_report(
             "series identity: second-max-upper counts vs 2tan^2(sec+tan)", "formula", "egf",
@@ -182,11 +194,18 @@ def run_verification(
     return reports
 
 
+def _failure_count(n: int, label: str, witnesses: Sequence[str]) -> CheckEntry:
+    """Entry expecting no failures; a failing one names its first witness."""
+    note = f"first bad permutation: {witnesses[0]}" if witnesses else ""
+    return CheckEntry(n, label, len(witnesses), 0, note)
+
+
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     """Exhaustive checks of the involution, the splittings and the doubling map.
 
     Every count entry compares an observed failure or cardinality
-    against its expected value, degree by degree up to max_n.
+    against its expected value, degree by degree up to max_n.  A failing
+    failure count names its first bad permutation in the entry's note.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
@@ -204,45 +223,47 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
 
     involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
     for n in range(2, max_n + 1):
-        fixed = bad = 0
+        fixed, bad = [], []
         for p in smu_sets[n]:
             q = bij.swap_top_two(p)
             if q == p:
-                fixed += 1
+                fixed.append(p.to_text())
             if bij.swap_top_two(q) != p or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER:
-                bad += 1
-        involution.entries.append(CheckEntry(n, "fixed points", fixed, 0))
-        involution.entries.append(CheckEntry(n, "involution violations", bad, 0))
+                bad.append(p.to_text())
+        involution.entries.append(_failure_count(n, "fixed points", fixed))
+        involution.entries.append(_failure_count(n, "involution violations", bad))
 
     smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")
     for n in range(2, max_n + 1):
-        bad = lefts = 0
+        bad = []
+        lefts = 0
         for p in smu_sets[n]:
             if p.position_of(n - 1) > p.position_of(n):
                 continue
             lefts += 1
             if bij.compose_smu(bij.decompose_smu(p), n) != p:
-                bad += 1
-        smu_roundtrip.entries.append(CheckEntry(n, "round-trip failures", bad, 0))
+                bad.append(p.to_text())
+        smu_roundtrip.entries.append(_failure_count(n, "round-trip failures", bad))
         smu_roundtrip.entries.append(CheckEntry(n, "left-oriented half", 2 * lefts, len(smu_sets[n])))
 
     maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
     for n in range(2, max_n + 1, 2):
-        bad = sum(
-            1 for p in maxmin_sets[n] if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p
-        )
-        maxmin_roundtrip.entries.append(CheckEntry(n, "round-trip failures", bad, 0))
+        bad = [
+            p.to_text() for p in maxmin_sets[n]
+            if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p
+        ]
+        maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", bad))
 
     doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
     for n in range(2, max_n + 1, 2):
         images = set()
-        bad_inverse = 0
+        bad_inverse = []
         for p in maxmin_sets[n]:
             for side in (0, 1):
                 q = bij.maxmin_to_smu(p, side)
                 images.add(q)
                 if bij.smu_to_maxmin(q) != (p, side):
-                    bad_inverse += 1
+                    bad_inverse.append(f"{p.to_text()} with side {side}")
         doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * len(maxmin_sets[n])))
         doubling.entries.append(
             CheckEntry(
@@ -252,6 +273,6 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
                 sorted(p.values for p in smu_sets[n]),
             )
         )
-        doubling.entries.append(CheckEntry(n, "inverse round-trip failures", bad_inverse, 0))
+        doubling.entries.append(_failure_count(n, "inverse round-trip failures", bad_inverse))
 
     return [involution, smu_roundtrip, maxmin_roundtrip, doubling]

@@ -1,6 +1,9 @@
-"""Shared fixtures: cached enumerations, frozen reference rows, counting oracle."""
+"""Shared fixtures: cached enumerations, frozen reference rows, and the
+counting, series and convolution oracles."""
 
+from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 from euler_refine import (
     AltKind,
@@ -71,3 +74,64 @@ def reference_count_table(n):
         raise AssertionError(f"population mismatch at degree {n}: {e} vs {e_downup}")
     return CountTable(n=n, e=e, ene=ene, enw=enw, eup=eup, edown=edown,
                       dup=dup, ddown=ddown)
+
+
+def cauchy_mul(fc, gc):
+    """Cauchy product of two power-series coefficient vectors over Fraction.
+
+    The coefficient-based product the count-based ``egf_mul`` replaced,
+    kept as its oracle.
+    """
+    return tuple(
+        sum((fc[i] * gc[m - i] for i in range(m + 1)), Fraction(0))
+        for m in range(len(fc))
+    )
+
+
+def cauchy_reciprocal(fc):
+    """Coefficients of 1/f by g_m = -(sum_{i>=1} f_i g_{m-i}) / f_0, over Fraction."""
+    f0 = Fraction(fc[0])
+    inv = [1 / f0]
+    for m in range(1, len(fc)):
+        acc = sum((fc[i] * inv[m - i] for i in range(1, m + 1)), Fraction(0))
+        inv.append(-acc / f0)
+    return tuple(inv)
+
+
+def cauchy_named_series(order):
+    """Coefficient vectors of sec, tan and the four refined series, built
+    from the Taylor coefficients of cos and sin with the Cauchy oracles."""
+    cos = tuple(
+        Fraction((-1) ** (m // 2), factorial(m)) if m % 2 == 0 else Fraction(0)
+        for m in range(order + 1)
+    )
+    sin = tuple(
+        Fraction((-1) ** ((m - 1) // 2), factorial(m)) if m % 2 else Fraction(0)
+        for m in range(order + 1)
+    )
+    sec = cauchy_reciprocal(cos)
+    tan = cauchy_mul(sin, sec)
+    sec_tan = tuple(a + b for a, b in zip(sec, tan))
+    tan_sq = cauchy_mul(tan, tan)
+    return {
+        "sec": sec,
+        "tan": tan,
+        "ene": cauchy_mul(cauchy_mul(sec, sec), sec_tan),
+        "enw": cauchy_mul(cauchy_mul(sec, tan), sec_tan),
+        "eup": tuple(2 * c for c in cauchy_mul(tan_sq, sec_tan)),
+        "edown": tuple(a + 2 * b for a, b in zip(sec, tan)),
+    }
+
+
+def double_sum_e_nw(n, ee):
+    """Even-degree max-min count by the unfactored double sum over (s1, s2).
+
+    The form the factored ``e_nw_formula`` replaced, kept as its oracle.
+    """
+    total = n - 2
+    acc = 0
+    for s1 in range(1, total + 1, 2):
+        for s2 in range(0, total - s1 + 1, 2):
+            s3 = total - s1 - s2
+            acc += comb(total, s1) * comb(total - s1, s2) * ee[s1] * ee[s2] * ee[s3]
+    return acc

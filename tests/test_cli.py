@@ -238,6 +238,35 @@ def test_export_round_trip_refinement_offset(tmp_path, capsys):
     assert entries == [(n, e_up_formula(n)) for n in range(2, 21)]
 
 
+def test_out_is_left_intact_when_the_rename_fails(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "E.txt"
+    target.write_text("previous contents\n")
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    rc, out, err = run_cli(capsys, "export", "--sequence", "E", "--max-n", "5",
+                           "--out", str(target))
+    assert rc == 2
+    assert "simulated rename failure" in err
+    assert target.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["E.txt"]
+
+
+def test_out_through_a_symlink_writes_the_link_target(tmp_path, capsys):
+    target = tmp_path / "E.txt"
+    target.write_text("previous contents\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    rc, _, _ = run_cli(capsys, "export", "--sequence", "E", "--max-n", "3",
+                       "--out", str(link))
+    assert rc == 0
+    assert link.is_symlink()
+    assert target.read_text() == "0 1\n1 1\n2 1\n3 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["E.txt", "link.txt"]
+
+
 def test_export_unknown_sequence(capsys):
     rc, _, err = run_cli(capsys, "export", "--sequence", "Nope", "--max-n", "5")
     assert rc == 2

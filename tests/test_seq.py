@@ -24,7 +24,7 @@ from euler_refine import (
     theorem_check,
 )
 
-from helpers import EDOWN, ENE, ENW, EULER, EUP
+from helpers import EDOWN, ENE, ENW, EULER, EUP, double_sum_e_nw
 
 
 def test_euler_numbers_first_ten():
@@ -59,6 +59,12 @@ def test_e_up_worked_example_degree_8():
     assert 2 * sum(terms.values()) == 1324 == e_up_formula(8)
 
 
+def test_e_up_formula_is_twice_the_term_sum():
+    ee = euler_numbers(40)
+    for n in range(2, 41):
+        assert e_up_formula(n, ee) == 2 * sum(term for _, term in e_up_terms(n, ee)), n
+
+
 def test_e_up_small_degrees_are_zero():
     assert e_up_formula(2) == 0
     assert e_up_formula(3) == 0
@@ -83,6 +89,12 @@ def test_e_nw_formula_even_degrees():
     assert e_nw_formula(2) == 0
     assert e_nw_formula(8) == 662
     assert [e_nw_formula(n) for n in range(2, 10, 2)] == [ENW[k] for k in (0, 2, 4, 6)]
+
+
+def test_e_nw_formula_equals_the_double_sum():
+    ee = euler_numbers(60)
+    for n in range(2, 61, 2):
+        assert e_nw_formula(n, ee) == double_sum_e_nw(n, ee), n
 
 
 def test_e_nw_formula_rejects_odd_degree():

@@ -27,7 +27,16 @@ from euler_refine import (
     zero_egf,
 )
 
-from helpers import EDOWN, ENE, ENW, EULER, EUP
+from helpers import (
+    EDOWN,
+    ENE,
+    ENW,
+    EULER,
+    EUP,
+    cauchy_mul,
+    cauchy_named_series,
+    cauchy_reciprocal,
+)
 
 
 def tangent_numbers(upto):
@@ -67,10 +76,25 @@ def test_tan_odd_counts():
 
 
 def test_sec_plus_tan_counts_euler_numbers():
-    order = 12
+    order = 200
     counts = extract_counts(sec_egf(order) + tan_egf(order))
     assert counts == euler_numbers(order)
-    assert counts[10:] == [50521, 353792, 2702765]
+    assert counts[10:13] == [50521, 353792, 2702765]
+
+
+def test_series_equal_the_cauchy_oracle_at_every_order():
+    oracle = cauchy_named_series(40)
+    builders = {
+        "sec": sec_egf,
+        "tan": tan_egf,
+        "ene": ene_egf,
+        "enw": enw_egf,
+        "eup": eup_egf,
+        "edown": edown_egf,
+    }
+    for name, build in builders.items():
+        for order in range(41):
+            assert build(order).coeffs == oracle[name][:order + 1], (name, order)
 
 
 def test_add_requires_equal_orders():
@@ -203,3 +227,12 @@ def test_reciprocal_inverts(f):
             egf_reciprocal(f)
     else:
         assert f * egf_reciprocal(f) == one_egf(f.order)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(series_of_order(k), series_of_order(k))))
+def test_product_and_reciprocal_equal_the_cauchy_oracle(fg):
+    f, g = fg
+    assert (f * g).coeffs == cauchy_mul(f.coeffs, g.coeffs)
+    if f.coeffs[0] != 0:
+        assert egf_reciprocal(f).coeffs == cauchy_reciprocal(f.coeffs)

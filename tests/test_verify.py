@@ -1,6 +1,9 @@
 """The cross-route verification engine, including its failure paths."""
 
-from euler_refine import euler_numbers, run_verification, bijection_checks
+from euler_refine import bij, bijection_checks, euler_numbers, run_verification
+from euler_refine.cli import main
+
+from helpers import smu_set
 
 
 def test_default_scale_run_passes():
@@ -63,3 +66,25 @@ def test_bijection_checks_pass():
         "max-min split round trip",
         "doubling map bijectivity",
     }
+
+
+def test_bijection_failure_names_first_bad_permutation(monkeypatch, capsys):
+    original = bij.compose_smu
+
+    def broken(decomposition, n):
+        p = original(decomposition, n)
+        return bij.swap_top_two(p) if n == 5 else p
+
+    monkeypatch.setattr(bij, "compose_smu", broken)
+    first = next(p for p in smu_set(5) if p.position_of(4) < p.position_of(5))
+    witness = f"first bad permutation: {first.to_text()}"
+    report = {r.identity: r for r in bijection_checks(max_n=6)}["second-max-upper split round trip"]
+    failures = report.failures()
+    assert [(e.n, e.label, e.note) for e in failures] == [(5, "round-trip failures", witness)]
+    assert main(["bijection-check", "--max-n", "6"]) == 1
+    assert f"({witness})" in capsys.readouterr().out
+
+
+def test_passing_bijection_entries_carry_no_note():
+    for report in bijection_checks(max_n=6):
+        assert all(e.note == "" for e in report.entries)
