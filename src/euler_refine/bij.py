@@ -56,16 +56,17 @@ class Decomposition:
 
 def standardize(block: Sequence[int]) -> Permutation:
     """Order-isomorphic pattern of a block: each value replaced by its rank."""
-    ranks = {v: r for r, v in enumerate(sorted(block), start=1)}
-    return Permutation(tuple(ranks[v] for v in block))
+    ranks = dict(zip(sorted(block), range(1, len(block) + 1)))
+    return Permutation(tuple(map(ranks.__getitem__, block)))
 
 
 def embed(pattern: Permutation, values: Sequence[int]) -> tuple[int, ...]:
     """Realize a pattern on a value set, inverse of :func:`standardize`."""
-    ordered = sorted(values)
-    if len(ordered) != pattern.n:
-        raise ValueError(f"pattern of degree {pattern.n} cannot use {len(ordered)} values")
-    return tuple(ordered[r - 1] for r in pattern.values)
+    # A leading placeholder lets the 1-based ranks index the sorted values.
+    ordered = [None, *sorted(values)]
+    if len(ordered) - 1 != pattern.n:
+        raise ValueError(f"pattern of degree {pattern.n} cannot use {len(ordered) - 1} values")
+    return tuple(map(ordered.__getitem__, pattern.values))
 
 
 def _require_updown_smu(p: Permutation) -> None:
@@ -80,8 +81,10 @@ def swap_top_two(p: Permutation) -> Permutation:
     """Exchange the values n-1 and n; involution on the second-max-upper set."""
     _require_updown_smu(p)
     n = p.n
-    swapped = tuple(n if v == n - 1 else n - 1 if v == n else v for v in p.values)
-    return Permutation(swapped)
+    swapped = list(p.values)
+    second, top = swapped.index(n - 1), swapped.index(n)
+    swapped[second], swapped[top] = n, n - 1
+    return Permutation(tuple(swapped))
 
 
 def decompose_smu(p: Permutation) -> Decomposition:

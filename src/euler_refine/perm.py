@@ -53,7 +53,8 @@ class Permutation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
         n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
+        # n values that cover 1..n are exactly a permutation of 1..n.
+        if not set(self.values).issuperset(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.values}")
 
     @property
@@ -87,6 +88,18 @@ class Classification:
     kind: AltKind
     minmax: MinMaxKind
     secondmax: SecondMaxKind
+
+
+# Every classification there is, built once and shared, indexed by
+# [up-down][min-max][second-max-upper].
+_CLASSIFICATIONS = tuple(
+    tuple(
+        tuple(Classification(kind, minmax, secondmax)
+              for secondmax in (SecondMaxKind.LOWER, SecondMaxKind.UPPER))
+        for minmax in (MinMaxKind.MAX_MIN, MinMaxKind.MIN_MAX)
+    )
+    for kind in (AltKind.DOWN_UP, AltKind.UP_DOWN)
+)
 
 
 def _zigzags(values: Sequence[int], first_rises: bool) -> bool:
@@ -131,26 +144,20 @@ def upper_row(n: int, kind: AltKind) -> frozenset[int]:
 
 def classify(p: Permutation) -> Classification:
     """Kind plus the min-max and second-max refinements of an alternating permutation."""
-    if p.n < 2:
+    values = p.values
+    n = len(values)
+    if n < 2:
         raise ValueError("classification requires degree >= 2")
-    if is_up_down(p):
-        kind = AltKind.UP_DOWN
-    elif is_down_up(p):
-        kind = AltKind.DOWN_UP
+    # up_down is 1 for up-down and 0 for down-up, and the upper row (see
+    # upper_row) holds the 0-based indices of that parity.
+    if _zigzags(values, True):
+        up_down = 1
+    elif _zigzags(values, False):
+        up_down = 0
     else:
         raise ValueError(f"not an alternating permutation: {p}")
-    n = p.n
-    minmax = (
-        MinMaxKind.MIN_MAX
-        if p.position_of(1) < p.position_of(n)
-        else MinMaxKind.MAX_MIN
-    )
-    secondmax = (
-        SecondMaxKind.UPPER
-        if p.position_of(n - 1) in upper_row(n, kind)
-        else SecondMaxKind.LOWER
-    )
-    return Classification(kind, minmax, secondmax)
+    index = values.index
+    return _CLASSIFICATIONS[up_down][index(1) < index(n)][index(n - 1) % 2 == up_down]
 
 
 def enumerate_alternating(

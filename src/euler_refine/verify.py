@@ -9,6 +9,8 @@ sequence flags every dependent identity instead of aborting the run.
 
 from __future__ import annotations
 
+import os
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import bij, perm, seq, series
@@ -200,79 +202,222 @@ def _failure_count(n: int, label: str, witnesses: Sequence[str]) -> CheckEntry:
     return CheckEntry(n, label, len(witnesses), 0, note)
 
 
+def _raised(witness: str, exc: Exception) -> str:
+    return f"{witness} raised {type(exc).__name__}: {exc}"
+
+
+@dataclass
+class _DegreeResult:
+    """What one shard of one degree found; witnesses in enumeration order."""
+
+    fixed: list[str] = field(default_factory=list)
+    involution_bad: list[str] = field(default_factory=list)
+    smu_bad: list[str] = field(default_factory=list)
+    lefts: int = 0
+    maxmin_bad: list[str] = field(default_factory=list)
+    images: list[tuple[int, ...]] = field(default_factory=list)
+    inverse_bad: list[str] = field(default_factory=list)
+
+    def absorb(self, later: "_DegreeResult") -> None:
+        """Append the results of the shard that follows this one."""
+        self.fixed += later.fixed
+        self.involution_bad += later.involution_bad
+        self.smu_bad += later.smu_bad
+        self.lefts += later.lefts
+        self.maxmin_bad += later.maxmin_bad
+        self.images += later.images
+        self.inverse_bad += later.inverse_bad
+
+
+# One contiguous slice of each degree's second-max-upper and max-min lists.
+_Shard = Sequence[tuple[int, Sequence[perm.Permutation], Sequence[perm.Permutation]]]
+
+
+def _check_shard(shard: _Shard) -> list[_DegreeResult]:
+    """Run every per-permutation check on one shard.
+
+    A map that raises on a permutation records that permutation as a
+    failure, with the exception in its witness.
+    """
+    results = []
+    for n, smu, maxmin in shard:
+        r = _DegreeResult()
+        for p in smu:
+            try:
+                q = bij.swap_top_two(p)
+                if q == p:
+                    r.fixed.append(p.to_text())
+                if (bij.swap_top_two(q) != p
+                        or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER):
+                    r.involution_bad.append(p.to_text())
+            except Exception as exc:
+                r.involution_bad.append(_raised(p.to_text(), exc))
+            if p.position_of(n - 1) > p.position_of(n):
+                continue
+            r.lefts += 1
+            try:
+                if bij.compose_smu(bij.decompose_smu(p), n) != p:
+                    r.smu_bad.append(p.to_text())
+            except Exception as exc:
+                r.smu_bad.append(_raised(p.to_text(), exc))
+        for p in maxmin:
+            try:
+                if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p:
+                    r.maxmin_bad.append(p.to_text())
+            except Exception as exc:
+                r.maxmin_bad.append(_raised(p.to_text(), exc))
+            for side in (0, 1):
+                try:
+                    q = bij.maxmin_to_smu(p, side)
+                    r.images.append(q.values)
+                    if bij.smu_to_maxmin(q) != (p, side):
+                        r.inverse_bad.append(f"{p.to_text()} with side {side}")
+                except Exception as exc:
+                    r.inverse_bad.append(_raised(f"{p.to_text()} with side {side}", exc))
+        results.append(r)
+    return results
+
+
+def _unchecked_shard(shard: _Shard, reason: str) -> list[_DegreeResult]:
+    """Results of a shard whose worker returned none: each of its
+    permutations fails every check it takes part in."""
+    results = []
+    for _, smu, maxmin in shard:
+        smu_texts = [f"{p.to_text()} unchecked: {reason}" for p in smu]
+        maxmin_texts = [f"{p.to_text()} unchecked: {reason}" for p in maxmin]
+        results.append(_DegreeResult(
+            involution_bad=smu_texts, smu_bad=smu_texts,
+            maxmin_bad=maxmin_texts, inverse_bad=maxmin_texts,
+        ))
+    return results
+
+
+def _shard_worker(shard: _Shard, sender) -> None:
+    """Forked entry point: send the shard's results, or why there are none."""
+    try:
+        sender.send(_check_shard(shard))
+    except Exception as exc:
+        sender.send(f"the worker raised {type(exc).__name__}: {exc}")
+
+
+def _run_shards(shards: Sequence[_Shard]) -> list[list[_DegreeResult]]:
+    """`_check_shard` of every shard, in shard order.
+
+    The last shard runs in this process, every other one in a forked
+    worker, all at the same time.  A worker that returns no results
+    leaves its shard unchecked, which fails its permutations.
+    """
+    if len(shards) == 1:
+        return [_check_shard(shards[0])]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for shard in shards[:-1]:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_shard_worker, args=(shard, sender), daemon=True)
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
+        own = _check_shard(shards[-1])
+        results = []
+        for shard, (process, receiver) in zip(shards, workers):
+            try:
+                result = receiver.recv()
+            except Exception:
+                result = None
+            process.join()
+            if isinstance(result, list) and process.exitcode == 0:
+                results.append(result)
+                continue
+            if not isinstance(result, str):
+                result = (f"the worker exited with code {process.exitcode} "
+                          "before returning its results")
+            results.append(_unchecked_shard(shard, result))
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            if process.is_alive():
+                process.kill()
+            process.join()
+    return results + [own]
+
+
+def _slices(items: Sequence[perm.Permutation], count: int) -> list[Sequence[perm.Permutation]]:
+    """`items` cut into `count` contiguous slices of near-equal length."""
+    size = len(items)
+    return [items[i * size // count:(i + 1) * size // count] for i in range(count)]
+
+
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     """Exhaustive checks of the involution, the splittings and the doubling map.
 
     Every count entry compares an observed failure or cardinality
     against its expected value, degree by degree up to max_n.  A failing
-    failure count names its first bad permutation in the entry's note.
+    failure count names its first bad permutation in the entry's note;
+    a map that raises counts as a failure, and the note carries the
+    exception.
+
+    The per-permutation work of each degree is cut into contiguous
+    shards, one per CPU this process may run on, and the shards run at
+    the same time: this process works one, forked workers the others.
+    With one CPU nothing is forked.  The shards' results are merged in
+    enumeration order, so the reports do not depend on the CPU count.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    degrees = range(2, max_n + 1)
     smu_sets = {}
     maxmin_sets = {}
-    for n in range(2, max_n + 1):
-        ups = list(perm.enumerate_alternating(n, perm.AltKind.UP_DOWN))
-        smu_sets[n] = [
-            p for p in ups if perm.classify(p).secondmax is perm.SecondMaxKind.UPPER
-        ]
-        if n % 2 == 0:
-            maxmin_sets[n] = [
-                p for p in ups if perm.classify(p).minmax is perm.MinMaxKind.MAX_MIN
-            ]
+    for n in degrees:
+        smu, maxmin = [], []
+        for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN):
+            c = perm.classify(p)
+            if c.secondmax is perm.SecondMaxKind.UPPER:
+                smu.append(p)
+            if n % 2 == 0 and c.minmax is perm.MinMaxKind.MAX_MIN:
+                maxmin.append(p)
+        smu_sets[n], maxmin_sets[n] = smu, maxmin
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = max(1, min(cpus, len(smu_sets[max_n])))
+    shards = [[] for _ in range(count)]
+    for n in degrees:
+        slices = zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))
+        for shard, (smu, maxmin) in zip(shards, slices):
+            shard.append((n, smu, maxmin))
+    results = {n: _DegreeResult() for n in degrees}
+    for shard_results in _run_shards(shards):
+        for n, part in zip(degrees, shard_results):
+            results[n].absorb(part)
 
     involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
-    for n in range(2, max_n + 1):
-        fixed, bad = [], []
-        for p in smu_sets[n]:
-            q = bij.swap_top_two(p)
-            if q == p:
-                fixed.append(p.to_text())
-            if bij.swap_top_two(q) != p or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER:
-                bad.append(p.to_text())
-        involution.entries.append(_failure_count(n, "fixed points", fixed))
-        involution.entries.append(_failure_count(n, "involution violations", bad))
-
     smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")
-    for n in range(2, max_n + 1):
-        bad = []
-        lefts = 0
-        for p in smu_sets[n]:
-            if p.position_of(n - 1) > p.position_of(n):
-                continue
-            lefts += 1
-            if bij.compose_smu(bij.decompose_smu(p), n) != p:
-                bad.append(p.to_text())
-        smu_roundtrip.entries.append(_failure_count(n, "round-trip failures", bad))
-        smu_roundtrip.entries.append(CheckEntry(n, "left-oriented half", 2 * lefts, len(smu_sets[n])))
+    for n in degrees:
+        r = results[n]
+        involution.entries.append(_failure_count(n, "fixed points", r.fixed))
+        involution.entries.append(_failure_count(n, "involution violations", r.involution_bad))
+        smu_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.smu_bad))
+        smu_roundtrip.entries.append(
+            CheckEntry(n, "left-oriented half", 2 * r.lefts, len(smu_sets[n]))
+        )
 
     maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
-    for n in range(2, max_n + 1, 2):
-        bad = [
-            p.to_text() for p in maxmin_sets[n]
-            if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p
-        ]
-        maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", bad))
-
     doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
     for n in range(2, max_n + 1, 2):
-        images = set()
-        bad_inverse = []
-        for p in maxmin_sets[n]:
-            for side in (0, 1):
-                q = bij.maxmin_to_smu(p, side)
-                images.add(q)
-                if bij.smu_to_maxmin(q) != (p, side):
-                    bad_inverse.append(f"{p.to_text()} with side {side}")
+        r = results[n]
+        maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
+        images = set(r.images)
         doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * len(maxmin_sets[n])))
         doubling.entries.append(
             CheckEntry(
                 n,
                 "image = second-max-upper set",
-                sorted(p.values for p in images),
+                sorted(images),
                 sorted(p.values for p in smu_sets[n]),
             )
         )
-        doubling.entries.append(_failure_count(n, "inverse round-trip failures", bad_inverse))
+        doubling.entries.append(_failure_count(n, "inverse round-trip failures", r.inverse_bad))
 
     return [involution, smu_roundtrip, maxmin_roundtrip, doubling]

@@ -1,5 +1,5 @@
 """Shared fixtures: cached enumerations, frozen reference rows, and the
-counting, series and convolution oracles."""
+classification, counting, series and convolution oracles."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -7,11 +7,13 @@ from math import comb, factorial
 
 from euler_refine import (
     AltKind,
+    Classification,
     CountTable,
     MinMaxKind,
     SecondMaxKind,
     classify,
     enumerate_alternating,
+    upper_row,
 )
 
 # Degrees 0..9 of the up-down counts (OEIS A000111) and the four
@@ -44,6 +46,42 @@ def smu_set(n):
 @lru_cache(maxsize=None)
 def maxmin_set(n):
     return tuple(p for p in updown(n) if classify(p).minmax is MinMaxKind.MAX_MIN)
+
+
+def reference_zigzags(values, first_rises):
+    """The zigzag definition read off pair by pair: the pair at index i
+    rises exactly when i is even for an up-down chain, odd for down-up."""
+    return all(
+        (values[i] < values[i + 1]) == ((i % 2 == 0) == first_rises)
+        for i in range(len(values) - 1)
+    )
+
+
+def reference_classify(p):
+    """Classification by 1-based positions and the ``upper_row`` set.
+
+    The form the index-parity ``classify`` replaced, kept as its oracle.
+    """
+    if p.n < 2:
+        raise ValueError("classification requires degree >= 2")
+    if reference_zigzags(p.values, True):
+        kind = AltKind.UP_DOWN
+    elif reference_zigzags(p.values, False):
+        kind = AltKind.DOWN_UP
+    else:
+        raise ValueError(f"not an alternating permutation: {p}")
+    n = p.n
+    minmax = (
+        MinMaxKind.MIN_MAX
+        if p.position_of(1) < p.position_of(n)
+        else MinMaxKind.MAX_MIN
+    )
+    secondmax = (
+        SecondMaxKind.UPPER
+        if p.position_of(n - 1) in upper_row(n, kind)
+        else SecondMaxKind.LOWER
+    )
+    return Classification(kind, minmax, secondmax)
 
 
 def reference_tally(n, kind):

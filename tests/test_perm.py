@@ -1,5 +1,8 @@
 """Permutation classification and enumeration against hand-checked sets."""
 
+import itertools
+from math import factorial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,8 +33,10 @@ from helpers import (
     EULER,
     EUP,
     downup,
+    reference_classify,
     reference_count_table,
     reference_tally,
+    reference_zigzags,
     updown,
 )
 
@@ -56,6 +61,17 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((0, 1))
     assert Permutation(()).n == 0
+
+
+@pytest.mark.parametrize("values", [
+    (1, 1), (2, 1, 2), (1, 3, 3),  # duplicates
+    (0,), (0, 1), (2, 0, 1),  # 0
+    (2,), (1, 3), (3, 1, 4),  # n + 1
+    (1, 4, 2, 5), (3, 4, 5), (1, 2.5, 3),  # gaps
+])
+def test_permutation_rejects_non_permutations(values):
+    with pytest.raises(ValueError):
+        Permutation(values)
 
 
 def test_text_round_trip():
@@ -122,6 +138,38 @@ def test_classify_rejects_bad_input():
         classify(P("1"))
     with pytest.raises(ValueError):
         classify(P("1234"))
+
+
+def test_classify_equals_position_oracle():
+    for n in range(2, 9):
+        for p in updown(n) + downup(n):
+            assert classify(p) == reference_classify(p), p
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except ValueError:
+        return ValueError
+
+
+def test_classify_rejects_what_the_oracle_rejects():
+    for n in range(0, 7):
+        rejected = 0
+        for values in itertools.permutations(range(1, n + 1)):
+            p = Permutation(values)
+            outcome = _outcome(classify, p)
+            assert outcome == _outcome(reference_classify, p), p
+            rejected += outcome is ValueError
+        assert rejected == (factorial(n) if n < 2 else factorial(n) - 2 * EULER[n])
+
+
+def test_zigzag_tests_equal_the_definition():
+    for n in range(0, 8):
+        for values in itertools.permutations(range(1, n + 1)):
+            p = Permutation(values)
+            assert is_up_down(p) == reference_zigzags(values, True), p
+            assert is_down_up(p) == reference_zigzags(values, False), p
 
 
 def test_degree_4_and_5_splits_by_hand():

@@ -1,9 +1,20 @@
 """The cross-route verification engine, including its failure paths."""
 
-from euler_refine import bij, bijection_checks, euler_numbers, run_verification
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import euler_refine
+from euler_refine import bij, bijection_checks, euler_numbers, run_verification, verify
 from euler_refine.cli import main
 
-from helpers import smu_set
+from helpers import maxmin_set, smu_set
+
+# CPU sets for the unsharded path and for two shards, one of them forked.
+ONE_CPU, TWO_CPUS = {0}, {0, 1}
 
 
 def test_default_scale_run_passes():
@@ -88,3 +99,104 @@ def test_bijection_failure_names_first_bad_permutation(monkeypatch, capsys):
 def test_passing_bijection_entries_carry_no_note():
     for report in bijection_checks(max_n=6):
         assert all(e.note == "" for e in report.entries)
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+def _entries(reports):
+    return [(r.identity, e.n, e.label, e.left, e.right, e.note)
+            for r in reports for e in r.entries]
+
+
+def test_shard_count_does_not_change_the_reports(monkeypatch, capsys):
+    outputs = []
+    for cpus in (ONE_CPU, TWO_CPUS):
+        _use_cpus(monkeypatch, cpus)
+        reports = bijection_checks(max_n=8)
+        assert main(["bijection-check", "--max-n", "8", "--format", "json"]) == 0
+        outputs.append((_entries(reports), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+@pytest.mark.parametrize("name", ["compose_smu", "smu_to_maxmin"])
+def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, name):
+    # Forked workers inherit the patched map.
+    def broken(*args):
+        raise ValueError("broken map")
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, name, broken)
+    reports = bijection_checks(max_n=6)
+    failures = [e for r in reports for e in r.failures()]
+    assert failures
+    noted = [e for e in failures if "raised ValueError: broken map" in e.note]
+    assert noted and all(e.note.startswith("first bad permutation: ") for e in noted)
+    assert main(["bijection-check", "--max-n", "6"]) == 1
+    out, err = capfd.readouterr()
+    assert "FAIL" in out and "raised ValueError: broken map" in out
+    assert "Traceback" not in out + err
+
+
+def test_the_first_failure_in_enumeration_order_is_named(monkeypatch):
+    # One failure in each of two shards: the first comes from the forked
+    # worker, the second from this process.
+    bad = maxmin_set(8)[0], maxmin_set(8)[-1]
+    original = bij.decompose_maxmin
+
+    def broken(p):
+        if p in bad:
+            raise ValueError(f"cannot split {p}")
+        return original(p)
+
+    _use_cpus(monkeypatch, TWO_CPUS)
+    monkeypatch.setattr(bij, "decompose_maxmin", broken)
+    report = {r.identity: r for r in bijection_checks(max_n=8)}["max-min split round trip"]
+    first = bad[0].to_text()
+    assert [(e.n, e.left, e.note) for e in report.failures()] == [
+        (8, 2, f"first bad permutation: {first} raised ValueError: cannot split {first}")
+    ]
+
+
+def test_a_lost_worker_fails_the_run(monkeypatch, capfd):
+    parent = os.getpid()
+    original = bij.maxmin_to_smu
+
+    def dies_in_a_worker(p, side):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(p, side)
+
+    _use_cpus(monkeypatch, TWO_CPUS)
+    monkeypatch.setattr(bij, "maxmin_to_smu", dies_in_a_worker)
+    assert main(["bijection-check", "--max-n", "6"]) == 1
+    out, err = capfd.readouterr()
+    assert " unchecked: the worker exited with code 3 before returning its results" in out
+    assert "Traceback" not in out + err
+
+
+def test_a_worker_that_cannot_send_its_results_fails_the_run(monkeypatch):
+    parent = os.getpid()
+    original = verify._check_shard
+
+    def fails_in_a_worker(shard):
+        if os.getpid() != parent:
+            raise RuntimeError("results lost")
+        return original(shard)
+
+    _use_cpus(monkeypatch, TWO_CPUS)
+    monkeypatch.setattr(verify, "_check_shard", fails_in_a_worker)
+    failures = [e for r in bijection_checks(max_n=6) for e in r.failures()]
+    assert failures
+    assert any(e.note.endswith(" unchecked: the worker raised RuntimeError: results lost")
+               for e in failures)
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    src = str(Path(euler_refine.__file__).resolve().parent.parent)
+    code = "import sys, euler_refine.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr
