@@ -27,10 +27,8 @@ from .perm import (
     SecondMaxKind,
     classify,
     complement,
-    count_minmax,
     count_refinements,
     enumerate_alternating,
-    enumerate_alternating_by_filter,
     is_alternating,
     is_down_up,
     is_up_down,

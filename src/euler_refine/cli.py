@@ -21,17 +21,15 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import perm, seq, series
 from .report import VerifyReport
-from .verify import bijection_checks, run_verification
+from .verify import SEQUENCES, FormulaRoute, SeriesRoute, bijection_checks, run_verification
 
 DEFAULT_ENUM_CAP = 11
 FORMULA_CAP = 200
 CAP_ENV_VAR = "EULER_REFINE_CAP"
-SEQUENCE_NAMES = ("E", "Ene", "Enw", "Eup", "Edown", "Dup", "Ddown")
-ENUM_ONLY_NAMES = ("Dup", "Ddown")
 CONJECTURE_MIN_TERMS = 8
 
 
@@ -39,31 +37,33 @@ class CliError(Exception):
     """Usage-level error; rendered to stderr with exit status 2."""
 
 
-def enumeration_cap(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
+def enumeration_cap() -> int:
+    """The cap set by the environment, or the default when it is unset or empty."""
     env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CliError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
-        if cap < 0:
-            raise CliError(f"{CAP_ENV_VAR} must be non-negative, got {cap}")
-        return cap
-    return DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise CliError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
+    if cap < 0:
+        raise CliError(f"{CAP_ENV_VAR} must be non-negative, got {cap}")
+    return cap
 
 
-def _check_enum_range(max_n: int, cap: int) -> None:
-    if max_n > cap:
+def _check_max_n(max_n: int, cap: Optional[int] = None, formula: bool = False,
+                 floor: str = "--max-n must be at least 2") -> None:
+    """Reject --max-n below 2 with the message `floor` (unless empty),
+    above the enumeration cap `cap` (unless None) and, with `formula`,
+    above the formula cap."""
+    if floor and max_n < 2:
+        raise CliError(floor)
+    if cap is not None and max_n > cap:
         raise CliError(
             f"--max-n {max_n} exceeds the enumeration cap {cap}; "
             f"raise it with --cap or {CAP_ENV_VAR}"
         )
-
-
-def _check_formula_range(max_n: int) -> None:
-    if max_n > FORMULA_CAP:
+    if formula and max_n > FORMULA_CAP:
         raise CliError(f"--max-n {max_n} exceeds the formula cap {FORMULA_CAP}")
 
 
@@ -93,8 +93,9 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or to the file `out`.
+def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
+    """Write the text of the builder that --format names to stdout, or
+    to the file --out; no other builder runs.
 
     A new or regular file is replaced atomically: the text goes to a
     temporary file beside `out` that is renamed over it, so `out` never
@@ -103,6 +104,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     device like /dev/stdout, is written through in place, because a
     rename would replace the link or device node itself.
     """
+    text, out = builders[args.format](), args.out
     if not out:
         sys.stdout.write(text)
         return
@@ -127,140 +129,58 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise
 
 
-def _decimal10(value: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 10
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
-
-
-# ---------------------------------------------------------------- sequences
-
-def _formula_value(name: str, n: int, euler: Sequence[int]) -> int:
-    if name == "E":
-        return euler[n]
-    if name == "Ene":
-        return seq.e_ne_nw_pair(n, euler)[0]
-    if name == "Enw":
-        return seq.e_ne_nw_pair(n, euler)[1]
-    if name == "Eup":
-        return seq.e_up_formula(n, euler)
-    if name == "Edown":
-        return seq.e_down_recurrence(n, euler)
-    raise CliError(f"sequence {name} has no closed form; it is enumeration-only")
-
-
-def _enum_value(name: str, table) -> int:
-    return {
-        "E": table.e,
-        "Ene": table.ene,
-        "Enw": table.enw,
-        "Eup": table.eup,
-        "Edown": table.edown,
-        "Dup": table.dup,
-        "Ddown": table.ddown,
-    }[name]
-
-
-def _egf_values(name: str, max_n: int) -> dict[int, int]:
-    """Counts per degree n (2..max_n) read off the named series."""
-    if name == "E":
-        counts = series.extract_counts(series.sec_egf(max_n) + series.tan_egf(max_n))
-        return {n: counts[n] for n in range(2, max_n + 1)}
-    builders = {
-        "Ene": series.ene_egf,
-        "Enw": series.enw_egf,
-        "Eup": series.eup_egf,
-        "Edown": series.edown_egf,
-    }
-    if name not in builders:
-        raise CliError(f"sequence {name} has no series; it is enumeration-only")
-    counts = series.extract_counts(builders[name](max_n - 2))
-    return {n: counts[n - 2] for n in range(2, max_n + 1)}
-
-
 # ---------------------------------------------------------------- table
 
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max_n
-    if max_n < 2:
-        raise CliError("--max-n must be at least 2")
-    cap = enumeration_cap(args.cap)
-    names = ["E", "Ene", "Enw", "Eup", "Edown"]
-    if args.populations == "both":
-        names += ["Dup", "Ddown"]
+    names = [name for name, s in SEQUENCES.items() if s.formula or args.populations == "both"]
     needs_enum = args.method in ("enum", "all") or args.populations == "both"
-    if needs_enum:
-        _check_enum_range(max_n, cap)
-    _check_formula_range(max_n)
+    _check_max_n(max_n, args.cap if needs_enum else None, formula=True)
 
-    columns: dict[str, dict[int, int]] = {}
+    ns = range(2, max_n + 1)
+    formulas = FormulaRoute(seq.euler_numbers(max_n))
+    tables = [perm.count_refinements(n) for n in ns] if needs_enum else []
+    routes = {
+        "formula": lambda s: [s.formula(formulas, n) for n in ns],
+        "egf": lambda s: series.extract_counts(s.series(SeriesRoute(max_n - s.offset)))[
+            2 - s.offset:],
+        "enum": lambda s: [getattr(t, s.field) for t in tables],
+    }
+    columns: dict[str, list[int]] = {}
     methods: dict[str, str] = {}
-    euler = seq.euler_numbers(max_n)
-    tables = (
-        {n: perm.count_refinements(n) for n in range(2, max_n + 1)} if needs_enum else {}
-    )
     for name in names:
-        if name in ENUM_ONLY_NAMES:
-            columns[name] = {n: _enum_value(name, tables[n]) for n in range(2, max_n + 1)}
-            methods[name] = "enum"
-            continue
-        if args.method == "enum":
-            columns[name] = {n: _enum_value(name, tables[n]) for n in range(2, max_n + 1)}
-            methods[name] = "enum"
-        elif args.method == "egf":
-            columns[name] = _egf_values(name, max_n)
-            methods[name] = "egf"
-        elif args.method == "formula":
-            columns[name] = {n: _formula_value(name, n, euler) for n in range(2, max_n + 1)}
-            methods[name] = "formula"
+        spec = SEQUENCES[name]
+        if not spec.formula:
+            columns[name], methods[name] = routes["enum"](spec), "enum"
+        elif args.method != "all":
+            columns[name], methods[name] = routes[args.method](spec), args.method
         else:  # all three routes must agree
-            by_formula = {n: _formula_value(name, n, euler) for n in range(2, max_n + 1)}
-            by_egf = _egf_values(name, max_n)
-            by_enum = {n: _enum_value(name, tables[n]) for n in range(2, max_n + 1)}
-            for n in range(2, max_n + 1):
-                if not (by_formula[n] == by_egf[n] == by_enum[n]):
-                    raise CliError(
-                        f"route disagreement for {name} at n={n}: "
-                        f"formula {by_formula[n]}, egf {by_egf[n]}, enum {by_enum[n]}"
-                    )
-            columns[name] = by_formula
-            methods[name] = "enum=formula=egf"
+            by_formula, by_egf, by_enum = (routes[r](spec) for r in ("formula", "egf", "enum"))
+            for n, f, g, e in zip(ns, by_formula, by_egf, by_enum):
+                if not f == g == e:
+                    print(f"error: route disagreement for {name} at n={n}: "
+                          f"formula {f}, egf {g}, enum {e}", file=sys.stderr)
+                    return 1
+            columns[name], methods[name] = by_formula, "enum=formula=egf"
 
     headers = ["n"] + [f"{name}({methods[name]})" for name in names]
-    rows = [
-        [str(n)] + [str(columns[name][n]) for name in names] for n in range(2, max_n + 1)
-    ]
-    if args.format == "json":
-        payload = {
+    rows = [[str(n)] + [str(columns[name][i]) for name in names] for i, n in enumerate(ns)]
+    _emit(
+        args,
+        json=lambda: render_json({
             "methods": methods,
-            "rows": [
-                {"n": n, **{name: str(columns[name][n]) for name in names}}
-                for n in range(2, max_n + 1)
-            ],
-        }
-        _emit(render_json(payload), args.out)
-    elif args.format == "csv":
-        _emit(render_csv(headers, rows), args.out)
-    else:
-        _emit(render_text_table(headers, rows), args.out)
+            "rows": [{"n": n, **{name: str(columns[name][i]) for name in names}}
+                     for i, n in enumerate(ns)],
+        }),
+        csv=lambda: render_csv(headers, rows),
+        table=lambda: render_text_table(headers, rows),
+    )
     return 0
 
 
 # ---------------------------------------------------------------- verify
 
-def _render_reports(reports: list[VerifyReport], fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        _emit(render_json([r.to_json_dict() for r in reports]), out)
-        return
-    if fmt == "csv":
-        headers = ["identity", "n", "label", "left", "right", "pass"]
-        rows = [
-            [r.identity, str(e.n), e.label, str(e.left), str(e.right), str(e.passed)]
-            for r in reports
-            for e in r.entries
-        ]
-        _emit(render_csv(headers, rows), out)
-        return
+def _report_text(reports: list[VerifyReport]) -> str:
     lines = []
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -275,17 +195,34 @@ def _render_reports(reports: list[VerifyReport], fmt: str, out: Optional[str]) -
             lines.append(detail)
     overall = "PASS" if all(r.passed for r in reports) else "FAIL"
     lines.append(f"overall: {overall}")
-    _emit("\n".join(lines) + "\n", out)
+    return "\n".join(lines) + "\n"
+
+
+def _render_reports(reports: list[VerifyReport], args: argparse.Namespace) -> int:
+    """Emit the reports; the exit status is 0 when all of them pass, else 1."""
+    _emit(
+        args,
+        json=lambda: render_json([r.to_json_dict() for r in reports]),
+        csv=lambda: render_csv(
+            ["identity", "n", "label", "left", "right", "pass"],
+            [[r.identity, str(e.n), e.label, str(e.left), str(e.right), str(e.passed)]
+             for r in reports for e in r.entries],
+        ),
+        table=lambda: _report_text(reports),
+    )
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = enumeration_cap(args.cap)
-    _check_enum_range(args.max_n, cap)
+    _check_max_n(args.max_n, args.cap, floor="")
     if args.egf_order < 2:
         raise CliError("--egf-order must be at least 2")
-    reports = run_verification(args.max_n, args.egf_order)
-    _render_reports(reports, args.format, args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    if args.egf_order > FORMULA_CAP - 2:
+        raise CliError(
+            f"--egf-order {args.egf_order} exceeds {FORMULA_CAP - 2}: its series checks "
+            f"reach degree {args.egf_order + 2}, above the formula cap {FORMULA_CAP}"
+        )
+    return _render_reports(run_verification(args.max_n, args.egf_order), args)
 
 
 # ---------------------------------------------------------------- ratios
@@ -298,19 +235,13 @@ class RatioRow:
 
 
 def ratios_data(max_n: int, euler: Optional[Sequence[int]] = None) -> list[RatioRow]:
-    ee = euler if euler is not None else seq.euler_numbers(max_n)
+    formulas = FormulaRoute(euler if euler is not None else seq.euler_numbers(max_n))
     rows = []
     for n in range(2, max_n + 1):
-        ene, enw = seq.e_ne_nw_pair(n, ee)
-        eup = seq.e_up_formula(n, ee)
-        edown = seq.e_down_recurrence(n, ee)
-        rows.append(
-            RatioRow(
-                n,
-                Fraction(enw, ene),
-                Fraction(edown, eup) if eup else None,
-            )
+        ene, enw, eup, edown = (
+            SEQUENCES[name].formula(formulas, n) for name in ("Ene", "Enw", "Eup", "Edown")
         )
+        rows.append(RatioRow(n, Fraction(enw, ene), Fraction(edown, eup) if eup else None))
     return rows
 
 
@@ -320,63 +251,55 @@ def minmax_deviation_nonincreasing(rows: list[RatioRow]) -> bool:
     return all(b <= a for a, b in zip(deviations, deviations[1:]))
 
 
+def _ratio_cells(x: Optional[Fraction]) -> list[str]:
+    """A ratio as a fraction and a 10-digit decimal, or "undefined" twice."""
+    if x is None:
+        return ["undefined", "undefined"]
+    with localcontext() as ctx:
+        ctx.prec = 10
+        return [f"{x.numerator}/{x.denominator}",
+                str(Decimal(x.numerator) / Decimal(x.denominator))]
+
+
 def cmd_ratios(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        raise CliError("--max-n must be at least 2")
-    _check_formula_range(args.max_n)
+    _check_max_n(args.max_n, formula=True)
     rows = ratios_data(args.max_n)
     monotone = minmax_deviation_nonincreasing(rows)
 
-    def fr(x: Optional[Fraction]) -> str:
-        return "undefined" if x is None else f"{x.numerator}/{x.denominator}"
+    def parity(r: RatioRow) -> str:
+        return "even" if r.n % 2 == 0 else "odd"
 
-    def dec(x: Optional[Fraction]) -> str:
-        return "undefined" if x is None else _decimal10(x)
+    def cells(r: RatioRow) -> list[str]:
+        return _ratio_cells(r.nw_over_ne) + _ratio_cells(r.down_over_up)
 
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "n": r.n,
-                    "parity": "even" if r.n % 2 == 0 else "odd",
-                    "Enw/Ene": fr(r.nw_over_ne),
-                    "Enw/Ene decimal": dec(r.nw_over_ne),
-                    "Edown/Eup": fr(r.down_over_up),
-                    "Edown/Eup decimal": dec(r.down_over_up),
-                }
-                for r in rows
-            ],
+    def text() -> str:
+        headers = ["n", "Enw/Ene", "decimal", "Edown/Eup", "decimal"]
+        parts = []
+        for p in ("even", "odd"):
+            parts.append(f"{p} degrees:\n")
+            parts.append(render_text_table(
+                headers, [[str(r.n), *cells(r)] for r in rows if parity(r) == p]))
+        parts.append(
+            "deviation |Enw/Ene - 1| nonincreasing over even n: "
+            + ("yes" if monotone else "no")
+            + "\n(no limit is asserted; the table only reports values)\n"
+        )
+        return "".join(parts)
+
+    keys = ("Enw/Ene", "Enw/Ene decimal", "Edown/Eup", "Edown/Eup decimal")
+    _emit(
+        args,
+        json=lambda: render_json({
+            "rows": [{"n": r.n, "parity": parity(r), **dict(zip(keys, cells(r)))}
+                     for r in rows],
             "deviation |Enw/Ene - 1| nonincreasing over even n": monotone,
-        }
-        _emit(render_json(payload), args.out)
-        return 0
-    headers = ["n", "Enw/Ene", "decimal", "Edown/Eup", "decimal"]
-    table_rows = {
-        parity: [
-            [str(r.n), fr(r.nw_over_ne), dec(r.nw_over_ne), fr(r.down_over_up), dec(r.down_over_up)]
-            for r in rows
-            if r.n % 2 == rem
-        ]
-        for parity, rem in (("even", 0), ("odd", 1))
-    }
-    if args.format == "csv":
-        flat = [
-            [str(r.n), "even" if r.n % 2 == 0 else "odd", fr(r.nw_over_ne),
-             dec(r.nw_over_ne), fr(r.down_over_up), dec(r.down_over_up)]
-            for r in rows
-        ]
-        _emit(render_csv(["n", "parity"] + headers[1:], flat), args.out)
-        return 0
-    parts = []
-    for parity in ("even", "odd"):
-        parts.append(f"{parity} degrees:\n")
-        parts.append(render_text_table(headers, table_rows[parity]))
-    parts.append(
-        "deviation |Enw/Ene - 1| nonincreasing over even n: "
-        + ("yes" if monotone else "no")
-        + "\n(no limit is asserted; the table only reports values)\n"
+        }),
+        csv=lambda: render_csv(
+            ["n", "parity", "Enw/Ene", "decimal", "Edown/Eup", "decimal"],
+            [[str(r.n), parity(r), *cells(r)] for r in rows],
+        ),
+        table=text,
     )
-    _emit("".join(parts), args.out)
     return 0
 
 
@@ -429,26 +352,16 @@ def _candidate_library(order: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def openq_data(max_n: int) -> dict:
-    tables = {n: perm.count_refinements(n) for n in range(2, max_n + 1)}
+    tables = [perm.count_refinements(n) for n in range(2, max_n + 1)]
     rows = [
-        {
-            "n": n,
-            "Dup": tables[n].dup,
-            "Ddown": tables[n].ddown,
-            "E": tables[n].e,
-            "partition": tables[n].dup + tables[n].ddown == tables[n].e,
-        }
-        for n in range(2, max_n + 1)
+        {"n": t.n, "Dup": t.dup, "Ddown": t.ddown, "E": t.e, "partition": t.dup + t.ddown == t.e}
+        for t in tables
     ]
     conjectures = []
     terms = max_n - 1
     if terms >= CONJECTURE_MIN_TERMS:
-        order = max_n - 2
-        targets = {
-            "Dup": [tables[n].dup for n in range(2, max_n + 1)],
-            "Ddown": [tables[n].ddown for n in range(2, max_n + 1)],
-        }
-        for name, counts in _candidate_library(order):
+        targets = {"Dup": [t.dup for t in tables], "Ddown": [t.ddown for t in tables]}
+        for name, counts in _candidate_library(max_n - 2):
             for target_name, target in targets.items():
                 if list(counts) == target:
                     conjectures.append((target_name, name))
@@ -456,123 +369,80 @@ def openq_data(max_n: int) -> dict:
 
 
 def cmd_openq(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        raise CliError("--max-n must be at least 2")
-    cap = enumeration_cap(args.cap)
-    _check_enum_range(args.max_n, cap)
+    _check_max_n(args.max_n, args.cap)
     data = openq_data(args.max_n)
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
-                    for k, v in row.items()
-                }
-                for row in data["rows"]
-            ],
-            "conjectures": [
-                {
-                    "sequence": target,
-                    "series": name,
-                    "status": "prefix match only, not a proof",
-                }
-                for target, name in data["conjectures"]
-            ],
-        }
-        _emit(render_json(payload), args.out)
-        return 0
     headers = ["n", "Dup(enum)", "Ddown(enum)", "E", "Dup+Ddown=E"]
     rows = [
         [str(r["n"]), str(r["Dup"]), str(r["Ddown"]), str(r["E"]), "ok" if r["partition"] else "BROKEN"]
         for r in data["rows"]
     ]
-    if args.format == "csv":
-        _emit(render_csv(headers, rows), args.out)
-        return 0
-    parts = [render_text_table(headers, rows)]
-    if data["terms"] < CONJECTURE_MIN_TERMS:
-        parts.append(
-            f"conjecture scan skipped: {data['terms']} terms available, "
-            f"{CONJECTURE_MIN_TERMS} needed\n"
-        )
-    elif not data["conjectures"]:
-        parts.append("no candidate series matches the computed prefixes\n")
-    else:
-        for target, name in data["conjectures"]:
+
+    def text() -> str:
+        parts = [render_text_table(headers, rows)]
+        if data["terms"] < CONJECTURE_MIN_TERMS:
             parts.append(
-                f"CONJECTURE: {target} counts (shifted two steps) match the series "
-                f"{name} (prefix match only, not a proof)\n"
+                f"conjecture scan skipped: {data['terms']} terms available, "
+                f"{CONJECTURE_MIN_TERMS} needed\n"
             )
-    _emit("".join(parts), args.out)
+        elif not data["conjectures"]:
+            parts.append("no candidate series matches the computed prefixes\n")
+        else:
+            for target, name in data["conjectures"]:
+                parts.append(
+                    f"CONJECTURE: {target} counts (shifted two steps) match the series "
+                    f"{name} (prefix match only, not a proof)\n"
+                )
+        return "".join(parts)
+
+    _emit(
+        args,
+        json=lambda: render_json({
+            # Counts become decimal strings; the partition flag stays a boolean.
+            "rows": [{k: str(v) if type(v) is int else v for k, v in row.items()}
+                     for row in data["rows"]],
+            "conjectures": [
+                {"sequence": target, "series": name, "status": "prefix match only, not a proof"}
+                for target, name in data["conjectures"]
+            ],
+        }),
+        csv=lambda: render_csv(headers, rows),
+        table=text,
+    )
     return 0
 
 
 # ---------------------------------------------------------------- export
 
-def export_values(name: str, max_n: int, cap: int) -> tuple[int, list[int]]:
-    """(offset, values) for a named sequence up to degree max_n."""
-    if name not in SEQUENCE_NAMES:
-        raise CliError(
-            f"unknown sequence {name!r}; valid names: {', '.join(SEQUENCE_NAMES)}"
-        )
-    if name == "E":
-        _check_formula_range(max_n)
-        return 0, seq.euler_numbers(max_n)
-    if max_n < 2:
-        raise CliError("--max-n must be at least 2 for the refined sequences")
-    if name in ENUM_ONLY_NAMES:
-        _check_enum_range(max_n, cap)
-        tables = [perm.count_refinements(n) for n in range(2, max_n + 1)]
-        return 2, [_enum_value(name, t) for t in tables]
-    _check_formula_range(max_n)
-    euler = seq.euler_numbers(max_n)
-    return 2, [_formula_value(name, n, euler) for n in range(2, max_n + 1)]
-
-
-def render_bfile(offset: int, values: Sequence[int]) -> str:
-    return "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
-
-
-def parse_bfile(text: str) -> list[tuple[int, int]]:
-    """Read "index value" lines, skipping blanks and # comments."""
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        idx, val = line.split()
-        entries.append((int(idx), int(val)))
-    return entries
-
-
 def cmd_export(args: argparse.Namespace) -> int:
-    cap = enumeration_cap(args.cap)
-    offset, values = export_values(args.sequence, args.max_n, cap)
-    if args.format == "bfile":
-        text = render_bfile(offset, values)
-    elif args.format == "json":
-        text = render_json([str(v) for v in values])
-    elif args.format == "csv":
-        text = render_csv(
-            ["n", args.sequence],
-            [[str(offset + i), str(v)] for i, v in enumerate(values)],
-        )
+    name, max_n = args.sequence, args.max_n
+    spec = SEQUENCES.get(name)
+    if spec is None:
+        raise CliError(f"unknown sequence {name!r}; valid names: {', '.join(SEQUENCES)}")
+    _check_max_n(
+        max_n, None if spec.formula else args.cap, formula=spec.formula is not None,
+        floor="--max-n must be at least 2 for the refined sequences" if spec.offset else "",
+    )
+    if spec.formula:
+        formulas = FormulaRoute(seq.euler_numbers(max_n))
+        values = [spec.formula(formulas, n) for n in range(spec.offset, max_n + 1)]
     else:
-        raise CliError("export supports --format bfile, json or csv")
-    _emit(text, args.out)
+        values = [getattr(perm.count_refinements(n), spec.field) for n in range(2, max_n + 1)]
+    _emit(
+        args,
+        bfile=lambda: "".join(f"{n} {v}\n" for n, v in enumerate(values, spec.offset)),
+        json=lambda: render_json([str(v) for v in values]),
+        csv=lambda: render_csv(
+            ["n", name], [[str(n), str(v)] for n, v in enumerate(values, spec.offset)]
+        ),
+    )
     return 0
 
 
 # ---------------------------------------------------------------- bijections
 
 def cmd_bijection_check(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        raise CliError("--max-n must be at least 2")
-    cap = enumeration_cap(args.cap)
-    _check_enum_range(args.max_n, cap)
-    reports = bijection_checks(args.max_n)
-    _render_reports(reports, args.format, args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    _check_max_n(args.max_n, args.cap)
+    return _render_reports(bijection_checks(args.max_n), args)
 
 
 # ---------------------------------------------------------------- parser
@@ -617,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("export", help="write one sequence as b-file, JSON or CSV")
     common(sp, 9, formats=("bfile", "json", "csv"))
     sp.add_argument("--sequence", required=True,
-                    help=f"one of: {', '.join(SEQUENCE_NAMES)}")
+                    help=f"one of: {', '.join(SEQUENCES)}")
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("bijection-check", help="exhaustive bijection verification")
@@ -633,6 +503,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cap is not None and args.cap < 0:
         parser.error(f"--cap must be non-negative, got {args.cap}")
     try:
+        if args.cap is None:
+            args.cap = enumeration_cap()
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ for degree <= 9 and comma-separated values above that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -210,17 +209,6 @@ def enumerate_alternating(
     yield from extend()
 
 
-def enumerate_alternating_by_filter(n: int, kind: AltKind) -> Iterator[Permutation]:
-    """Reference generator: filter all n! permutations (small n only)."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    check = is_up_down if kind is AltKind.UP_DOWN else is_down_up
-    for values in itertools.permutations(range(1, n + 1)):
-        p = Permutation(values)
-        if check(p):
-            yield p
-
-
 class _Tally(NamedTuple):
     """Leaf counts of one alternating population, one counter per class."""
 
@@ -283,20 +271,6 @@ def _tally_walk(n: int, kind: AltKind) -> _Tally:
     return _Tally(total, minmax, maxmin, upper, lower)
 
 
-def count_minmax(n: int, kind: AltKind) -> tuple[int, int]:
-    """(min-max, max-min) counts over one alternating population.
-
-    Tallied by the same permutation-free walk as :func:`count_refinements`.
-    The two populations differ at even degree: the complement bijection
-    sends up-down min-max onto down-up max-min, so the down-up pair is
-    the up-down pair reversed.
-    """
-    if n < 2:
-        raise ValueError("degree must be at least 2")
-    tally = _tally_walk(n, kind)
-    return tally.minmax, tally.maxmin
-
-
 @lru_cache(maxsize=None)
 def count_refinements(n: int) -> CountTable:
     """Tally every split of the alternating permutations of degree n.
@@ -306,8 +280,7 @@ def count_refinements(n: int) -> CountTable:
     independent, and their totals must agree.
 
     ``ene``/``enw`` are counted over the up-down population (the
-    convention under which they refine E_n rather than 2 E_n);
-    :func:`count_minmax` reports either population on request.
+    convention under which they refine E_n rather than 2 E_n).
     """
     if n < 2:
         raise ValueError("degree must be at least 2")

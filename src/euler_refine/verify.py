@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import bij, perm, seq, series
@@ -77,6 +78,79 @@ def _pairwise_report(
     return report
 
 
+class FormulaRoute:
+    """The formula route over one Euler-number prefix `euler`.
+
+    ``pair(n)`` is the (ene, enw) pair of degree n, computed once and
+    shared by the two sequences it gives.
+    """
+
+    def __init__(self, euler: Sequence[int]) -> None:
+        self.euler = euler
+        self.pair = _per_degree(lambda n: seq.e_ne_nw_pair(n, euler))
+
+
+class SeriesRoute:
+    """The series route truncated at `order`; sec and tan are built once, on first use."""
+
+    def __init__(self, order: int) -> None:
+        self.order = order
+
+    @cached_property
+    def sec(self) -> series.TruncatedEGF:
+        return series.sec_egf(self.order)
+
+    @cached_property
+    def tan(self) -> series.TruncatedEGF:
+        return series.tan_egf(self.order)
+
+
+@dataclass(frozen=True)
+class SequenceRoutes:
+    """Where each route finds one counting sequence.
+
+    `offset` is the first degree of the sequence's b-file and the shift
+    of its series: the series at order k carries degrees offset..offset+k.
+    `field` names its :class:`~euler_refine.seq.CountTable` column.  A
+    sequence without `formula` and `series` is enumeration-only, and has
+    no report titles.
+    """
+
+    offset: int
+    field: str
+    enum_title: str = ""  # its enumeration vs formula report
+    series_title: str = ""  # its formula vs series report
+    formula: Optional[Callable[[FormulaRoute, int], int]] = None
+    series: Optional[Callable[[SeriesRoute], series.TruncatedEGF]] = None
+
+
+# Each function is looked up in its module when called, never bound here.
+SEQUENCES: dict[str, SequenceRoutes] = {
+    "E": SequenceRoutes(
+        0, "e", "alternating count: enumeration vs triangle",
+        "Euler numbers: triangle vs sec+tan series",
+        lambda f, n: f.euler[n], lambda s: s.sec + s.tan),
+    "Ene": SequenceRoutes(
+        2, "ene", "min-max count: enumeration vs convolution",
+        "series identity: min-max counts vs sec^2(sec+tan)",
+        lambda f, n: f.pair(n)[0], lambda s: series.ene_egf(s.order)),
+    "Enw": SequenceRoutes(
+        2, "enw", "max-min count: enumeration vs convolution",
+        "series identity: max-min counts vs sec tan(sec+tan)",
+        lambda f, n: f.pair(n)[1], lambda s: series.enw_egf(s.order)),
+    "Eup": SequenceRoutes(
+        2, "eup", "second-max-upper count: enumeration vs convolution",
+        "series identity: second-max-upper counts vs 2tan^2(sec+tan)",
+        lambda f, n: seq.e_up_formula(n, f.euler), lambda s: series.eup_egf(s.order)),
+    "Edown": SequenceRoutes(
+        2, "edown", "second-max-lower count: enumeration vs recurrence",
+        "series identity: second-max-lower counts vs sec+2tan",
+        lambda f, n: seq.e_down_recurrence(n, f.euler), lambda s: series.edown_egf(s.order)),
+    "Dup": SequenceRoutes(2, "dup"),
+    "Ddown": SequenceRoutes(2, "ddown"),
+}
+
+
 def run_verification(
     max_n: int = 10,
     egf_order: int = 20,
@@ -94,98 +168,54 @@ def run_verification(
         raise ValueError("egf_order must be at least 2")
     ee = euler if euler is not None else seq.euler_numbers(max(max_n, egf_order + 2))
     ns = range(2, max_n + 1)
-    odd_ns = range(3, max_n + 1, 2)
     # A degree whose enumeration raises fails the entries that read it.
     table = _per_degree(perm.count_refinements)
-    pair = _per_degree(lambda n: seq.e_ne_nw_pair(n, ee))
+    formulas = FormulaRoute(ee)
+    at_order = SeriesRoute(egf_order)
+    closed_form = {name: s for name, s in SEQUENCES.items() if s.formula}
+    counts = {name: series.extract_counts(s.series(at_order)) for name, s in closed_form.items()}
+    sec_squared = (at_order.sec * at_order.sec).coeffs
+    one_plus_tan_squared = (series.one_egf(egf_order) + at_order.tan * at_order.tan).coeffs
 
-    sec = series.sec_egf(egf_order)
-    tan = series.tan_egf(egf_order)
-    sec_tan_counts = series.extract_counts(sec + tan)
-    ene_counts = series.extract_counts(series.ene_egf(egf_order))
-    enw_counts = series.extract_counts(series.enw_egf(egf_order))
-    eup_counts = series.extract_counts(series.eup_egf(egf_order))
-    edown_counts = series.extract_counts(series.edown_egf(egf_order))
-    sec_squared = (sec * sec).coeffs
-    one_plus_tan_squared = (series.one_egf(egf_order) + tan * tan).coeffs
-
-    reports = [
+    enum_reports = [
         _pairwise_report(
-            "Euler numbers: triangle vs sec+tan series", "formula", "egf",
-            range(0, egf_order + 1), "E_n",
-            lambda n: ee[n], lambda n: sec_tan_counts[n],
-        ),
+            s.enum_title, "enumeration", "formula", ns, f"{name}_n",
+            lambda n: getattr(table(n), s.field), lambda n: s.formula(formulas, n),
+        )
+        for name, s in closed_form.items()
+    ]
+    series_reports = [
         _pairwise_report(
-            "alternating count: enumeration vs triangle", "enumeration", "formula",
-            ns, "E_n",
-            lambda n: table(n).e, lambda n: ee[n],
-        ),
+            s.series_title, "formula", "egf",
+            range(s.offset, egf_order + s.offset + 1), f"{name}_n",
+            lambda n: s.formula(formulas, n), lambda n: counts[name][n - s.offset],
+        )
+        for name, s in closed_form.items()
+    ]
+    ene, enw, eup, edown = (counts[name] for name in ("Ene", "Enw", "Eup", "Edown"))
+    partition_reports = [
         _pairwise_report(
-            "min-max count: enumeration vs convolution", "enumeration", "formula",
-            ns, "Ene_n",
-            lambda n: table(n).ene, lambda n: pair(n)[0],
-        ),
-        _pairwise_report(
-            "max-min count: enumeration vs convolution", "enumeration", "formula",
-            ns, "Enw_n",
-            lambda n: table(n).enw, lambda n: pair(n)[1],
-        ),
-        _pairwise_report(
-            "second-max-upper count: enumeration vs convolution", "enumeration", "formula",
-            ns, "Eup_n",
-            lambda n: table(n).eup, lambda n: seq.e_up_formula(n, ee),
-        ),
-        _pairwise_report(
-            "second-max-lower count: enumeration vs recurrence", "enumeration", "formula",
-            ns, "Edown_n",
-            lambda n: table(n).edown, lambda n: seq.e_down_recurrence(n, ee),
-        ),
-        _pairwise_report(
-            "min-max partition of E_n", "enumeration", "enumeration",
-            ns, "Ene+Enw = E",
-            lambda n: table(n).ene + table(n).enw, lambda n: table(n).e,
-        ),
-        _pairwise_report(
-            "second-max partition of E_n", "enumeration", "enumeration",
-            ns, "Eup+Edown = E",
-            lambda n: table(n).eup + table(n).edown, lambda n: table(n).e,
-        ),
-        _pairwise_report(
-            "down-up second-max partition of E_n", "enumeration", "enumeration",
-            ns, "Dup+Ddown = E",
-            lambda n: table(n).dup + table(n).ddown, lambda n: table(n).e,
-        ),
+            f"{split} partition of E_n", "enumeration", "enumeration", ns, f"{a}+{b} = E",
+            lambda n: (getattr(table(n), SEQUENCES[a].field)
+                       + getattr(table(n), SEQUENCES[b].field)),
+            lambda n: table(n).e,
+        )
+        for split, a, b in (("min-max", "Ene", "Enw"), ("second-max", "Eup", "Edown"),
+                            ("down-up second-max", "Dup", "Ddown"))
+    ]
+    # The Euler-number series check leads, the refined ones follow the theorem chain.
+    return series_reports[:1] + enum_reports + partition_reports + [
         _pairwise_report(
             "odd-degree min-max symmetry", "enumeration", "enumeration",
-            odd_ns, "Ene = Enw",
+            range(3, max_n + 1, 2), "Ene = Enw",
             lambda n: table(n).ene, lambda n: table(n).enw,
         ),
         _theorem_report(max_n, ee),
-        _pairwise_report(
-            "series identity: min-max counts vs sec^2(sec+tan)", "formula", "egf",
-            range(2, egf_order + 3), "Ene_n",
-            lambda n: pair(n)[0], lambda n: ene_counts[n - 2],
-        ),
-        _pairwise_report(
-            "series identity: max-min counts vs sec tan(sec+tan)", "formula", "egf",
-            range(2, egf_order + 3), "Enw_n",
-            lambda n: pair(n)[1], lambda n: enw_counts[n - 2],
-        ),
-        _pairwise_report(
-            "series identity: second-max-upper counts vs 2tan^2(sec+tan)", "formula", "egf",
-            range(2, egf_order + 3), "Eup_n",
-            lambda n: seq.e_up_formula(n, ee), lambda n: eup_counts[n - 2],
-        ),
-        _pairwise_report(
-            "series identity: second-max-lower counts vs sec+2tan", "formula", "egf",
-            range(2, egf_order + 3), "Edown_n",
-            lambda n: seq.e_down_recurrence(n, ee), lambda n: edown_counts[n - 2],
-        ),
+    ] + series_reports[1:] + [
         _pairwise_report(
             "series identity: Ene+Enw = Eup+Edown", "egf", "egf",
             range(0, egf_order + 1), "[x^n]",
-            lambda n: ene_counts[n] + enw_counts[n],
-            lambda n: eup_counts[n] + edown_counts[n],
+            lambda n: ene[n] + enw[n], lambda n: eup[n] + edown[n],
         ),
         _pairwise_report(
             "series identity: sec^2 = 1 + tan^2", "egf", "egf",
@@ -193,7 +223,6 @@ def run_verification(
             lambda n: sec_squared[n], lambda n: one_plus_tan_squared[n],
         ),
     ]
-    return reports
 
 
 def _failure_count(n: int, label: str, witnesses: Sequence[str]) -> CheckEntry:

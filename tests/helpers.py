@@ -1,6 +1,8 @@
-"""Shared fixtures: cached enumerations, frozen reference rows, and the
-classification, counting, series and convolution oracles."""
+"""Shared fixtures: cached enumerations, frozen reference rows, the
+enumeration, classification, counting, series and convolution oracles,
+and a b-file reader."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -12,7 +14,10 @@ from euler_refine import (
     MinMaxKind,
     SecondMaxKind,
     classify,
+    Permutation,
     enumerate_alternating,
+    is_down_up,
+    is_up_down,
     upper_row,
 )
 
@@ -46,6 +51,17 @@ def smu_set(n):
 @lru_cache(maxsize=None)
 def maxmin_set(n):
     return tuple(p for p in updown(n) if classify(p).minmax is MinMaxKind.MAX_MIN)
+
+
+def enumerate_alternating_by_filter(n, kind):
+    """Reference generator: filter all n! permutations (small n only)."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    check = is_up_down if kind is AltKind.UP_DOWN else is_down_up
+    for values in itertools.permutations(range(1, n + 1)):
+        p = Permutation(values)
+        if check(p):
+            yield p
 
 
 def reference_zigzags(values, first_rises):
@@ -173,3 +189,15 @@ def double_sum_e_nw(n, ee):
             s3 = total - s1 - s2
             acc += comb(total, s1) * comb(total - s1, s2) * ee[s1] * ee[s2] * ee[s3]
     return acc
+
+
+def parse_bfile(text):
+    """Read "index value" lines, skipping blanks and # comments."""
+    entries = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        idx, val = line.split()
+        entries.append((int(idx), int(val)))
+    return entries

@@ -11,10 +11,11 @@ import pytest
 import euler_refine
 
 from euler_refine import euler_numbers
-from euler_refine.cli import main, parse_bfile
+from euler_refine.cli import main
 from euler_refine.report import CheckEntry, VerifyReport
+from euler_refine.verify import SEQUENCES
 
-from helpers import EDOWN, ENE, ENW, EULER, EUP
+from helpers import EDOWN, ENE, ENW, EULER, EUP, parse_bfile
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,18 @@ def test_table_methods_agree(capsys):
     assert json.loads(out_a)["methods"]["E"] == "enum=formula=egf"
 
 
+def test_table_route_disagreement_is_a_verification_failure(capsys, monkeypatch):
+    from euler_refine import seq
+
+    formula = seq.e_up_formula
+    monkeypatch.setattr(seq, "e_up_formula", lambda n, ee=None: formula(n, ee) + (n == 5))
+    rc, out, err = run_cli(capsys, "table", "--method", "all", "--max-n", "6")
+    assert rc == 1
+    assert err == "error: route disagreement for Eup at n=5: formula 13, egf 12, enum 12\n"
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_table_with_down_up_columns(capsys):
     rc, out, _ = run_cli(capsys, "table", "--max-n", "4", "--populations", "both",
                          "--format", "json")
@@ -97,8 +110,12 @@ def test_cap_flag_and_env(capsys, monkeypatch):
 
 def test_cap_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("EULER_REFINE_CAP", "many")
-    rc, _, err = run_cli(capsys, "openq")
-    assert rc == 2 and "EULER_REFINE_CAP" in err
+    # Every subcommand, also those that never enumerate.
+    for argv in (["openq"], ["ratios"], ["table"], ["verify"], ["bijection-check"],
+                 ["export", "--sequence", "E"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and "EULER_REFINE_CAP" in err, argv
+        assert out == "", argv
 
 
 def test_verify_passes_at_reduced_scale(capsys):
@@ -189,6 +206,19 @@ def test_openq_short_prefix_skips_scan(capsys):
     rc, out, _ = run_cli(capsys, "openq", "--max-n", "8")
     assert rc == 0
     assert "conjecture scan skipped" in out
+
+
+@pytest.mark.parametrize("name", list(SEQUENCES))
+def test_export_equals_the_enumerated_table_column(capsys, name):
+    rc, out, _ = run_cli(capsys, "export", "--sequence", name, "--max-n", "9",
+                         "--format", "json")
+    assert rc == 0
+    rc, table, _ = run_cli(capsys, "table", "--method", "enum", "--populations", "both",
+                           "--max-n", "9", "--format", "json")
+    assert rc == 0
+    column = [row[name] for row in json.loads(table)["rows"]]
+    # The table starts at degree 2; the b-file of E starts at degree 0.
+    assert json.loads(out)[2 - SEQUENCES[name].offset:] == column
 
 
 def test_export_json_golden(capsys):
@@ -308,6 +338,7 @@ def test_usage_error_without_subcommand(capsys):
     ["export", "--sequence", "E", "--max-n", "-1"],
     ["export", "--sequence", "E", "--max-n", "5", "--out", "{missing}/x"],
     ["table", "--max-n", "5", "--cap", "-3"],
+    ["verify", "--max-n", "3", "--egf-order", "199"],
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]

