@@ -29,10 +29,8 @@ from .perm import (
     complement,
     count_refinements,
     enumerate_alternating,
-    is_alternating,
     is_down_up,
     is_up_down,
-    upper_row,
 )
 from .report import CheckEntry, VerifyReport
 from .seq import (
@@ -50,7 +48,6 @@ from .series import (
     cos_egf,
     edown_egf,
     egf_add,
-    egf_from_counts,
     egf_mul,
     egf_reciprocal,
     ene_egf,
@@ -61,7 +58,6 @@ from .series import (
     sec_egf,
     sin_egf,
     tan_egf,
-    zero_egf,
 )
 from .verify import bijection_checks, run_verification
 

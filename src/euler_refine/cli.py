@@ -118,7 +118,10 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
         return
     directory, name = os.path.split(out)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the user's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with fh:
             fh.write(text)
@@ -138,7 +141,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_max_n(max_n, args.cap if needs_enum else None, formula=True)
 
     ns = range(2, max_n + 1)
-    formulas = FormulaRoute(seq.euler_numbers(max_n))
+    formulas = (FormulaRoute(seq.euler_numbers(max_n)) if args.method in ("formula", "all")
+                else None)
     tables = [perm.count_refinements(n) for n in ns] if needs_enum else []
     routes = {
         "formula": lambda s: [s.formula(formulas, n) for n in ns],
@@ -214,7 +218,7 @@ def _render_reports(reports: list[VerifyReport], args: argparse.Namespace) -> in
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_max_n(args.max_n, args.cap, floor="")
+    _check_max_n(args.max_n, args.cap)
     if args.egf_order < 2:
         raise CliError("--egf-order must be at least 2")
     if args.egf_order > FORMULA_CAP - 2:
@@ -234,8 +238,8 @@ class RatioRow:
     down_over_up: Optional[Fraction]
 
 
-def ratios_data(max_n: int, euler: Optional[Sequence[int]] = None) -> list[RatioRow]:
-    formulas = FormulaRoute(euler if euler is not None else seq.euler_numbers(max_n))
+def ratios_data(max_n: int) -> list[RatioRow]:
+    formulas = FormulaRoute(seq.euler_numbers(max_n))
     rows = []
     for n in range(2, max_n + 1):
         ene, enw, eup, edown = (
@@ -422,6 +426,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         max_n, None if spec.formula else args.cap, formula=spec.formula is not None,
         floor="--max-n must be at least 2 for the refined sequences" if spec.offset else "",
     )
+    if max_n < 0:
+        raise CliError("--max-n must be nonnegative")
     if spec.formula:
         formulas = FormulaRoute(seq.euler_numbers(max_n))
         values = [spec.formula(formulas, n) for n in range(spec.offset, max_n + 1)]

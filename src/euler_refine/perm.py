@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .seq import CountTable
 
@@ -123,22 +123,10 @@ def is_down_up(p: Permutation) -> bool:
     return _zigzags(p.values, False)
 
 
-def is_alternating(p: Permutation) -> bool:
-    return is_up_down(p) or is_down_up(p)
-
-
 def complement(p: Permutation) -> Permutation:
     """Replace each value v by n - v + 1; an involution swapping the two kinds."""
     n = p.n
     return Permutation(tuple(n - v + 1 for v in p.values))
-
-
-def upper_row(n: int, kind: AltKind) -> frozenset[int]:
-    """Positions of the locally larger values: even for up-down, odd for down-up."""
-    if n < 2:
-        raise ValueError("upper row is defined for degree >= 2")
-    start = 2 if kind is AltKind.UP_DOWN else 1
-    return frozenset(range(start, n + 1, 2))
 
 
 def classify(p: Permutation) -> Classification:
@@ -147,8 +135,8 @@ def classify(p: Permutation) -> Classification:
     n = len(values)
     if n < 2:
         raise ValueError("classification requires degree >= 2")
-    # up_down is 1 for up-down and 0 for down-up, and the upper row (see
-    # upper_row) holds the 0-based indices of that parity.
+    # up_down is 1 for up-down and 0 for down-up, and the peaks (the
+    # locally larger values) sit at the 0-based indices of that parity.
     if _zigzags(values, True):
         up_down = 1
     elif _zigzags(values, False):
@@ -159,29 +147,16 @@ def classify(p: Permutation) -> Classification:
     return _CLASSIFICATIONS[up_down][index(1) < index(n)][index(n - 1) % 2 == up_down]
 
 
-def enumerate_alternating(
-    n: int, kind: AltKind, prefix: Sequence[int] = ()
-) -> Iterator[Permutation]:
+def enumerate_alternating(n: int, kind: AltKind) -> Iterator[Permutation]:
     """Yield the alternating permutations of one kind in lexicographic order.
 
     Extends one value at a time and abandons any prefix that breaks the
-    zigzag chain.  A `prefix` restricts the output to its extensions, so
-    disjoint prefixes partition the search space; a prefix that already
-    violates the chain yields nothing.
+    zigzag chain.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    prefix = tuple(prefix)
-    if len(prefix) > n or len(set(prefix)) != len(prefix):
-        raise ValueError(f"malformed prefix {prefix}")
-    if any(v < 1 or v > n for v in prefix):
-        raise ValueError(f"prefix values out of range 1..{n}: {prefix}")
-    if not _zigzags(prefix, kind is AltKind.UP_DOWN):
-        return
     used = bytearray(n + 1)
-    for v in prefix:
-        used[v] = 1
-    partial = list(prefix)
+    partial: list[int] = []
 
     # Position idx (0-based) must rise from its predecessor on odd idx
     # for up-down and on even idx for down-up.

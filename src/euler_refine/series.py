@@ -4,11 +4,9 @@ A counting series F(x) = sum_n a_n x^n/n! is stored by its counts
 a_0..a_N themselves.  A product of two such series is the binomial
 convolution (fg)_n = sum_k C(n, k) f_k g_{n-k}, and the reciprocal of a
 series whose constant term is 1 or -1 (such as cos, giving sec) stays
-integral, so the counting series never leave the integers.  A series
-with non-integral counts (one built from arbitrary rational
-coefficients) holds those counts as ``Fraction`` and the same
-arithmetic applies to it.  The plain power-series coefficients
-c_n = a_n/n! remain available as the read-only view ``coeffs``.
+integral, so the counting series never leave the integers.  The plain
+power-series coefficients c_n = a_n/n! remain available as the
+read-only view ``coeffs``.
 
 Everything here is exact: equality of series means equality of the
 count vectors, with no tolerance anywhere.
@@ -18,24 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from operator import mul
-from typing import Iterable, Sequence, Union
-
-Rational = Union[int, Fraction]
-
-
-def _exact(x: Rational) -> Rational:
-    """x as an int when it is integral, otherwise as a Fraction."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-def _quotient(a: Rational, b: Rational) -> Rational:
-    if type(a) is int and type(b) is int and a % b == 0:
-        return a // b
-    return _exact(Fraction(a) / b)
+from typing import Iterable
 
 
 def _pascal_rows(n: int) -> Iterable[list[int]]:
@@ -47,30 +30,23 @@ def _pascal_rows(n: int) -> Iterable[list[int]]:
         yield row
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TruncatedEGF:
-    """A series truncated at x^N, holding its exact counts a_0..a_N.
+    """A series truncated at x^N, holding its integer counts a_0..a_N.
 
-    ``TruncatedEGF(coeffs)`` builds the series from its power-series
-    coefficients c_n = a_n/n!; :func:`egf_from_counts` builds it from
-    the counts.
+    ``TruncatedEGF(counts)`` takes the counts as any iterable of ints.
     """
 
-    counts: tuple[Rational, ...]
+    counts: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Rational]) -> None:
-        counts = []
-        fact = 1
-        for n, c in enumerate(coeffs):
-            fact *= n or 1
-            counts.append(_exact(Fraction(c) * fact))
-        _init_counts(self, counts)
-
-    @classmethod
-    def _of_counts(cls, counts: Iterable[Rational]) -> "TruncatedEGF":
-        f = object.__new__(cls)
-        _init_counts(f, counts)
-        return f
+    def __post_init__(self) -> None:
+        counts = tuple(self.counts)
+        if not counts:
+            raise ValueError("a truncated series needs at least the constant term")
+        for n, a in enumerate(counts):
+            if type(a) is not int:
+                raise ValueError(f"the count of x^{n} must be an int, got {a!r}")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def order(self) -> int:
@@ -79,12 +55,8 @@ class TruncatedEGF:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-series coefficients c_n = a_n/n!."""
-        out = []
-        fact = 1
-        for n, a in enumerate(self.counts):
-            fact *= n or 1
-            out.append(Fraction(a) / fact)
-        return tuple(out)
+        factorials = accumulate(range(1, len(self.counts)), mul, initial=1)
+        return tuple(map(Fraction, self.counts, factorials))
 
     def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         return egf_add(self, other)
@@ -92,52 +64,24 @@ class TruncatedEGF:
     def __mul__(self, other) -> "TruncatedEGF":
         if isinstance(other, TruncatedEGF):
             return egf_mul(self, other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other) -> "TruncatedEGF":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
-    def scale(self, c: Rational) -> "TruncatedEGF":
-        c = _exact(Fraction(c))
-        return TruncatedEGF._of_counts(_exact(c * a) for a in self.counts)
-
-    def to_json_dict(self) -> dict:
-        """JSON form {"order": N, "a": [...]} with a_n as decimal strings."""
-        return {"order": self.order, "a": [str(a) for a in extract_counts(self)]}
-
-
-def _init_counts(f: TruncatedEGF, counts: Iterable[Rational]) -> None:
-    counts = tuple(counts)
-    if not counts:
-        raise ValueError("a truncated series needs at least the constant term")
-    object.__setattr__(f, "counts", counts)
-
-
-def zero_egf(order: int) -> TruncatedEGF:
-    return TruncatedEGF._of_counts((0,) * (order + 1))
+    def scale(self, c: int) -> "TruncatedEGF":
+        return TruncatedEGF(c * a for a in self.counts)
 
 
 def one_egf(order: int) -> TruncatedEGF:
-    return TruncatedEGF._of_counts((1,) + (0,) * order)
-
-
-def egf_from_coeffs(coeffs: Iterable[Rational]) -> TruncatedEGF:
-    return TruncatedEGF(coeffs)
-
-
-def egf_from_counts(counts: Sequence[Rational]) -> TruncatedEGF:
-    """Build the series with a_n = counts[n], i.e. c_n = counts[n]/n!."""
-    return TruncatedEGF._of_counts(_exact(Fraction(a)) for a in counts)
+    return TruncatedEGF((1,) + (0,) * order)
 
 
 def egf_add(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} != {g.order}")
-    return TruncatedEGF._of_counts(_exact(a + b) for a, b in zip(f.counts, g.counts))
+    return TruncatedEGF(a + b for a, b in zip(f.counts, g.counts))
 
 
 def egf_mul(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
@@ -147,33 +91,33 @@ def egf_mul(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
     fa, ga = f.counts, g.counts
     out = []
     for m, row in enumerate(_pascal_rows(f.order)):
-        out.append(_exact(sum(map(mul, map(mul, row, fa), ga[m::-1]))))
-    return TruncatedEGF._of_counts(out)
+        out.append(sum(map(mul, map(mul, row, fa), ga[m::-1])))
+    return TruncatedEGF(out)
 
 
 def egf_reciprocal(f: TruncatedEGF) -> TruncatedEGF:
     """Multiplicative inverse up to the truncation order.
 
     Uses the triangular recurrence g_0 = 1/f_0,
-    g_m = -(sum_{i=1..m} C(m, i) f_i g_{m-i}) / f_0, which stays integral
-    when f_0 is 1 or -1.
+    g_m = -(sum_{i=1..m} C(m, i) f_i g_{m-i}) / f_0.  Dividing by f_0
+    is multiplying by it, because f_0 must be 1 or -1.
     """
     fa = f.counts
     f0 = fa[0]
-    if f0 == 0:
-        raise ValueError("series with zero constant term has no reciprocal")
+    if f0 not in (1, -1):
+        raise ValueError(f"only a series with constant term 1 or -1 has an integral "
+                         f"reciprocal, got constant term {f0}")
     tail = fa[1:]
-    inv = [_quotient(1, f0)]
+    inv = [f0]
     for row in islice(_pascal_rows(f.order), 1, None):
-        acc = sum(map(mul, map(mul, row[1:], tail), reversed(inv)))
-        inv.append(_quotient(-acc, f0))
-    return TruncatedEGF._of_counts(inv)
+        inv.append(-f0 * sum(map(mul, map(mul, row[1:], tail), reversed(inv))))
+    return TruncatedEGF(inv)
 
 
 def sin_egf(order: int) -> TruncatedEGF:
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncatedEGF._of_counts(
+    return TruncatedEGF(
         0 if m % 2 == 0 else (-1) ** ((m - 1) // 2) for m in range(order + 1)
     )
 
@@ -181,7 +125,7 @@ def sin_egf(order: int) -> TruncatedEGF:
 def cos_egf(order: int) -> TruncatedEGF:
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncatedEGF._of_counts(
+    return TruncatedEGF(
         (-1) ** (m // 2) if m % 2 == 0 else 0 for m in range(order + 1)
     )
 
@@ -195,10 +139,7 @@ def tan_egf(order: int) -> TruncatedEGF:
 
 
 def extract_counts(f: TruncatedEGF) -> list[int]:
-    """Read off (a_0, ..., a_N), requiring each to be integral."""
-    for n, a in enumerate(f.counts):
-        if type(a) is not int:
-            raise ValueError(f"coefficient of x^{n} gives non-integral count {a}")
+    """Read off (a_0, ..., a_N)."""
     return list(f.counts)
 
 

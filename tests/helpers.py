@@ -18,7 +18,6 @@ from euler_refine import (
     enumerate_alternating,
     is_down_up,
     is_up_down,
-    upper_row,
 )
 
 # Degrees 0..9 of the up-down counts (OEIS A000111) and the four
@@ -71,6 +70,14 @@ def reference_zigzags(values, first_rises):
         (values[i] < values[i + 1]) == ((i % 2 == 0) == first_rises)
         for i in range(len(values) - 1)
     )
+
+
+def upper_row(n, kind):
+    """Positions of the locally larger values: even for up-down, odd for down-up."""
+    if n < 2:
+        raise ValueError("upper row is defined for degree >= 2")
+    start = 2 if kind is AltKind.UP_DOWN else 1
+    return frozenset(range(start, n + 1, 2))
 
 
 def reference_classify(p):

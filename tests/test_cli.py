@@ -333,15 +333,24 @@ def test_usage_error_without_subcommand(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--max-n", "1"],
-    ["export", "--sequence", "E", "--max-n", "-1"],
-    ["export", "--sequence", "E", "--max-n", "5", "--out", "{missing}/x"],
-    ["table", "--max-n", "5", "--cap", "-3"],
-    ["verify", "--max-n", "3", "--egf-order", "199"],
+# Each bad command line and a piece of the one error line it must print.
+BAD_INPUT = [
+    (["verify", "--max-n", "1"], "error: --max-n must be at least 2\n"),
+    (["export", "--sequence", "E", "--max-n", "-1"], "error: --max-n must be nonnegative\n"),
+    (["export", "--sequence", "E", "--max-n", "5", "--out", "{missing}/x"],
+     "No such file or directory: '{missing}/x'\n"),
+    (["table", "--max-n", "5", "--cap", "-3"], "error: --cap must be non-negative, got -3\n"),
+    (["verify", "--max-n", "3", "--egf-order", "199"],
+     "error: --egf-order 199 exceeds 198: its series checks reach degree 201"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(argv, expected, id=f"argv{i}") for i, (argv, expected) in enumerate(BAD_INPUT)
 ])
-def test_bad_input_exits_2_without_traceback(tmp_path, argv):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, expected):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing) for a in argv]
     src = str(Path(euler_refine.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("EULER_REFINE_CAP", None)
@@ -349,5 +358,6 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error" in proc.stderr
+    assert expected.format(missing=missing) in proc.stderr
+    assert ".tmp" not in proc.stderr.replace(str(missing), "")
     assert proc.stdout == ""

@@ -16,10 +16,8 @@ from euler_refine import (
     complement,
     count_refinements,
     enumerate_alternating,
-    is_alternating,
     is_down_up,
     is_up_down,
-    upper_row,
 )
 
 from euler_refine.perm import _tally_walk
@@ -37,6 +35,7 @@ from helpers import (
     reference_tally,
     reference_zigzags,
     updown,
+    upper_row,
 )
 
 P = Permutation.from_text
@@ -95,7 +94,7 @@ def test_is_down_up():
     assert is_down_up(P("1"))
     # The complement of a non-alternating permutation is not alternating.
     assert not is_down_up(P("5316427"))
-    assert not is_alternating(P("5316427"))
+    assert not is_up_down(P("5316427"))
 
 
 def test_complement():
@@ -209,26 +208,6 @@ def test_enumerate_agrees_with_filter_reference():
             pruned = list(enumerate_alternating(n, kind))
             filtered = list(enumerate_alternating_by_filter(n, kind))
             assert pruned == filtered
-
-
-def test_prefix_partitioning():
-    n = 6
-    full = list(updown(n))
-    pieces = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a != b:
-                pieces.extend(enumerate_alternating(n, AltKind.UP_DOWN, prefix=(a, b)))
-    assert sorted(p.values for p in pieces) == [p.values for p in full]
-
-
-def test_prefix_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_alternating(4, AltKind.UP_DOWN, prefix=(1, 1)))
-    with pytest.raises(ValueError):
-        list(enumerate_alternating(4, AltKind.UP_DOWN, prefix=(5,)))
-    # A chain-violating prefix has no extensions.
-    assert list(enumerate_alternating(4, AltKind.UP_DOWN, prefix=(2, 1))) == []
 
 
 def test_count_refinements_matches_reference_tables():

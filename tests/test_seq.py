@@ -6,6 +6,7 @@ import pytest
 
 from euler_refine import (
     CountTable,
+    TruncatedEGF,
     count_refinements,
     e_down_recurrence,
     e_ne_nw_pair,
@@ -13,7 +14,6 @@ from euler_refine import (
     e_up_formula,
     e_up_terms,
     edown_egf,
-    egf_from_counts,
     ene_egf,
     enw_egf,
     euler_numbers,
@@ -161,7 +161,7 @@ def test_formula_sequences_build_the_named_series_at_order_20():
         (edown_egf, lambda n: e_down_recurrence(n, ee)),
     ]
     for builder, formula in routes:
-        shifted = egf_from_counts([formula(m + 2) for m in range(order + 1)])
+        shifted = TruncatedEGF([formula(m + 2) for m in range(order + 1)])
         assert shifted == builder(order)
 
 
