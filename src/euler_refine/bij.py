@@ -9,9 +9,10 @@ Three constructions, all exactly invertible on their stated domains:
   fixed-point-free involution, which is why those counts are even.
 
 * the block splittings ``decompose_smu`` / ``decompose_maxmin`` cut a
-  permutation at two landmark values into three blocks, recording each
-  block's value set and its order-isomorphic pattern (values replaced
-  by their ranks).  ``compose_*`` invert them.
+  permutation at two landmark values into three blocks, kept as their
+  value sets (``parts``) and order-isomorphic patterns (``patterns``,
+  values replaced by ranks); the block sizes derive from the parts.
+  ``compose_*`` invert them.
 
 * ``maxmin_to_smu`` turns a max-min up-down permutation of even degree
   plus one free bit into a second-max-upper one of the same degree, by
@@ -43,15 +44,17 @@ from .perm import (
 class Decomposition:
     """Three blocks around two landmark values.
 
-    ``sizes`` are the block lengths (summing to degree - 2), ``parts``
-    the sorted value sets, ``patterns`` the standardized blocks, and
-    ``landmarks`` the positions the two special values occupy.
+    ``parts`` are the sorted value sets of the blocks and ``patterns``
+    their standardized forms.  ``sizes`` is derived from the parts; it
+    sums to degree - 2 and puts the landmarks at s1 + 1 and s1 + s2 + 2.
     """
 
-    sizes: tuple[int, int, int]
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     patterns: tuple[Permutation, Permutation, Permutation]
-    landmarks: tuple[int, int]
+
+    @property
+    def sizes(self) -> tuple[int, int, int]:
+        return tuple(map(len, self.parts))
 
 
 def standardize(block: Sequence[int]) -> Permutation:
@@ -67,6 +70,29 @@ def embed(pattern: Permutation, values: Sequence[int]) -> tuple[int, ...]:
     if len(ordered) - 1 != pattern.n:
         raise ValueError(f"pattern of degree {pattern.n} cannot use {len(ordered) - 1} values")
     return tuple(map(ordered.__getitem__, pattern.values))
+
+
+def _split(p: Permutation, first: int, second: int) -> Decomposition:
+    """Cut ``p`` around the 1-based positions ``first`` < ``second``."""
+    vals = p.values
+    blocks = (vals[: first - 1], vals[first : second - 1], vals[second:])
+    return Decomposition(
+        parts=tuple(tuple(sorted(b)) for b in blocks),
+        patterns=tuple(standardize(b) for b in blocks),
+    )
+
+
+def _join(d: Decomposition, first: int, second: int) -> tuple[int, ...]:
+    """Values of block 1, ``first``, block 2, ``second``, block 3."""
+    (a, b, c), (pat_a, pat_b, pat_c) = d.parts, d.patterns
+    return embed(pat_a, a) + (first,) + embed(pat_b, b) + (second,) + embed(pat_c, c)
+
+
+def _check_parts(d: Decomposition, free_values: range) -> None:
+    """Reject parts that are not exactly ``free_values``, each once."""
+    values = [v for part in d.parts for v in part]
+    if len(values) != len(free_values) or set(values) != set(free_values):
+        raise ValueError(f"parts {d.parts} do not partition the non-landmark values")
 
 
 def _require_updown_smu(p: Permutation) -> None:
@@ -101,38 +127,19 @@ def decompose_smu(p: Permutation) -> Decomposition:
         raise ValueError(
             f"{p} carries {n} left of {n - 1}; apply swap_top_two before decomposing"
         )
-    vals = p.values
-    blocks = (
-        vals[: pos_second - 1],
-        vals[pos_second : pos_top - 1],
-        vals[pos_top:],
-    )
-    return Decomposition(
-        sizes=tuple(len(b) for b in blocks),
-        parts=tuple(tuple(sorted(b)) for b in blocks),
-        patterns=tuple(standardize(b) for b in blocks),
-        landmarks=(pos_second, pos_top),
-    )
+    return _split(p, pos_second, pos_top)
 
 
 def compose_smu(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n-1, block2, n, block3 from a second-max-upper split."""
-    s1, s2, s3 = d.sizes
+    s1, s2, _ = d.sizes
     if s1 % 2 == 0 or s2 % 2 == 0:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
-    _check_common_shape(d, n, expected_landmarks=(s1 + 1, s1 + s2 + 2),
-                        free_values=range(1, n - 1))
+    _check_parts(d, range(1, n - 1))
     for pattern in d.patterns:
         if not is_up_down(pattern):
             raise ValueError(f"block pattern {pattern} is not up-down")
-    values = (
-        embed(d.patterns[0], d.parts[0])
-        + (n - 1,)
-        + embed(d.patterns[1], d.parts[1])
-        + (n,)
-        + embed(d.patterns[2], d.parts[2])
-    )
-    return Permutation(values)
+    return Permutation(_join(d, n - 1, n))
 
 
 def decompose_maxmin(p: Permutation) -> Decomposition:
@@ -150,20 +157,7 @@ def decompose_maxmin(p: Permutation) -> Decomposition:
         raise ValueError("max-min splitting requires even degree")
     if c.minmax is not MinMaxKind.MAX_MIN:
         raise ValueError(f"{p} is min-max; the largest value must precede 1")
-    n = p.n
-    pos_top, pos_bottom = p.position_of(n), p.position_of(1)
-    vals = p.values
-    blocks = (
-        vals[: pos_top - 1],
-        vals[pos_top : pos_bottom - 1],
-        vals[pos_bottom:],
-    )
-    return Decomposition(
-        sizes=tuple(len(b) for b in blocks),
-        parts=tuple(tuple(sorted(b)) for b in blocks),
-        patterns=tuple(standardize(b) for b in blocks),
-        landmarks=(pos_top, pos_bottom),
-    )
+    return _split(p, p.position_of(p.n), p.position_of(1))
 
 
 def compose_maxmin(d: Decomposition, n: int) -> Permutation:
@@ -173,34 +167,12 @@ def compose_maxmin(d: Decomposition, n: int) -> Permutation:
     s1, s2, s3 = d.sizes
     if s1 % 2 == 0 or s2 % 2 != 0 or s3 % 2 == 0:
         raise ValueError(f"block sizes must be (odd, even, odd), got {d.sizes}")
-    _check_common_shape(d, n, expected_landmarks=(s1 + 1, s1 + s2 + 2),
-                        free_values=range(2, n))
+    _check_parts(d, range(2, n))
     if not (is_up_down(d.patterns[0]) and is_up_down(d.patterns[1])):
         raise ValueError("the blocks before 1 must carry up-down patterns")
     if not is_down_up(d.patterns[2]):
         raise ValueError("the block after 1 must carry a down-up pattern")
-    values = (
-        embed(d.patterns[0], d.parts[0])
-        + (n,)
-        + embed(d.patterns[1], d.parts[1])
-        + (1,)
-        + embed(d.patterns[2], d.parts[2])
-    )
-    return Permutation(values)
-
-
-def _check_common_shape(d: Decomposition, n: int, expected_landmarks, free_values) -> None:
-    if sum(d.sizes) != n - 2 or any(s < 0 for s in d.sizes):
-        raise ValueError(f"block sizes {d.sizes} do not fit degree {n}")
-    seen: set[int] = set()
-    for size, part, pattern in zip(d.sizes, d.parts, d.patterns):
-        if len(part) != size or pattern.n != size:
-            raise ValueError(f"block of size {size} with part {part}, pattern {pattern}")
-        seen.update(part)
-    if seen != set(free_values) or sum(d.sizes) != len(seen):
-        raise ValueError(f"parts {d.parts} do not partition the non-landmark values")
-    if d.landmarks != tuple(expected_landmarks):
-        raise ValueError(f"landmarks {d.landmarks} inconsistent with sizes {d.sizes}")
+    return Permutation(_join(d, n, 1))
 
 
 def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
@@ -219,17 +191,10 @@ def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
     d = decompose_maxmin(p)
-    n = p.n
     part_a, part_b, part_c = (tuple(v - 1 for v in part) for part in d.parts)
     pat_a, pat_b, pat_c = d.patterns
-    sizes = (d.sizes[0], d.sizes[2], d.sizes[1])
-    rewired = Decomposition(
-        sizes=sizes,
-        parts=(part_a, part_c, part_b),
-        patterns=(pat_a, complement(pat_c), pat_b),
-        landmarks=(sizes[0] + 1, sizes[0] + sizes[1] + 2),
-    )
-    out = compose_smu(rewired, n)
+    rewired = Decomposition((part_a, part_c, part_b), (pat_a, complement(pat_c), pat_b))
+    out = compose_smu(rewired, p.n)
     return swap_top_two(out) if side else out
 
 
@@ -244,11 +209,5 @@ def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
     d = decompose_smu(oriented)
     part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
     pat_a, pat_c, pat_b = d.patterns
-    sizes = (d.sizes[0], d.sizes[2], d.sizes[1])
-    rewired = Decomposition(
-        sizes=sizes,
-        parts=(part_a, part_b, part_c),
-        patterns=(pat_a, pat_b, complement(pat_c)),
-        landmarks=(sizes[0] + 1, sizes[0] + sizes[1] + 2),
-    )
+    rewired = Decomposition((part_a, part_b, part_c), (pat_a, pat_b, complement(pat_c)))
     return compose_maxmin(rewired, n), side

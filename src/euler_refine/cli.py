@@ -311,17 +311,11 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 def _candidate_library(order: int) -> list[tuple[str, tuple[int, ...]]]:
     """Small sec/tan products (exponents <= 3, coefficients 1..3) and their sums."""
-    sec = series.sec_egf(order)
-    tan = series.tan_egf(order)
-    powers: dict[tuple[int, int], series.TruncatedEGF] = {}
-    for a in range(4):
-        for b in range(4):
-            f = series.one_egf(order)
-            for _ in range(a):
-                f = f * sec
-            for _ in range(b):
-                f = f * tan
-            powers[(a, b)] = f
+    sec, tan = series.sec_egf(order), series.tan_egf(order)
+    sec_powers, tan_powers = [series.one_egf(order)], [series.one_egf(order)]
+    for _ in range(3):
+        sec_powers.append(sec_powers[-1] * sec)
+        tan_powers.append(tan_powers[-1] * tan)
 
     def monomial_name(c: int, a: int, b: int) -> str:
         factors = []
@@ -332,27 +326,18 @@ def _candidate_library(order: int) -> list[tuple[str, tuple[int, ...]]]:
         body = "*".join(factors)
         return body if c == 1 else f"{c}*{body}"
 
-    monomials = [
-        (monomial_name(c, a, b), powers[(a, b)].scale(c))
-        for a in range(4)
-        for b in range(4)
-        if a or b
-        for c in (1, 2, 3)
-    ]
-    seen: dict[tuple[int, ...], str] = {}
-    out: list[tuple[str, tuple[int, ...]]] = []
-
-    def add(name: str, f: series.TruncatedEGF) -> None:
-        key = f.counts
-        if key not in seen:
-            seen[key] = name
-            out.append((name, key))
-
+    monomials = []
+    for a in range(4):
+        for b in range(4):
+            if a or b:
+                f = sec_powers[a] * tan_powers[b]
+                monomials += [(monomial_name(c, a, b), f.scale(c)) for c in (1, 2, 3)]
+    library: dict[tuple[int, ...], str] = {}
     for name, f in monomials:
-        add(name, f)
+        library.setdefault(f.counts, name)
     for (n1, f1), (n2, f2) in combinations_with_replacement(monomials, 2):
-        add(f"{n1} + {n2}", f1 + f2)
-    return out
+        library.setdefault((f1 + f2).counts, f"{n1} + {n2}")
+    return [(name, counts) for counts, name in library.items()]
 
 
 def openq_data(max_n: int) -> dict:

@@ -10,7 +10,7 @@ sequence flags every dependent identity instead of aborting the run.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -249,13 +249,8 @@ class _DegreeResult:
 
     def absorb(self, later: "_DegreeResult") -> None:
         """Append the results of the shard that follows this one."""
-        self.fixed += later.fixed
-        self.involution_bad += later.involution_bad
-        self.smu_bad += later.smu_bad
-        self.lefts += later.lefts
-        self.maxmin_bad += later.maxmin_bad
-        self.images += later.images
-        self.inverse_bad += later.inverse_bad
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(later, f.name))
 
 
 # One contiguous slice of each degree's second-max-upper and max-min lists.

@@ -59,7 +59,6 @@ def test_decompose_smu_examples():
     d = decompose_smu(P("14253"))
     assert d.sizes == (1, 1, 1)
     assert d.parts == ((1,), (2,), (3,))
-    assert d.landmarks == (2, 4)
 
     d = decompose_smu(P("2314"))
     assert d.sizes == (1, 1, 0)
@@ -97,32 +96,61 @@ def test_left_oriented_half_of_degree_6():
 
 def test_compose_smu_rejects_malformed():
     d = decompose_smu(P("14253"))
-    with pytest.raises(ValueError):
+    assert compose_smu(d, 5) == P("14253")
+    with pytest.raises(ValueError, match="partition"):
         compose_smu(d, 7)
-    bad_sizes = Decomposition((2, 1, 0), d.parts, d.patterns, d.landmarks)
+    bad_sizes = Decomposition(((1, 2), (3,), ()), (P("12"), P("1"), P("")))
     with pytest.raises(ValueError, match="odd"):
         compose_smu(bad_sizes, 5)
-    bad_parts = Decomposition(d.sizes, ((1,), (1,), (3,)), d.patterns, d.landmarks)
+    bad_parts = Decomposition(((1,), (1,), (3,)), d.patterns)
     with pytest.raises(ValueError, match="partition"):
         compose_smu(bad_parts, 5)
-    bad_marks = Decomposition(d.sizes, d.parts, d.patterns, (3, 4))
-    with pytest.raises(ValueError, match="landmarks"):
-        compose_smu(bad_marks, 5)
-    bad_pattern = Decomposition(
-        d.sizes,
-        ((1, 2), (3,), ()),
-        (P("21"), d.patterns[1], d.patterns[2]),
-        d.landmarks,
-    )
-    with pytest.raises(ValueError):
-        compose_smu(bad_pattern, 6)
+    repeated = Decomposition(((1,), (1,), (2, 3)), (P("1"), P("1"), P("12")))
+    with pytest.raises(ValueError, match="partition"):
+        compose_smu(repeated, 5)
+    bad_pattern = Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2]))
+    with pytest.raises(ValueError, match="cannot use"):
+        compose_smu(bad_pattern, 5)
+
+
+def test_compose_maxmin_rejects_malformed():
+    d = decompose_maxmin(P("3412"))
+    assert compose_maxmin(d, 4) == P("3412")
+    repeated = Decomposition(((3,), (2, 3), (2,)), (P("1"), P("12"), P("1")))
+    with pytest.raises(ValueError, match="partition"):
+        compose_maxmin(repeated, 4)
+    with pytest.raises(ValueError, match="partition"):
+        compose_maxmin(d, 6)
+    bad_pattern = Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2]))
+    with pytest.raises(ValueError, match="cannot use"):
+        compose_maxmin(bad_pattern, 4)
+    odd_middle = Decomposition(((5,), (4,), (2, 3)), (P("1"), P("1"), P("21")))
+    with pytest.raises(ValueError, match=r"\(odd, even, odd\)"):
+        compose_maxmin(odd_middle, 6)
+
+
+def test_sizes_place_the_landmarks():
+    # s1 + 1 and s1 + s2 + 2 are where the split found the two landmark
+    # values and where the composition puts them back.
+    for n in range(2, 9):
+        cases = [(p, decompose_smu, compose_smu, n - 1, n)
+                 for p in smu_set(n) if p.position_of(n - 1) < p.position_of(n)]
+        if n % 2 == 0:
+            cases += [(p, decompose_maxmin, compose_maxmin, n, 1) for p in maxmin_set(n)]
+        for p, decompose, compose, first, second in cases:
+            d = decompose(p)
+            s1, s2, s3 = d.sizes
+            marks = (s1 + 1, s1 + s2 + 2)
+            assert s1 + s2 + s3 == n - 2
+            assert (p.position_of(first), p.position_of(second)) == marks
+            q = compose(d, n)
+            assert (q.position_of(first), q.position_of(second)) == marks
 
 
 def test_decompose_maxmin_example():
     d = decompose_maxmin(P("3412"))
     assert d.sizes == (1, 0, 1)
     assert d.parts == ((3,), (), (2,))
-    assert d.landmarks == (2, 3)
 
 
 def test_decompose_maxmin_rejects_minmax_and_odd_degree():
