@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from . import perm, seq, series
 from .report import VerifyReport
-from .verify import SEQUENCES, FormulaRoute, SeriesRoute, bijection_checks, run_verification
+from .verify import SEQUENCES, FormulaRoute, bijection_checks, run_verification
 
 DEFAULT_ENUM_CAP = 11
 FORMULA_CAP = 200
@@ -146,7 +146,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     tables = [perm.count_refinements(n) for n in ns] if needs_enum else []
     routes = {
         "formula": lambda s: [s.formula(formulas, n) for n in ns],
-        "egf": lambda s: series.extract_counts(s.series(SeriesRoute(max_n - s.offset)))[
+        "egf": lambda s: series.extract_counts(s.series(max_n - s.offset))[
             2 - s.offset:],
         "enum": lambda s: [getattr(t, s.field) for t in tables],
     }

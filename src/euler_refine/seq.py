@@ -12,13 +12,18 @@ triangle.  The refined sequences split E_n two ways:
 two-term recurrence, and ``enw`` at even degree its own three-block
 convolution; all three are exact integer computations here.  Every
 function accepts an optional precomputed Euler-number prefix so a shared
-prefix can be computed once and reused.
+prefix can be computed once and reused.  The inner pair convolution of
+the three-block sums depends only on the prefix, so it is tabulated once
+per prefix value: evaluating every degree over a prefix of length N
+costs O(N^2) terms, not O(N^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .report import CheckEntry, VerifyReport
@@ -107,19 +112,37 @@ def e_up_terms(
     return terms
 
 
+@lru_cache(maxsize=4)
+def _pair_sums(prefix: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair convolutions P(m) = sum_{s2} C(m, s2) E_{s2} E_{m-s2} over the prefix.
+
+    Returns (even, odd): the sums over even s2 and over odd s2, for every
+    m with E_0..E_m in the prefix, in one pass over Pascal's triangle.
+    Cached by the prefix's values, so a corrupted or mutated prefix gets
+    its own table.
+    """
+    even, odd = [], []
+    row = [1]
+    for m in range(len(prefix)):
+        if m:
+            row = [1, *map(add, row, row[1:]), 1]
+        head, tail = prefix[:m + 1], prefix[m::-1]  # tail[s2] is E_{m-s2}
+        even.append(sum(map(mul, map(mul, row[0::2], head[0::2]), tail[0::2])))
+        odd.append(sum(map(mul, map(mul, row[1::2], head[1::2]), tail[1::2])))
+    return tuple(even), tuple(odd)
+
+
 def _three_block(total: int, ee: Sequence[int], s2_start: int) -> int:
     """Sum of C(total, s1) C(total-s1, s2) E_{s1} E_{s2} E_{s3} over s1 + s2 + s3 = total,
-    s1 odd, and s2 of the parity of s2_start.
+    s1 odd, and s2 of the parity of s2_start (0 or 1).
 
     Factored as an outer sum over s1 of C(total, s1) E_{s1} times the
-    pair convolution sum_{s2} C(m, s2) E_{s2} E_{m-s2} with m = total - s1.
+    pair convolution P(total - s1), read from the one table
+    :func:`_pair_sums` builds per prefix.  Each degree costs O(total)
+    terms; the table costs O(N^2) once for a prefix of length N.
     """
-    acc = 0
-    for s1 in range(1, total + 1, 2):
-        m = total - s1
-        pair = sum(comb(m, s2) * ee[s2] * ee[m - s2] for s2 in range(s2_start, m + 1, 2))
-        acc += comb(total, s1) * ee[s1] * pair
-    return acc
+    pair = _pair_sums(tuple(ee))[s2_start]
+    return sum(comb(total, s1) * ee[s1] * pair[total - s1] for s1 in range(1, total + 1, 2))
 
 
 def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
 from operator import mul
 from typing import Iterable
@@ -130,10 +131,14 @@ def cos_egf(order: int) -> TruncatedEGF:
     )
 
 
+# sec and tan are cached per order: every named series below is built from
+# them, and a TruncatedEGF is frozen, so one instance can be shared.
+@lru_cache(maxsize=8)
 def sec_egf(order: int) -> TruncatedEGF:
     return egf_reciprocal(cos_egf(order))
 
 
+@lru_cache(maxsize=8)
 def tan_egf(order: int) -> TruncatedEGF:
     return egf_mul(sin_egf(order), sec_egf(order))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import bij, perm, seq, series
@@ -90,21 +89,6 @@ class FormulaRoute:
         self.pair = _per_degree(lambda n: seq.e_ne_nw_pair(n, euler))
 
 
-class SeriesRoute:
-    """The series route truncated at `order`; sec and tan are built once, on first use."""
-
-    def __init__(self, order: int) -> None:
-        self.order = order
-
-    @cached_property
-    def sec(self) -> series.TruncatedEGF:
-        return series.sec_egf(self.order)
-
-    @cached_property
-    def tan(self) -> series.TruncatedEGF:
-        return series.tan_egf(self.order)
-
-
 @dataclass(frozen=True)
 class SequenceRoutes:
     """Where each route finds one counting sequence.
@@ -121,7 +105,7 @@ class SequenceRoutes:
     enum_title: str = ""  # its enumeration vs formula report
     series_title: str = ""  # its formula vs series report
     formula: Optional[Callable[[FormulaRoute, int], int]] = None
-    series: Optional[Callable[[SeriesRoute], series.TruncatedEGF]] = None
+    series: Optional[Callable[[int], series.TruncatedEGF]] = None
 
 
 # Each function is looked up in its module when called, never bound here.
@@ -129,23 +113,23 @@ SEQUENCES: dict[str, SequenceRoutes] = {
     "E": SequenceRoutes(
         0, "e", "alternating count: enumeration vs triangle",
         "Euler numbers: triangle vs sec+tan series",
-        lambda f, n: f.euler[n], lambda s: s.sec + s.tan),
+        lambda f, n: f.euler[n], lambda k: series.sec_egf(k) + series.tan_egf(k)),
     "Ene": SequenceRoutes(
         2, "ene", "min-max count: enumeration vs convolution",
         "series identity: min-max counts vs sec^2(sec+tan)",
-        lambda f, n: f.pair(n)[0], lambda s: series.ene_egf(s.order)),
+        lambda f, n: f.pair(n)[0], lambda k: series.ene_egf(k)),
     "Enw": SequenceRoutes(
         2, "enw", "max-min count: enumeration vs convolution",
         "series identity: max-min counts vs sec tan(sec+tan)",
-        lambda f, n: f.pair(n)[1], lambda s: series.enw_egf(s.order)),
+        lambda f, n: f.pair(n)[1], lambda k: series.enw_egf(k)),
     "Eup": SequenceRoutes(
         2, "eup", "second-max-upper count: enumeration vs convolution",
         "series identity: second-max-upper counts vs 2tan^2(sec+tan)",
-        lambda f, n: seq.e_up_formula(n, f.euler), lambda s: series.eup_egf(s.order)),
+        lambda f, n: seq.e_up_formula(n, f.euler), lambda k: series.eup_egf(k)),
     "Edown": SequenceRoutes(
         2, "edown", "second-max-lower count: enumeration vs recurrence",
         "series identity: second-max-lower counts vs sec+2tan",
-        lambda f, n: seq.e_down_recurrence(n, f.euler), lambda s: series.edown_egf(s.order)),
+        lambda f, n: seq.e_down_recurrence(n, f.euler), lambda k: series.edown_egf(k)),
     "Dup": SequenceRoutes(2, "dup"),
     "Ddown": SequenceRoutes(2, "ddown"),
 }
@@ -171,11 +155,11 @@ def run_verification(
     # A degree whose enumeration raises fails the entries that read it.
     table = _per_degree(perm.count_refinements)
     formulas = FormulaRoute(ee)
-    at_order = SeriesRoute(egf_order)
     closed_form = {name: s for name, s in SEQUENCES.items() if s.formula}
-    counts = {name: series.extract_counts(s.series(at_order)) for name, s in closed_form.items()}
-    sec_squared = (at_order.sec * at_order.sec).coeffs
-    one_plus_tan_squared = (series.one_egf(egf_order) + at_order.tan * at_order.tan).coeffs
+    counts = {name: series.extract_counts(s.series(egf_order)) for name, s in closed_form.items()}
+    sec, tan = series.sec_egf(egf_order), series.tan_egf(egf_order)
+    sec_squared = (sec * sec).coeffs
+    one_plus_tan_squared = (series.one_egf(egf_order) + tan * tan).coeffs
 
     enum_reports = [
         _pairwise_report(

@@ -1,6 +1,6 @@
 """Shared fixtures: cached enumerations, frozen reference rows, the
-enumeration, classification, counting, series and convolution oracles,
-and a b-file reader."""
+enumeration, classification, counting, series, convolution and
+Euler-number oracles, and a b-file reader."""
 
 import itertools
 from fractions import Fraction
@@ -196,6 +196,46 @@ def double_sum_e_nw(n, ee):
             s3 = total - s1 - s2
             acc += comb(total, s1) * comb(total - s1, s2) * ee[s1] * ee[s2] * ee[s3]
     return acc
+
+
+def per_degree_three_block(total, ee, s2_start):
+    """The three-block sum of ``seq._three_block``, with the pair convolution
+    sum_{s2} C(m, s2) E_{s2} E_{m-s2} recomputed for every s1 of every degree.
+
+    The form the once-per-prefix pair table replaced, kept as its oracle.
+    """
+    acc = 0
+    for s1 in range(1, total + 1, 2):
+        m = total - s1
+        pair = sum(comb(m, s2) * ee[s2] * ee[m - s2] for s2 in range(s2_start, m + 1, 2))
+        acc += comb(total, s1) * ee[s1] * pair
+    return acc
+
+
+def knuth_buckholtz_euler(n_max):
+    """E_0..E_{n_max} by the integer recurrences of Knuth and Buckholtz,
+    "Computation of tangent, Euler, and Bernoulli numbers" (Math. Comp. 1967).
+
+    The tangent numbers T_k = E_{2k-1} and the secant numbers S_k = E_{2k}
+    are each computed in place from a factorial start; neither the
+    boustrophedon triangle nor a series reciprocal is involved.
+    """
+    half = n_max // 2 + 1
+    tangent = [0] * (half + 1)
+    tangent[1] = 1
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    secant = [1] * (half + 1)
+    for k in range(1, half + 1):
+        secant[k] = k * secant[k - 1]
+    for k in range(1, half + 1):
+        for j in range(k + 1, half + 1):
+            secant[j] = (j - k) * secant[j - 1] + (j - k + 1) * secant[j]
+    return [secant[n // 2] if n % 2 == 0 else tangent[(n + 1) // 2]
+            for n in range(n_max + 1)]
 
 
 def parse_bfile(text):

@@ -24,7 +24,16 @@ from euler_refine import (
     theorem_check,
 )
 
-from helpers import EDOWN, ENE, ENW, EULER, EUP, double_sum_e_nw
+from helpers import (
+    EDOWN,
+    ENE,
+    ENW,
+    EULER,
+    EUP,
+    double_sum_e_nw,
+    knuth_buckholtz_euler,
+    per_degree_three_block,
+)
 
 
 def test_euler_numbers_first_ten():
@@ -38,6 +47,12 @@ def test_euler_numbers_start():
 def test_euler_numbers_against_series_route():
     for order in (12, 30):
         assert euler_numbers(order) == extract_counts(sec_egf(order) + tan_egf(order))
+
+
+def test_euler_numbers_equal_the_knuth_buckholtz_recurrences_to_200():
+    assert knuth_buckholtz_euler(0) == [1]
+    assert knuth_buckholtz_euler(9) == EULER
+    assert euler_numbers(200) == knuth_buckholtz_euler(200)
 
 
 def test_e_up_reference_row():
@@ -95,6 +110,38 @@ def test_e_nw_formula_equals_the_double_sum():
     ee = euler_numbers(60)
     for n in range(2, 61, 2):
         assert e_nw_formula(n, ee) == double_sum_e_nw(n, ee), n
+
+
+def assert_three_block_formulas_equal_the_oracle(ee):
+    """Every degree the prefix `ee` covers, against the per-degree three-block sum."""
+    for n in range(2, len(ee)):
+        assert e_up_formula(n, ee) == 2 * per_degree_three_block(n - 2, ee, 1), n
+        if n % 2 == 0:
+            enw = per_degree_three_block(n - 2, ee, 0)
+            assert e_nw_formula(n, ee) == enw, n
+            assert e_ne_nw_pair(n, ee) == (enw + ee[n - 2], enw), n
+        else:
+            assert e_ne_nw_pair(n, ee) == (ee[n] // 2, ee[n] // 2), n
+
+
+def test_three_block_formulas_equal_the_oracle_to_200():
+    assert_three_block_formulas_equal_the_oracle(euler_numbers(200))
+
+
+def test_three_block_formulas_follow_a_corrupted_prefix():
+    ee = euler_numbers(200)
+    bad = list(ee)
+    bad[37] += 2  # still even, so the odd-degree halves stay integral
+    assert_three_block_formulas_equal_the_oracle(bad)
+    assert e_up_formula(60, bad) != e_up_formula(60, ee)
+
+
+def test_three_block_formulas_follow_a_prefix_mutated_in_place():
+    ee = euler_numbers(200)
+    before = [(e_up_formula(n, ee), e_ne_nw_pair(n, ee)) for n in range(2, 201)]
+    ee[37] += 2
+    assert_three_block_formulas_equal_the_oracle(ee)
+    assert [(e_up_formula(n, ee), e_ne_nw_pair(n, ee)) for n in range(2, 201)] != before
 
 
 def test_e_nw_formula_rejects_odd_degree():
