@@ -209,6 +209,12 @@ def theorem_check(n_max: int, euler: Optional[Sequence[int]] = None) -> VerifyRe
     For every even n <= n_max this checks eup = 2 enw, ene - enw =
     E_{n-2}, E_n = 2 enw + E_{n-2} and E_n = eup + edown, recording both
     sides of each.  Failures become report entries, never exceptions.
+
+    The first two entries are identities of the formula code and pass on
+    any prefix: for odd m, C(m, s2) E_{s2} E_{m-s2} is unchanged by
+    s2 -> m - s2, which swaps the parity of s2, so :func:`e_up_formula`
+    is twice :func:`e_nw_formula` at every even n; and ene is computed
+    as enw + E_{n-2}.  Only the two E_n entries test the prefix.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

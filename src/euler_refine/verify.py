@@ -9,11 +9,10 @@ sequence flags every dependent identity instead of aborting the run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
-from . import bij, perm, seq, series
+from . import bij, perm, seq, series, workers
 from .report import CheckEntry, VerifyReport
 
 
@@ -300,56 +299,15 @@ def _unchecked_shard(shard: _Shard, reason: str) -> list[_DegreeResult]:
     return results
 
 
-def _shard_worker(shard: _Shard, sender) -> None:
-    """Forked entry point: send the shard's results, or why there are none."""
-    try:
-        sender.send(_check_shard(shard))
-    except Exception as exc:
-        sender.send(f"the worker raised {type(exc).__name__}: {exc}")
-
-
 def _run_shards(shards: Sequence[_Shard]) -> list[list[_DegreeResult]]:
-    """`_check_shard` of every shard, in shard order.
+    """`_check_shard` of every shard, in shard order, the shards at the
+    same time (see :func:`euler_refine.workers.map_shards`).
 
-    The last shard runs in this process, every other one in a forked
-    worker, all at the same time.  A worker that returns no results
-    leaves its shard unchecked, which fails its permutations.
+    A worker that returns no results leaves its shard unchecked, which
+    fails its permutations.
     """
-    if len(shards) == 1:
-        return [_check_shard(shards[0])]
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for shard in shards[:-1]:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_shard_worker, args=(shard, sender), daemon=True)
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        own = _check_shard(shards[-1])
-        results = []
-        for shard, (process, receiver) in zip(shards, workers):
-            try:
-                result = receiver.recv()
-            except Exception:
-                result = None
-            process.join()
-            if isinstance(result, list) and process.exitcode == 0:
-                results.append(result)
-                continue
-            if not isinstance(result, str):
-                result = (f"the worker exited with code {process.exitcode} "
-                          "before returning its results")
-            results.append(_unchecked_shard(shard, result))
-    finally:
-        for process, receiver in workers:
-            receiver.close()
-            if process.is_alive():
-                process.kill()
-            process.join()
-    return results + [own]
+    return [_unchecked_shard(shard, result) if isinstance(result, str) else result
+            for shard, result in zip(shards, workers.map_shards(_check_shard, shards))]
 
 
 def _slices(items: Sequence[perm.Permutation], count: int) -> list[Sequence[perm.Permutation]]:
@@ -388,8 +346,7 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
                 maxmin.append(p)
         smu_sets[n], maxmin_sets[n] = smu, maxmin
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = max(1, min(cpus, len(smu_sets[max_n])))
+    count = max(1, min(workers.cpu_count(), len(smu_sets[max_n])))
     shards = [[] for _ in range(count)]
     for n in degrees:
         slices = zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))

@@ -1,5 +1,5 @@
-"""Shared fixtures: cached enumerations, frozen reference rows, the
-enumeration, classification, counting, series, convolution and
+"""Shared fixtures: CPU sets, cached enumerations, frozen reference rows,
+the enumeration, classification, counting, series, convolution and
 Euler-number oracles, and a b-file reader."""
 
 import itertools
@@ -19,6 +19,9 @@ from euler_refine import (
     is_down_up,
     is_up_down,
 )
+
+# CPU sets for the unsharded path and for two shards, one of them forked.
+ONE_CPU, TWO_CPUS = {0}, {0, 1}
 
 # Degrees 0..9 of the up-down counts (OEIS A000111) and the four
 # refinement rows for degrees 2..9, frozen from hand-checked
@@ -124,6 +127,54 @@ def reference_tally(n, kind):
             upper += 1
         else:
             lower += 1
+    return total, minmax, maxmin, upper, lower
+
+
+def per_leaf_tally_walk(n, kind, first):
+    """(total, min-max, max-min, upper, lower) over the permutations of one
+    kind that start with `first`, tallied leaf by leaf.
+
+    The walk ``perm._tally_walk`` had before it placed the last two values
+    in one step, restricted to one first value; kept as its oracle.  Every
+    position down to the last runs its candidate loop.
+    """
+    used = bytearray(n + 1)
+    pos = [0] * (n + 1)
+    peak_parity = 1 if kind is AltKind.UP_DOWN else 0
+    last = n - 1
+    total = minmax = maxmin = upper = lower = 0
+
+    def extend(idx, prev):
+        nonlocal total, minmax, maxmin, upper, lower
+        if idx % 2 == peak_parity:
+            candidates = range(prev + 1, n + 1)
+        else:
+            candidates = range(1, prev)
+        if idx == last:
+            for v in candidates:
+                if not used[v]:
+                    pos[v] = idx
+                    total += 1
+                    if pos[1] < pos[n]:
+                        minmax += 1
+                    else:
+                        maxmin += 1
+                    if pos[last] % 2 == peak_parity:
+                        upper += 1
+                    else:
+                        lower += 1
+                    return
+            return
+        for v in candidates:
+            if not used[v]:
+                used[v] = 1
+                pos[v] = idx
+                extend(idx + 1, v)
+                used[v] = 0
+
+    used[first] = 1
+    pos[first] = 0
+    extend(1, first)
     return total, minmax, maxmin, upper, lower
 
 

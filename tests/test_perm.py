@@ -1,6 +1,7 @@
 """Permutation classification and enumeration against hand-checked sets."""
 
 import itertools
+import os
 from math import factorial
 
 import pytest
@@ -20,6 +21,7 @@ from euler_refine import (
     is_up_down,
 )
 
+from euler_refine import perm
 from euler_refine.perm import _tally_walk
 
 from helpers import (
@@ -28,8 +30,11 @@ from helpers import (
     ENW,
     EULER,
     EUP,
+    ONE_CPU,
+    TWO_CPUS,
     downup,
     enumerate_alternating_by_filter,
+    per_leaf_tally_walk,
     reference_classify,
     reference_count_table,
     reference_tally,
@@ -230,11 +235,16 @@ def test_count_refinements_rejects_degree_below_2():
         count_refinements(1)
 
 
+def _walk_population(n, kind):
+    """`_tally_walk` summed over every first value."""
+    return tuple(map(sum, zip(*(_tally_walk(n, kind, first) for first in range(1, n + 1)))))
+
+
 def test_count_minmax_populations():
     # The down-up population swaps the two counts of the up-down one.
     def count_minmax(n, kind):
-        tally = _tally_walk(n, kind)
-        return tally.minmax, tally.maxmin
+        _, minmax, maxmin, _, _ = _walk_population(n, kind)
+        return minmax, maxmin
 
     for n in range(2, 8):
         ud = count_minmax(n, AltKind.UP_DOWN)
@@ -248,12 +258,34 @@ def test_count_minmax_populations():
 def test_tally_walk_equals_classify_oracle(kind):
     # Every per-class counter, not only the totals the partitions imply.
     for n in range(2, 10):
-        assert tuple(_tally_walk(n, kind)) == reference_tally(n, kind), n
+        assert _walk_population(n, kind) == reference_tally(n, kind), n
+
+
+def test_tally_walk_equals_the_per_leaf_oracle_for_every_first_value():
+    for n in range(2, 11):
+        for kind in AltKind:
+            for first in range(1, n + 1):
+                assert tuple(_tally_walk(n, kind, first)) == per_leaf_tally_walk(n, kind, first), (
+                    n, kind, first)
 
 
 def test_count_refinements_equals_classify_oracle():
     for n in range(2, 10):
         assert count_refinements(n) == reference_count_table(n), n
+
+
+@pytest.mark.parametrize("cpus, fork_from", [(ONE_CPU, 9), (TWO_CPUS, 9), (TWO_CPUS, 2)],
+                         ids=["one-cpu", "two-cpus", "two-cpus-fork-from-2"])
+def test_count_refinements_does_not_depend_on_the_shards(monkeypatch, cpus, fork_from):
+    # Fork from degree 2 so that every degree takes the forked path.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(perm, "_FORK_FROM_DEGREE", fork_from)
+    count_refinements.cache_clear()
+    try:
+        for n in range(2, 10):
+            assert count_refinements(n) == reference_count_table(n), n
+    finally:
+        count_refinements.cache_clear()
 
 
 def test_second_max_lower_positions_are_extremal():

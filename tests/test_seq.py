@@ -1,5 +1,6 @@
 """Formula routes against frozen reference rows and the enumeration oracle."""
 
+import random
 from math import comb, factorial
 
 import pytest
@@ -232,6 +233,20 @@ def test_theorem_check_flags_corruption():
     report = theorem_check(12, bad)
     assert not report.passed
     assert any(not e.passed for e in report.entries if e.n == 8)
+
+
+def test_theorem_check_tests_the_prefix_only_in_its_e_n_entries():
+    rng = random.Random(41)
+    prefix = [2 * rng.randrange(1, 10**6) for _ in range(41)]
+    outcomes = {}
+    for e in theorem_check(40, prefix).entries:
+        outcomes.setdefault(e.label, set()).add(e.passed)
+    assert outcomes == {
+        "eup = 2*enw": {True},
+        "ene - enw = E_{n-2}": {True},
+        "E_n = 2*enw + E_{n-2}": {False},
+        "E_n = eup + edown": {False},
+    }
 
 
 def test_euler_prefix_validation():

@@ -8,13 +8,10 @@ from pathlib import Path
 import pytest
 
 import euler_refine
-from euler_refine import bij, bijection_checks, euler_numbers, run_verification, verify
+from euler_refine import bij, bijection_checks, euler_numbers, perm, run_verification, verify
 from euler_refine.cli import main
 
-from helpers import maxmin_set, smu_set
-
-# CPU sets for the unsharded path and for two shards, one of them forked.
-ONE_CPU, TWO_CPUS = {0}, {0, 1}
+from helpers import ONE_CPU, TWO_CPUS, maxmin_set, smu_set
 
 
 def test_default_scale_run_passes():
@@ -194,9 +191,66 @@ def test_a_worker_that_cannot_send_its_results_fails_the_run(monkeypatch):
                for e in failures)
 
 
+def _cold_run(monkeypatch, capfd, cpus, args):
+    """Exit code, stdout and stderr of one CLI run with no counts cached."""
+    _use_cpus(monkeypatch, cpus)
+    perm.count_refinements.cache_clear()
+    try:
+        code = main(args)
+    finally:
+        perm.count_refinements.cache_clear()
+    return (code, *capfd.readouterr())
+
+
+COUNTED_RUNS = [["verify", "--max-n", "9"], ["table", "--method", "enum", "--max-n", "9"]]
+
+
+@pytest.mark.parametrize("args", COUNTED_RUNS)
+def test_a_lost_count_worker_is_counted_again_here(monkeypatch, capfd, args):
+    expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
+    assert expected[0] == 0 and expected[2] == ""
+    parent = os.getpid()
+    original = perm._tally_walk
+    recounted = []
+
+    def dies_in_a_worker(n, kind, first):
+        if os.getpid() != parent:
+            os._exit(3)
+        if n == 9 and kind is perm.AltKind.UP_DOWN:
+            recounted.append(first)
+        return original(n, kind, first)
+
+    monkeypatch.setattr(perm, "_tally_walk", dies_in_a_worker)
+    assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
+    # The forked shard held the up-down subtrees, and this process walked them.
+    assert recounted == list(range(1, 10))
+
+
+@pytest.mark.parametrize("args", COUNTED_RUNS + [["bijection-check", "--max-n", "6"]])
+def test_a_shard_that_cannot_fork_runs_here(monkeypatch, capfd, args):
+    expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
+
+    def cannot_fork():
+        raise OSError("no process for the worker")
+
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
+
+
 def test_importing_the_cli_does_not_import_multiprocessing():
+    # Nor does running the two sharded paths on two CPUs.
     src = str(Path(euler_refine.__file__).resolve().parent.parent)
-    code = "import sys, euler_refine.cli; print('multiprocessing' in sys.modules)"
+    code = """if True:
+        import contextlib, io, os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        from euler_refine.cli import main
+        seen = ['multiprocessing' in sys.modules]
+        for args in (['verify', '--max-n', '11'], ['bijection-check', '--max-n', '6']):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(args) == 0
+            seen.append('multiprocessing' in sys.modules)
+        print(seen)
+    """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert proc.stdout.strip() == "False", proc.stderr
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.strip() == "[False, False, False]", proc.stderr
