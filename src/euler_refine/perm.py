@@ -8,10 +8,10 @@ zigzag starting with a rise, down-up when starting with a descent.
 The counts walk the pruned search tree without materialising any
 permutation: each leaf is classified in place and tallied.  The walk
 runs one subtree per first value, places the last two values in one
-step, and from degree 9 shares the subtrees out among the CPUs this
-process may run on.  The :class:`Permutation` generator and
-:func:`classify` serve the bijections and callers that need the
-permutations themselves.
+step, and from degree 9 deals the subtrees out among the CPUs this
+process may run on (:func:`euler_refine.workers.map_dealt`).  The
+:class:`Permutation` generator and :func:`classify` serve the
+bijections and callers that need the permutations themselves.
 
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
@@ -278,11 +278,6 @@ def _tally_walk(n: int, kind: AltKind, first: int) -> _Tally:
     return _Tally(total, minmax, maxmin, upper, lower)
 
 
-def _walk_units(units: Sequence[tuple[int, AltKind, int]]) -> list[_Tally]:
-    """The tally of each (degree, kind, first value) subtree, in order."""
-    return [_tally_walk(n, kind, first) for n, kind, first in units]
-
-
 @lru_cache(maxsize=None)
 def count_refinements(n: int) -> CountTable:
     """Tally every split of the alternating permutations of degree n.
@@ -294,26 +289,23 @@ def count_refinements(n: int) -> CountTable:
     Each tree is walked as one subtree per first value.  From degree
     ``_FORK_FROM_DEGREE``, the (kind, first value) subtrees are dealt in
     turn to one shard per CPU this process may run on, and the shards
-    run at the same time (see :mod:`euler_refine.workers`); on two CPUs
-    each process walks one population.  A shard whose worker returns no
-    tallies is walked again in this process, as counts are
-    deterministic.  The tallies are summed per kind in a fixed order, so
-    the table does not depend on the CPU count.
+    run at the same time (see :func:`euler_refine.workers.map_dealt`);
+    on two CPUs each process walks one population.  A shard whose worker
+    is lost is walked again in this process.  The tallies come back in
+    subtree order and are summed per kind, so the table does not depend
+    on the CPU count.
 
     ``ene``/``enw`` are counted over the up-down population (the
     convention under which they refine E_n rather than 2 E_n).
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    units = [(n, kind, first) for first in range(1, n + 1) for kind in AltKind]
-    count = min(workers.cpu_count(), len(units)) if n >= _FORK_FROM_DEGREE else 1
-    dealt = [units[i::count] for i in range(count)]
+    units = [(kind, first) for first in range(1, n + 1) for kind in AltKind]
+    count = workers.cpu_count() if n >= _FORK_FROM_DEGREE else 1
+    walked = workers.map_dealt(lambda unit: _tally_walk(n, *unit), units, count)
     tallies: dict[AltKind, list[_Tally]] = {kind: [] for kind in AltKind}
-    for shard, result in zip(dealt, workers.map_shards(_walk_units, dealt)):
-        if isinstance(result, str):
-            result = _walk_units(shard)
-        for (_, kind, _), tally in zip(shard, result):
-            tallies[kind].append(tally)
+    for (kind, _), tally in zip(units, walked):
+        tallies[kind].append(tally)
     up, down = (_Tally(*map(sum, zip(*tallies[kind]))) for kind in AltKind)
     if down.total != up.total:
         raise AssertionError(

@@ -220,7 +220,7 @@ def _raised(witness: str, exc: Exception) -> str:
 
 @dataclass
 class _DegreeResult:
-    """What one shard of one degree found; witnesses in enumeration order."""
+    """What one slice of one degree found; witnesses in enumeration order."""
 
     fixed: list[str] = field(default_factory=list)
     involution_bad: list[str] = field(default_factory=list)
@@ -231,83 +231,55 @@ class _DegreeResult:
     inverse_bad: list[str] = field(default_factory=list)
 
     def absorb(self, later: "_DegreeResult") -> None:
-        """Append the results of the shard that follows this one."""
+        """Append the results of the slice that follows this one."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(later, f.name))
 
 
-# One contiguous slice of each degree's second-max-upper and max-min lists.
-_Shard = Sequence[tuple[int, Sequence[perm.Permutation], Sequence[perm.Permutation]]]
-
-
-def _check_shard(shard: _Shard) -> list[_DegreeResult]:
-    """Run every per-permutation check on one shard.
+def _check_unit(
+    unit: tuple[int, Sequence[perm.Permutation], Sequence[perm.Permutation]],
+) -> _DegreeResult:
+    """Run every per-permutation check on one unit: a degree n and one
+    slice each of its second-max-upper and max-min permutations.
 
     A map that raises on a permutation records that permutation as a
     failure, with the exception in its witness.
     """
-    results = []
-    for n, smu, maxmin in shard:
-        r = _DegreeResult()
-        for p in smu:
+    n, smu, maxmin = unit
+    r = _DegreeResult()
+    for p in smu:
+        try:
+            q = bij.swap_top_two(p)
+            if q == p:
+                r.fixed.append(p.to_text())
+            if (bij.swap_top_two(q) != p
+                    or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER):
+                r.involution_bad.append(p.to_text())
+        except Exception as exc:
+            r.involution_bad.append(_raised(p.to_text(), exc))
+        if p.position_of(n - 1) > p.position_of(n):
+            continue
+        r.lefts += 1
+        try:
+            if bij.compose_smu(bij.decompose_smu(p), n) != p:
+                r.smu_bad.append(p.to_text())
+        except Exception as exc:
+            r.smu_bad.append(_raised(p.to_text(), exc))
+    for p in maxmin:
+        try:
+            if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p:
+                r.maxmin_bad.append(p.to_text())
+        except Exception as exc:
+            r.maxmin_bad.append(_raised(p.to_text(), exc))
+        for side in (0, 1):
             try:
-                q = bij.swap_top_two(p)
-                if q == p:
-                    r.fixed.append(p.to_text())
-                if (bij.swap_top_two(q) != p
-                        or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER):
-                    r.involution_bad.append(p.to_text())
+                q = bij.maxmin_to_smu(p, side)
+                r.images.append(q.values)
+                if bij.smu_to_maxmin(q) != (p, side):
+                    r.inverse_bad.append(f"{p.to_text()} with side {side}")
             except Exception as exc:
-                r.involution_bad.append(_raised(p.to_text(), exc))
-            if p.position_of(n - 1) > p.position_of(n):
-                continue
-            r.lefts += 1
-            try:
-                if bij.compose_smu(bij.decompose_smu(p), n) != p:
-                    r.smu_bad.append(p.to_text())
-            except Exception as exc:
-                r.smu_bad.append(_raised(p.to_text(), exc))
-        for p in maxmin:
-            try:
-                if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p:
-                    r.maxmin_bad.append(p.to_text())
-            except Exception as exc:
-                r.maxmin_bad.append(_raised(p.to_text(), exc))
-            for side in (0, 1):
-                try:
-                    q = bij.maxmin_to_smu(p, side)
-                    r.images.append(q.values)
-                    if bij.smu_to_maxmin(q) != (p, side):
-                        r.inverse_bad.append(f"{p.to_text()} with side {side}")
-                except Exception as exc:
-                    r.inverse_bad.append(_raised(f"{p.to_text()} with side {side}", exc))
-        results.append(r)
-    return results
-
-
-def _unchecked_shard(shard: _Shard, reason: str) -> list[_DegreeResult]:
-    """Results of a shard whose worker returned none: each of its
-    permutations fails every check it takes part in."""
-    results = []
-    for _, smu, maxmin in shard:
-        smu_texts = [f"{p.to_text()} unchecked: {reason}" for p in smu]
-        maxmin_texts = [f"{p.to_text()} unchecked: {reason}" for p in maxmin]
-        results.append(_DegreeResult(
-            involution_bad=smu_texts, smu_bad=smu_texts,
-            maxmin_bad=maxmin_texts, inverse_bad=maxmin_texts,
-        ))
-    return results
-
-
-def _run_shards(shards: Sequence[_Shard]) -> list[list[_DegreeResult]]:
-    """`_check_shard` of every shard, in shard order, the shards at the
-    same time (see :func:`euler_refine.workers.map_shards`).
-
-    A worker that returns no results leaves its shard unchecked, which
-    fails its permutations.
-    """
-    return [_unchecked_shard(shard, result) if isinstance(result, str) else result
-            for shard, result in zip(shards, workers.map_shards(_check_shard, shards))]
+                r.inverse_bad.append(_raised(f"{p.to_text()} with side {side}", exc))
+    return r
 
 
 def _slices(items: Sequence[perm.Permutation], count: int) -> list[Sequence[perm.Permutation]]:
@@ -326,9 +298,12 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     exception.
 
     The per-permutation work of each degree is cut into contiguous
-    shards, one per CPU this process may run on, and the shards run at
-    the same time: this process works one, forked workers the others.
-    With one CPU nothing is forked.  The shards' results are merged in
+    slices, one per CPU this process may run on, and slice i of every
+    degree is dealt to shard i (see
+    :func:`euler_refine.workers.map_dealt`).  The shards run at the same
+    time: this process works one, forked workers the others, and a
+    shard whose worker is lost is checked again in this process.  With
+    one CPU nothing is forked.  The slices' results are merged in
     enumeration order, so the reports do not depend on the CPU count.
     """
     if max_n < 2:
@@ -347,15 +322,11 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
         smu_sets[n], maxmin_sets[n] = smu, maxmin
 
     count = max(1, min(workers.cpu_count(), len(smu_sets[max_n])))
-    shards = [[] for _ in range(count)]
-    for n in degrees:
-        slices = zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))
-        for shard, (smu, maxmin) in zip(shards, slices):
-            shard.append((n, smu, maxmin))
+    units = [(n, smu, maxmin) for n in degrees
+             for smu, maxmin in zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))]
     results = {n: _DegreeResult() for n in degrees}
-    for shard_results in _run_shards(shards):
-        for n, part in zip(degrees, shard_results):
-            results[n].absorb(part)
+    for (n, _, _), part in zip(units, workers.map_dealt(_check_unit, units, count)):
+        results[n].absorb(part)
 
     involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
     smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")

@@ -157,40 +157,6 @@ def test_the_first_failure_in_enumeration_order_is_named(monkeypatch):
     ]
 
 
-def test_a_lost_worker_fails_the_run(monkeypatch, capfd):
-    parent = os.getpid()
-    original = bij.maxmin_to_smu
-
-    def dies_in_a_worker(p, side):
-        if os.getpid() != parent:
-            os._exit(3)
-        return original(p, side)
-
-    _use_cpus(monkeypatch, TWO_CPUS)
-    monkeypatch.setattr(bij, "maxmin_to_smu", dies_in_a_worker)
-    assert main(["bijection-check", "--max-n", "6"]) == 1
-    out, err = capfd.readouterr()
-    assert " unchecked: the worker exited with code 3 before returning its results" in out
-    assert "Traceback" not in out + err
-
-
-def test_a_worker_that_cannot_send_its_results_fails_the_run(monkeypatch):
-    parent = os.getpid()
-    original = verify._check_shard
-
-    def fails_in_a_worker(shard):
-        if os.getpid() != parent:
-            raise RuntimeError("results lost")
-        return original(shard)
-
-    _use_cpus(monkeypatch, TWO_CPUS)
-    monkeypatch.setattr(verify, "_check_shard", fails_in_a_worker)
-    failures = [e for r in bijection_checks(max_n=6) for e in r.failures()]
-    assert failures
-    assert any(e.note.endswith(" unchecked: the worker raised RuntimeError: results lost")
-               for e in failures)
-
-
 def _cold_run(monkeypatch, capfd, cpus, args):
     """Exit code, stdout and stderr of one CLI run with no counts cached."""
     _use_cpus(monkeypatch, cpus)
@@ -205,25 +171,50 @@ def _cold_run(monkeypatch, capfd, cpus, args):
 COUNTED_RUNS = [["verify", "--max-n", "9"], ["table", "--method", "enum", "--max-n", "9"]]
 
 
+def _lost_in_a_worker(how, original, here):
+    """`original`, whose forked worker exits with code 3 or raises, as
+    `how` says; each call in this process is recorded in `here`."""
+    parent = os.getpid()
+
+    def lost(*args):
+        if os.getpid() != parent:
+            if how == "exits":
+                os._exit(3)
+            raise RuntimeError("results lost")
+        here.append(args)
+        return original(*args)
+
+    return lost
+
+
+@pytest.mark.parametrize("how", ["exits", "raises"])
 @pytest.mark.parametrize("args", COUNTED_RUNS)
-def test_a_lost_count_worker_is_counted_again_here(monkeypatch, capfd, args):
+def test_a_lost_count_worker_is_counted_again_here(monkeypatch, capfd, args, how):
     expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
     assert expected[0] == 0 and expected[2] == ""
-    parent = os.getpid()
-    original = perm._tally_walk
-    recounted = []
-
-    def dies_in_a_worker(n, kind, first):
-        if os.getpid() != parent:
-            os._exit(3)
-        if n == 9 and kind is perm.AltKind.UP_DOWN:
-            recounted.append(first)
-        return original(n, kind, first)
-
-    monkeypatch.setattr(perm, "_tally_walk", dies_in_a_worker)
+    here = []
+    monkeypatch.setattr(perm, "_tally_walk", _lost_in_a_worker(how, perm._tally_walk, here))
     assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
     # The forked shard held the up-down subtrees, and this process walked them.
-    assert recounted == list(range(1, 10))
+    assert [first for n, kind, first in here
+            if n == 9 and kind is perm.AltKind.UP_DOWN] == list(range(1, 10))
+
+
+@pytest.mark.parametrize("how", ["exits", "raises"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_lost_bijection_worker_is_checked_again_here(monkeypatch, capfd, fmt, how):
+    args = ["bijection-check", "--max-n", "6", "--format", fmt]
+    expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
+    assert expected[0] == 0 and expected[2] == ""
+    here = []
+    monkeypatch.setattr(verify, "_check_unit", _lost_in_a_worker(how, verify._check_unit, here))
+    assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
+    # This process checked the forked shard's permutations as well as its
+    # own: every one of them, once.
+    checked = [(n, p.values) for (n, smu, maxmin), in here for p in (*smu, *maxmin)]
+    assert sorted(checked) == sorted(
+        (n, p.values) for n in range(2, 7)
+        for p in smu_set(n) + (maxmin_set(n) if n % 2 == 0 else ()))
 
 
 @pytest.mark.parametrize("args", COUNTED_RUNS + [["bijection-check", "--max-n", "6"]])
