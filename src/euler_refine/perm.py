@@ -1,15 +1,14 @@
-"""Alternating permutations: generation, classification, brute-force counts.
+"""Alternating permutations: generation, classification, exhaustive counts.
 
 This module is the ground truth the formula and series routes are
 checked against.  Permutations are kept in one-line notation with
 1-based values; a permutation is up-down when its values strictly
 zigzag starting with a rise, down-up when starting with a descent.
 
-The counts walk the pruned search tree without materialising any
-permutation: each leaf is classified in place and tallied.  The walk
-runs one subtree per first value, places the last two values in one
-step, and from degree 9 deals the subtrees out among the CPUs this
-process may run on (:func:`euler_refine.workers.map_dealt`).  The
+The counts cover every permutation of the pruned search tree without
+materialising any: one forward pass per kind merges the prefixes that
+have the same completions and carries the two class bits along, so the
+work grows with 2^n rather than with the number of leaves.  The
 :class:`Permutation` generator and :func:`classify` serve the
 bijections and callers that need the permutations themselves.
 
@@ -24,7 +23,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from . import workers
 from .seq import CountTable
 
 
@@ -198,115 +196,67 @@ class _Tally(NamedTuple):
     lower: int
 
 
-# Degrees from which count_refinements forks workers.  Forking one costs
-# about 1.7 ms, and walking both populations takes about 3 ms at degree 8
-# and 20 ms at degree 9.
-_FORK_FROM_DEGREE = 9
+def _count_kind(n: int, kind: AltKind) -> _Tally:
+    """Count by class the alternating permutations of degree n of one kind.
 
-
-def _tally_walk(n: int, kind: AltKind, first: int) -> _Tally:
-    """Count by class the permutations of one kind that start with `first`.
-
-    Walks the subtree of `first` in the pruned tree of
-    :func:`enumerate_alternating`, recording the 0-based position of
-    each value as it is placed, and classifies every leaf without
-    building a permutation: min-max means 1 sits before n, and
-    second-max-upper means n - 1 sits at a peak, an odd index for
-    up-down and an even one for down-up.
-
-    When two values a < b are left, at most one order of them extends
-    the chain: b then a where index n - 2 is a peak (if b is above the
-    value before it), a then b where it is a valley (if a is below it).
-    That leaf is placed in one step.
+    A forward pass over the pruned tree of :func:`enumerate_alternating`,
+    one position at a time, in which prefixes with the same completions
+    are merged: a prefix is kept only as its set of used values, its last
+    value and two class bits, with the number of prefixes that share
+    them.  Bit 0 says that 1 was placed while n was unused (min-max), and
+    bit 1 that n - 1 was placed at a peak (second-max upper).  This is the
+    subset dynamic programme of Held and Karp, "A dynamic programming
+    approach to sequencing problems" (1962), and still an exhaustive
+    count of the same tree: it holds O(2^n n) states, not O(E_n) leaves.
     """
-    # Rises and peaks share a parity: odd indices for up-down, even for down-up.
+    # Peaks, where the chain rises into a position, sit at the odd indices
+    # for up-down and the even ones for down-up.  Index 0 rises above a
+    # last value of 0 or falls below one of n + 1, so that any value may
+    # come first.
     peak_parity = 1 if kind is AltKind.UP_DOWN else 0
-    if n == 2:
-        # (1, 2) is up-down and min-max, (2, 1) down-up and max-min;
-        # in both, n - 1 = 1 sits at a valley.
-        if first != 2 - peak_parity:
-            return _Tally(0, 0, 0, 0, 0)
-        return _Tally(1, peak_parity, 1 - peak_parity, 0, 1)
-    used = bytearray(n + 1)
-    used[0] = 1  # so that find(0) looks at the values 1..n only
-    used[first] = 1
-    find = used.find
-    pos = [0] * (n + 1)  # `first` sits at index 0
-    second = last = n - 1  # the value n - 1, and the last index
-    at_peak = [idx % 2 == peak_parity for idx in range(n)]
-    pair_at = n - 2
-    pair_at_peak = at_peak[pair_at]
-    total = minmax = maxmin = upper = lower = 0
-
-    def extend(idx: int, prev: int) -> None:
-        nonlocal total, minmax, maxmin, upper, lower
-        if idx == pair_at:
-            a = find(0)
-            b = find(0, a + 1)
-            if pair_at_peak:
-                if b < prev:
-                    return
-                pos[b] = idx
-                pos[a] = last
-            else:
-                if a > prev:
-                    return
-                pos[a] = idx
-                pos[b] = last
-            total += 1
-            if pos[1] < pos[n]:
-                minmax += 1
-            else:
-                maxmin += 1
-            if at_peak[pos[second]]:
-                upper += 1
-            else:
-                lower += 1
-            return
-        if at_peak[idx]:
-            candidates = range(prev + 1, n + 1)
-        else:
-            candidates = range(1, prev)
-        for v in candidates:
-            if not used[v]:
-                used[v] = 1
-                pos[v] = idx
-                extend(idx + 1, v)
-                used[v] = 0
-
-    extend(1, first)
-    return _Tally(total, minmax, maxmin, upper, lower)
+    top = 1 << n
+    layer = {(0, n + 1 if peak_parity else 0, 0): 1}  # (used, last, bits) -> prefixes
+    for idx in range(n):
+        at_peak = idx % 2 == peak_parity
+        following: dict[tuple[int, int, int], int] = {}
+        get = following.get
+        for (used, last, bits), count in layer.items():
+            for v in range(last + 1, n + 1) if at_peak else range(1, last):
+                value = 1 << v
+                if used & value:
+                    continue
+                placed = bits
+                if v == 1 and not used & top:
+                    placed |= 1
+                if v == n - 1 and at_peak:
+                    placed |= 2
+                key = (used | value, v, placed)
+                following[key] = get(key, 0) + count
+        layer = following
+    by_bits = [0] * 4
+    for (_, _, bits), count in layer.items():
+        by_bits[bits] += count
+    total = sum(by_bits)
+    minmax = by_bits[1] + by_bits[3]
+    upper = by_bits[2] + by_bits[3]
+    return _Tally(total, minmax, total - minmax, upper, total - upper)
 
 
 @lru_cache(maxsize=None)
 def count_refinements(n: int) -> CountTable:
     """Tally every split of the alternating permutations of degree n.
 
-    Walks the up-down and the down-up trees once each, classifying every
-    leaf in place; no permutation is materialised.  The two walks are
+    Counts the up-down and the down-up permutations by class, one pass
+    over merged prefixes each (:func:`_count_kind`); no permutation is
+    materialised and no process is started.  The two passes are
     independent, and their totals must agree.
-
-    Each tree is walked as one subtree per first value.  From degree
-    ``_FORK_FROM_DEGREE``, the (kind, first value) subtrees are dealt in
-    turn to one shard per CPU this process may run on, and the shards
-    run at the same time (see :func:`euler_refine.workers.map_dealt`);
-    on two CPUs each process walks one population.  A shard whose worker
-    is lost is walked again in this process.  The tallies come back in
-    subtree order and are summed per kind, so the table does not depend
-    on the CPU count.
 
     ``ene``/``enw`` are counted over the up-down population (the
     convention under which they refine E_n rather than 2 E_n).
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    units = [(kind, first) for first in range(1, n + 1) for kind in AltKind]
-    count = workers.cpu_count() if n >= _FORK_FROM_DEGREE else 1
-    walked = workers.map_dealt(lambda unit: _tally_walk(n, *unit), units, count)
-    tallies: dict[AltKind, list[_Tally]] = {kind: [] for kind in AltKind}
-    for (kind, _), tally in zip(units, walked):
-        tallies[kind].append(tally)
-    up, down = (_Tally(*map(sum, zip(*tallies[kind]))) for kind in AltKind)
+    up, down = (_count_kind(n, kind) for kind in AltKind)
     if down.total != up.total:
         raise AssertionError(
             f"population mismatch at degree {n}: {up.total} vs {down.total}"

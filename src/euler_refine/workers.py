@@ -1,13 +1,12 @@
 """Run the units of one job in shards at the same time, in forked workers.
 
-Both sharded paths use this: the brute-force counts in :mod:`perm` and
-the bijection checks in :mod:`verify`.  The units are dealt in turn to
-one shard per process; a shard whose results do not come back from its
-worker runs again in this process, so the results never depend on a
-worker.  It is built on ``os.fork``, ``os.pipe`` and ``pickle`` rather
-than ``multiprocessing``, whose import alone holds about 1 MB more than
-a bare interpreter.  A worker inherits its shard and sends back only
-the pickled results.
+The bijection checks in :mod:`verify` use this.  The units are dealt
+in turn to one shard per process; a shard whose results do not come
+back from its worker runs again in this process, so the results never
+depend on a worker.  It is built on ``os.fork``, ``os.pipe`` and
+``pickle`` rather than ``multiprocessing``, whose import alone holds
+about 1 MB more than a bare interpreter.  A worker inherits its shard
+and sends back only the pickled results.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def reference_classify(p):
 def reference_tally(n, kind):
     """(total, min-max, max-min, upper, lower) by classifying each generated permutation.
 
-    The counting path the leaf-tallying walk replaced, kept as its oracle.
+    The counting path that came before the leaf walk, kept as an oracle of the count.
     """
     total = minmax = maxmin = upper = lower = 0
     for p in enumerate_alternating(n, kind):
@@ -134,9 +134,10 @@ def per_leaf_tally_walk(n, kind, first):
     """(total, min-max, max-min, upper, lower) over the permutations of one
     kind that start with `first`, tallied leaf by leaf.
 
-    The walk ``perm._tally_walk`` had before it placed the last two values
-    in one step, restricted to one first value; kept as its oracle.  Every
-    position down to the last runs its candidate loop.
+    The leaf-by-leaf walk that ``perm.count_refinements`` ran before it
+    merged prefixes with the same completions, restricted to one first
+    value; kept as the oracle of the merged count.  Every position down to
+    the last runs its candidate loop.
     """
     used = bytearray(n + 1)
     pos = [0] * (n + 1)

@@ -118,6 +118,12 @@ def test_cap_env_must_be_integer(capsys, monkeypatch):
         assert out == "", argv
 
 
+def test_verify_passes_above_the_enumeration_cap_when_it_is_raised(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "13", "--cap", "13")
+    assert rc == 0
+    assert "overall: PASS" in out
+
+
 def test_verify_passes_at_reduced_scale(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--egf-order", "10")
     assert rc == 0

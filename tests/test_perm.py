@@ -1,7 +1,6 @@
 """Permutation classification and enumeration against hand-checked sets."""
 
 import itertools
-import os
 from math import factorial
 
 import pytest
@@ -16,13 +15,16 @@ from euler_refine import (
     classify,
     complement,
     count_refinements,
+    e_down_recurrence,
+    e_ne_nw_pair,
+    e_up_formula,
     enumerate_alternating,
+    euler_numbers,
     is_down_up,
     is_up_down,
 )
 
-from euler_refine import perm
-from euler_refine.perm import _tally_walk
+from euler_refine.perm import _count_kind
 
 from helpers import (
     EDOWN,
@@ -30,8 +32,6 @@ from helpers import (
     ENW,
     EULER,
     EUP,
-    ONE_CPU,
-    TWO_CPUS,
     downup,
     enumerate_alternating_by_filter,
     per_leaf_tally_walk,
@@ -235,15 +235,10 @@ def test_count_refinements_rejects_degree_below_2():
         count_refinements(1)
 
 
-def _walk_population(n, kind):
-    """`_tally_walk` summed over every first value."""
-    return tuple(map(sum, zip(*(_tally_walk(n, kind, first) for first in range(1, n + 1)))))
-
-
 def test_count_minmax_populations():
     # The down-up population swaps the two counts of the up-down one.
     def count_minmax(n, kind):
-        _, minmax, maxmin, _, _ = _walk_population(n, kind)
+        _, minmax, maxmin, _, _ = _count_kind(n, kind)
         return minmax, maxmin
 
     for n in range(2, 8):
@@ -255,18 +250,17 @@ def test_count_minmax_populations():
 
 
 @pytest.mark.parametrize("kind", list(AltKind))
-def test_tally_walk_equals_classify_oracle(kind):
+def test_count_kind_equals_classify_oracle(kind):
     # Every per-class counter, not only the totals the partitions imply.
     for n in range(2, 10):
-        assert _walk_population(n, kind) == reference_tally(n, kind), n
+        assert _count_kind(n, kind) == reference_tally(n, kind), n
 
 
-def test_tally_walk_equals_the_per_leaf_oracle_for_every_first_value():
+def test_count_kind_equals_the_per_leaf_oracle():
     for n in range(2, 11):
         for kind in AltKind:
-            for first in range(1, n + 1):
-                assert tuple(_tally_walk(n, kind, first)) == per_leaf_tally_walk(n, kind, first), (
-                    n, kind, first)
+            leaves = [per_leaf_tally_walk(n, kind, first) for first in range(1, n + 1)]
+            assert _count_kind(n, kind) == tuple(map(sum, zip(*leaves))), (n, kind)
 
 
 def test_count_refinements_equals_classify_oracle():
@@ -274,18 +268,15 @@ def test_count_refinements_equals_classify_oracle():
         assert count_refinements(n) == reference_count_table(n), n
 
 
-@pytest.mark.parametrize("cpus, fork_from", [(ONE_CPU, 9), (TWO_CPUS, 9), (TWO_CPUS, 2)],
-                         ids=["one-cpu", "two-cpus", "two-cpus-fork-from-2"])
-def test_count_refinements_does_not_depend_on_the_shards(monkeypatch, cpus, fork_from):
-    # Fork from degree 2 so that every degree takes the forked path.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(perm, "_FORK_FROM_DEGREE", fork_from)
-    count_refinements.cache_clear()
-    try:
-        for n in range(2, 10):
-            assert count_refinements(n) == reference_count_table(n), n
-    finally:
-        count_refinements.cache_clear()
+def test_count_refinements_equals_the_formulas_at_degrees_12_to_14():
+    # Past the degrees whose leaves an oracle can visit in a test's time.
+    ee = euler_numbers(14)
+    for n in range(12, 15):
+        t = count_refinements(n)
+        assert t.e == ee[n]
+        assert (t.ene, t.enw) == e_ne_nw_pair(n, ee)
+        assert t.eup == e_up_formula(n, ee)
+        assert t.edown == e_down_recurrence(n, ee)
 
 
 def test_second_max_lower_positions_are_extremal():

@@ -168,9 +168,6 @@ def _cold_run(monkeypatch, capfd, cpus, args):
     return (code, *capfd.readouterr())
 
 
-COUNTED_RUNS = [["verify", "--max-n", "9"], ["table", "--method", "enum", "--max-n", "9"]]
-
-
 def _lost_in_a_worker(how, original, here):
     """`original`, whose forked worker exits with code 3 or raises, as
     `how` says; each call in this process is recorded in `here`."""
@@ -185,19 +182,6 @@ def _lost_in_a_worker(how, original, here):
         return original(*args)
 
     return lost
-
-
-@pytest.mark.parametrize("how", ["exits", "raises"])
-@pytest.mark.parametrize("args", COUNTED_RUNS)
-def test_a_lost_count_worker_is_counted_again_here(monkeypatch, capfd, args, how):
-    expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
-    assert expected[0] == 0 and expected[2] == ""
-    here = []
-    monkeypatch.setattr(perm, "_tally_walk", _lost_in_a_worker(how, perm._tally_walk, here))
-    assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
-    # The forked shard held the up-down subtrees, and this process walked them.
-    assert [first for n, kind, first in here
-            if n == 9 and kind is perm.AltKind.UP_DOWN] == list(range(1, 10))
 
 
 @pytest.mark.parametrize("how", ["exits", "raises"])
@@ -217,19 +201,36 @@ def test_a_lost_bijection_worker_is_checked_again_here(monkeypatch, capfd, fmt, 
         for p in smu_set(n) + (maxmin_set(n) if n % 2 == 0 else ()))
 
 
-@pytest.mark.parametrize("args", COUNTED_RUNS + [["bijection-check", "--max-n", "6"]])
-def test_a_shard_that_cannot_fork_runs_here(monkeypatch, capfd, args):
+def _cannot_fork():
+    raise OSError("no process for the worker")
+
+
+def test_a_shard_that_cannot_fork_runs_here(monkeypatch, capfd):
+    args = ["bijection-check", "--max-n", "6"]
     expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
-
-    def cannot_fork():
-        raise OSError("no process for the worker")
-
-    monkeypatch.setattr(os, "fork", cannot_fork)
+    monkeypatch.setattr(os, "fork", _cannot_fork)
     assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
 
 
+def test_the_count_never_forks(monkeypatch):
+    # An error no fork caller catches, so that any fork fails the count.
+    def forked():
+        raise AssertionError("the count forked")
+
+    _use_cpus(monkeypatch, ONE_CPU)
+    perm.count_refinements.cache_clear()
+    try:
+        expected = perm.count_refinements(11)
+        perm.count_refinements.cache_clear()
+        _use_cpus(monkeypatch, TWO_CPUS)
+        monkeypatch.setattr(os, "fork", forked)
+        assert perm.count_refinements(11) == expected
+    finally:
+        perm.count_refinements.cache_clear()
+
+
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # Nor does running the two sharded paths on two CPUs.
+    # Nor does running the count and the sharded bijection check on two CPUs.
     src = str(Path(euler_refine.__file__).resolve().parent.parent)
     code = """if True:
         import contextlib, io, os, sys

@@ -1,4 +1,4 @@
-"""The fork helper both sharded paths run on."""
+"""The fork helper the bijection checks run on."""
 
 import os
 import subprocess
