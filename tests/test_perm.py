@@ -1,6 +1,7 @@
 """Permutation classification and enumeration against hand-checked sets."""
 
 import itertools
+import os
 from math import factorial
 
 import pytest
@@ -24,6 +25,7 @@ from euler_refine import (
     is_up_down,
 )
 
+from euler_refine import perm
 from euler_refine.perm import _count_kind
 
 from helpers import (
@@ -32,6 +34,8 @@ from helpers import (
     ENW,
     EULER,
     EUP,
+    ONE_CPU,
+    TWO_CPUS,
     downup,
     enumerate_alternating_by_filter,
     per_leaf_tally_walk,
@@ -268,15 +272,42 @@ def test_count_refinements_equals_classify_oracle():
         assert count_refinements(n) == reference_count_table(n), n
 
 
-def test_count_refinements_equals_the_formulas_at_degrees_12_to_14():
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS], ids=["one-cpu", "two-cpus"])
+def test_count_refinements_does_not_depend_on_the_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    count_refinements.cache_clear()
+    try:
+        for n in range(2, 10):
+            assert count_refinements(n) == reference_count_table(n), n
+    finally:
+        count_refinements.cache_clear()
+
+
+def test_count_refinements_rejects_passes_whose_totals_differ(monkeypatch):
+    # The up-down and down-up passes are independent; their totals are
+    # both E_n, so a difference is an error in the count.
+    def one_short(n, kind):
+        tally = _count_kind(n, kind)
+        return tally._replace(total=tally.total - 1) if kind is AltKind.DOWN_UP else tally
+
+    monkeypatch.setattr(perm, "_count_kind", one_short)
+    count_refinements.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="population mismatch at degree 5: 16 vs 15"):
+            count_refinements(5)
+    finally:
+        count_refinements.cache_clear()
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_count_refinements_equals_the_formulas_at_degrees_12_to_14(n):
     # Past the degrees whose leaves an oracle can visit in a test's time.
-    ee = euler_numbers(14)
-    for n in range(12, 15):
-        t = count_refinements(n)
-        assert t.e == ee[n]
-        assert (t.ene, t.enw) == e_ne_nw_pair(n, ee)
-        assert t.eup == e_up_formula(n, ee)
-        assert t.edown == e_down_recurrence(n, ee)
+    ee = euler_numbers(n)
+    t = count_refinements(n)
+    assert t.e == ee[n]
+    assert (t.ene, t.enw) == e_ne_nw_pair(n, ee)
+    assert t.eup == e_up_formula(n, ee)
+    assert t.edown == e_down_recurrence(n, ee)
 
 
 def test_second_max_lower_positions_are_extremal():

@@ -201,14 +201,18 @@ def test_a_lost_bijection_worker_is_checked_again_here(monkeypatch, capfd, fmt, 
         for p in smu_set(n) + (maxmin_set(n) if n % 2 == 0 else ()))
 
 
-def _cannot_fork():
-    raise OSError("no process for the worker")
-
-
-def test_a_shard_that_cannot_fork_runs_here(monkeypatch, capfd):
-    args = ["bijection-check", "--max-n", "6"]
+@pytest.mark.parametrize("args", [["verify", "--max-n", "9"],
+                                  ["table", "--method", "enum", "--max-n", "9"],
+                                  ["bijection-check", "--max-n", "6"]])
+def test_a_shard_that_cannot_fork_runs_here(monkeypatch, capfd, args):
+    # The counted runs start no worker; the bijection check runs its
+    # forked shard here.  Either way the output is the one-CPU output.
     expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
-    monkeypatch.setattr(os, "fork", _cannot_fork)
+
+    def cannot_fork():
+        raise OSError("no process for the worker")
+
+    monkeypatch.setattr(os, "fork", cannot_fork)
     assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
 
 
