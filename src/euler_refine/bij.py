@@ -20,12 +20,18 @@ Three constructions, all exactly invertible on their stated domains:
   ``smu_to_maxmin``.  Together with the two-sided counting this makes
   the doubling relation between the two refinements literal.
 
-Positions are 1-based throughout.
+Positions are 1-based throughout.  Every map checks its input; a
+permutation is classified once, however many maps check it.  The
+splittings, the compositions and the two rewirings between them are
+pure maps of frozen values, each memoised for its last two arguments:
+a round trip and the two sides of the doubling map ask for the same
+one back to back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .perm import (
@@ -59,8 +65,13 @@ class Decomposition:
 
 def standardize(block: Sequence[int]) -> Permutation:
     """Order-isomorphic pattern of a block: each value replaced by its rank."""
-    ranks = dict(zip(sorted(block), range(1, len(block) + 1)))
-    return Permutation(tuple(map(ranks.__getitem__, block)))
+    return _ranked(block, sorted(block))
+
+
+def _ranked(block: Sequence[int], ordered: Sequence[int]) -> Permutation:
+    """The pattern of `block`, whose values sorted are `ordered`."""
+    # As in embed, a leading placeholder makes each index a 1-based rank.
+    return Permutation(tuple(map((None, *ordered).index, block)))
 
 
 def embed(pattern: Permutation, values: Sequence[int]) -> tuple[int, ...]:
@@ -76,10 +87,8 @@ def _split(p: Permutation, first: int, second: int) -> Decomposition:
     """Cut ``p`` around the 1-based positions ``first`` < ``second``."""
     vals = p.values
     blocks = (vals[: first - 1], vals[first : second - 1], vals[second:])
-    return Decomposition(
-        parts=tuple(tuple(sorted(b)) for b in blocks),
-        patterns=tuple(standardize(b) for b in blocks),
-    )
+    parts = tuple(tuple(sorted(b)) for b in blocks)
+    return Decomposition(parts, tuple(map(_ranked, blocks, parts)))
 
 
 def _join(d: Decomposition, first: int, second: int) -> tuple[int, ...]:
@@ -106,6 +115,11 @@ def _require_updown_smu(p: Permutation) -> None:
 def swap_top_two(p: Permutation) -> Permutation:
     """Exchange the values n-1 and n; involution on the second-max-upper set."""
     _require_updown_smu(p)
+    return _swapped(p)
+
+
+def _swapped(p: Permutation) -> Permutation:
+    """`p` with the values n-1 and n exchanged, for a checked `p`."""
     n = p.n
     swapped = list(p.values)
     second, top = swapped.index(n - 1), swapped.index(n)
@@ -113,6 +127,7 @@ def swap_top_two(p: Permutation) -> Permutation:
     return Permutation(tuple(swapped))
 
 
+@lru_cache(maxsize=2)
 def decompose_smu(p: Permutation) -> Decomposition:
     """Split around n-1 and n (in that order) into three up-down blocks.
 
@@ -130,6 +145,7 @@ def decompose_smu(p: Permutation) -> Decomposition:
     return _split(p, pos_second, pos_top)
 
 
+@lru_cache(maxsize=2)
 def compose_smu(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n-1, block2, n, block3 from a second-max-upper split."""
     s1, s2, _ = d.sizes
@@ -142,6 +158,7 @@ def compose_smu(d: Decomposition, n: int) -> Permutation:
     return Permutation(_join(d, n - 1, n))
 
 
+@lru_cache(maxsize=2)
 def decompose_maxmin(p: Permutation) -> Decomposition:
     """Split an even-degree max-min up-down permutation around n and 1.
 
@@ -160,6 +177,7 @@ def decompose_maxmin(p: Permutation) -> Decomposition:
     return _split(p, p.position_of(p.n), p.position_of(1))
 
 
+@lru_cache(maxsize=2)
 def compose_maxmin(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n, block2, 1, block3 from a max-min split."""
     if n % 2 != 0:
@@ -190,12 +208,24 @@ def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
     """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
-    d = decompose_maxmin(p)
+    out = compose_smu(_smu_split_of(decompose_maxmin(p)), p.n)
+    return swap_top_two(out) if side else out
+
+
+@lru_cache(maxsize=2)
+def _smu_split_of(d: Decomposition) -> Decomposition:
+    """The max-min split (A, B, C) rewired as maxmin_to_smu says."""
     part_a, part_b, part_c = (tuple(v - 1 for v in part) for part in d.parts)
     pat_a, pat_b, pat_c = d.patterns
-    rewired = Decomposition((part_a, part_c, part_b), (pat_a, complement(pat_c), pat_b))
-    out = compose_smu(rewired, p.n)
-    return swap_top_two(out) if side else out
+    return Decomposition((part_a, part_c, part_b), (pat_a, complement(pat_c), pat_b))
+
+
+@lru_cache(maxsize=2)
+def _maxmin_split_of(d: Decomposition) -> Decomposition:
+    """The second-max split rewired back, inverse of :func:`_smu_split_of`."""
+    part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
+    pat_a, pat_c, pat_b = d.patterns
+    return Decomposition((part_a, part_b, part_c), (pat_a, pat_b, complement(pat_c)))
 
 
 def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
@@ -205,9 +235,5 @@ def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
     _require_updown_smu(p)
     n = p.n
     side = 0 if p.position_of(n - 1) < p.position_of(n) else 1
-    oriented = swap_top_two(p) if side else p
-    d = decompose_smu(oriented)
-    part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
-    pat_a, pat_c, pat_b = d.patterns
-    rewired = Decomposition((part_a, part_b, part_c), (pat_a, pat_b, complement(pat_c)))
-    return compose_maxmin(rewired, n), side
+    d = decompose_smu(_swapped(p) if side else p)
+    return compose_maxmin(_maxmin_split_of(d), n), side

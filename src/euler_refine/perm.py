@@ -10,7 +10,10 @@ materialising any: one forward pass per kind merges the prefixes that
 have the same completions and carries the two class bits along, so the
 work grows with 2^n rather than with the number of leaves.  The
 :class:`Permutation` generator and :func:`classify` serve the
-bijections and callers that need the permutations themselves.
+bijections and callers that need the permutations themselves; the
+generator can be restricted to one first value, so that the subtrees
+of one degree can be walked apart, and a permutation keeps its
+classification once :func:`classify` has computed it.
 
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
@@ -18,10 +21,10 @@ for degree <= 9 and comma-separated values above that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .seq import CountTable
 
@@ -41,15 +44,19 @@ class SecondMaxKind(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """One-line notation; values[i-1] is the image of i.
 
     Degree 0 is allowed so that empty blocks of a decomposition can be
-    carried as (vacuously alternating) patterns.
+    carried as (vacuously alternating) patterns.  ``classification`` is
+    filled by :func:`classify` on its first call and is no part of the
+    value: it takes no part in init, repr, equality or hashing.
     """
 
     values: tuple[int, ...]
+    classification: Optional[Classification] = field(
+        default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -132,7 +139,12 @@ def complement(p: Permutation) -> Permutation:
 
 
 def classify(p: Permutation) -> Classification:
-    """Kind plus the min-max and second-max refinements of an alternating permutation."""
+    """Kind plus the min-max and second-max refinements of an alternating permutation.
+
+    Computed once per permutation and kept in its ``classification``.
+    """
+    if p.classification is not None:
+        return p.classification
     values = p.values
     n = len(values)
     if n < 2:
@@ -146,17 +158,25 @@ def classify(p: Permutation) -> Classification:
     else:
         raise ValueError(f"not an alternating permutation: {p}")
     index = values.index
-    return _CLASSIFICATIONS[up_down][index(1) < index(n)][index(n - 1) % 2 == up_down]
+    c = _CLASSIFICATIONS[up_down][index(1) < index(n)][index(n - 1) % 2 == up_down]
+    object.__setattr__(p, "classification", c)
+    return c
 
 
-def enumerate_alternating(n: int, kind: AltKind) -> Iterator[Permutation]:
+def enumerate_alternating(
+    n: int, kind: AltKind, first: Optional[int] = None
+) -> Iterator[Permutation]:
     """Yield the alternating permutations of one kind in lexicographic order.
 
     Extends one value at a time and abandons any prefix that breaks the
-    zigzag chain.
+    zigzag chain.  With `first`, only those that start with it: the
+    subtree of that first value, so that the subtrees for 1..n, one
+    after another, yield what the whole enumeration yields.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
+    if first is not None and not 1 <= first <= n:
+        raise ValueError(f"first value must be in 1..{n}, got {first}")
     used = bytearray(n + 1)
     partial: list[int] = []
 
@@ -170,7 +190,7 @@ def enumerate_alternating(n: int, kind: AltKind) -> Iterator[Permutation]:
             yield Permutation(tuple(partial))
             return
         if idx == 0:
-            candidates = range(1, n + 1)
+            candidates = range(1, n + 1) if first is None else (first,)
         elif idx % 2 == rise_parity:
             candidates = range(partial[-1] + 1, n + 1)
         else:

@@ -220,7 +220,12 @@ def _raised(witness: str, exc: Exception) -> str:
 
 @dataclass
 class _DegreeResult:
-    """What one slice of one degree found; witnesses in enumeration order."""
+    """What one subtree of one degree found; witnesses in enumeration order.
+
+    `smu` and `maxmin` count the second-max-upper and the max-min
+    permutations checked, and `smu_values` lists the former at even
+    degree, where the doubling map's image is compared with them.
+    """
 
     fixed: list[str] = field(default_factory=list)
     involution_bad: list[str] = field(default_factory=list)
@@ -229,18 +234,25 @@ class _DegreeResult:
     maxmin_bad: list[str] = field(default_factory=list)
     images: list[tuple[int, ...]] = field(default_factory=list)
     inverse_bad: list[str] = field(default_factory=list)
+    smu: int = 0
+    maxmin: int = 0
+    smu_values: list[tuple[int, ...]] = field(default_factory=list)
 
     def absorb(self, later: "_DegreeResult") -> None:
-        """Append the results of the slice that follows this one."""
+        """Append the results of the subtree that follows this one."""
         for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(later, f.name))
+            mine, theirs = getattr(self, f.name), getattr(later, f.name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, f.name, mine + theirs)
 
 
 def _check_unit(
     unit: tuple[int, Sequence[perm.Permutation], Sequence[perm.Permutation]],
 ) -> _DegreeResult:
-    """Run every per-permutation check on one unit: a degree n and one
-    slice each of its second-max-upper and max-min permutations.
+    """Run every per-permutation check on one unit: a degree n and some
+    of its second-max-upper and max-min permutations.
 
     A map that raises on a permutation records that permutation as a
     failure, with the exception in its witness.
@@ -282,10 +294,22 @@ def _check_unit(
     return r
 
 
-def _slices(items: Sequence[perm.Permutation], count: int) -> list[Sequence[perm.Permutation]]:
-    """`items` cut into `count` contiguous slices of near-equal length."""
-    size = len(items)
-    return [items[i * size // count:(i + 1) * size // count] for i in range(count)]
+def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
+    """Enumerate, classify and check the up-down permutations of degree n
+    that start with one value, given as the unit (n, first)."""
+    n, first = unit
+    smu, maxmin = [], []
+    for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
+        c = perm.classify(p)
+        if c.secondmax is perm.SecondMaxKind.UPPER:
+            smu.append(p)
+        if n % 2 == 0 and c.minmax is perm.MinMaxKind.MAX_MIN:
+            maxmin.append(p)
+    r = _check_unit((n, smu, maxmin))
+    r.smu, r.maxmin = len(smu), len(maxmin)
+    if n % 2 == 0:
+        r.smu_values = [p.values for p in smu]
+    return r
 
 
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
@@ -297,35 +321,24 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     a map that raises counts as a failure, and the note carries the
     exception.
 
-    The per-permutation work of each degree is cut into contiguous
-    slices, one per CPU this process may run on, and slice i of every
-    degree is dealt to shard i (see
+    The work is cut into units, one per degree and first value: each
+    unit enumerates, classifies and checks the permutations of its
+    subtree and returns what it found, so a process holds the
+    permutations of one subtree at a time, and this process keeps only
+    what the reports print.  The units are dealt in turn to one shard
+    per CPU this process may run on (see
     :func:`euler_refine.workers.map_dealt`).  The shards run at the same
     time: this process works one, forked workers the others, and a
     shard whose worker is lost is checked again in this process.  With
-    one CPU nothing is forked.  The slices' results are merged in
+    one CPU nothing is forked.  The units' results are merged in
     enumeration order, so the reports do not depend on the CPU count.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     degrees = range(2, max_n + 1)
-    smu_sets = {}
-    maxmin_sets = {}
-    for n in degrees:
-        smu, maxmin = [], []
-        for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN):
-            c = perm.classify(p)
-            if c.secondmax is perm.SecondMaxKind.UPPER:
-                smu.append(p)
-            if n % 2 == 0 and c.minmax is perm.MinMaxKind.MAX_MIN:
-                maxmin.append(p)
-        smu_sets[n], maxmin_sets[n] = smu, maxmin
-
-    count = max(1, min(workers.cpu_count(), len(smu_sets[max_n])))
-    units = [(n, smu, maxmin) for n in degrees
-             for smu, maxmin in zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))]
+    units = [(n, first) for n in degrees for first in range(1, n + 1)]
     results = {n: _DegreeResult() for n in degrees}
-    for (n, _, _), part in zip(units, workers.map_dealt(_check_unit, units, count)):
+    for (n, _), part in zip(units, workers.map_dealt(_check_subtree, units, workers.cpu_count())):
         results[n].absorb(part)
 
     involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
@@ -335,9 +348,7 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
         involution.entries.append(_failure_count(n, "fixed points", r.fixed))
         involution.entries.append(_failure_count(n, "involution violations", r.involution_bad))
         smu_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.smu_bad))
-        smu_roundtrip.entries.append(
-            CheckEntry(n, "left-oriented half", 2 * r.lefts, len(smu_sets[n]))
-        )
+        smu_roundtrip.entries.append(CheckEntry(n, "left-oriented half", 2 * r.lefts, r.smu))
 
     maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
     doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
@@ -345,14 +356,9 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
         r = results[n]
         maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
         images = set(r.images)
-        doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * len(maxmin_sets[n])))
+        doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * r.maxmin))
         doubling.entries.append(
-            CheckEntry(
-                n,
-                "image = second-max-upper set",
-                sorted(images),
-                sorted(p.values for p in smu_sets[n]),
-            )
+            CheckEntry(n, "image = second-max-upper set", sorted(images), sorted(r.smu_values))
         )
         doubling.entries.append(_failure_count(n, "inverse round-trip failures", r.inverse_bad))
 

@@ -1,6 +1,6 @@
 """Shared fixtures: CPU sets, cached enumerations, frozen reference rows,
-the enumeration, classification, counting, series, convolution and
-Euler-number oracles, and a b-file reader."""
+the enumeration, classification, counting, bijection-check, series,
+convolution and Euler-number oracles, and a b-file reader."""
 
 import itertools
 from fractions import Fraction
@@ -9,15 +9,19 @@ from math import comb, factorial
 
 from euler_refine import (
     AltKind,
+    CheckEntry,
     Classification,
     CountTable,
     MinMaxKind,
     SecondMaxKind,
+    VerifyReport,
     classify,
     Permutation,
     enumerate_alternating,
     is_down_up,
     is_up_down,
+    verify,
+    workers,
 )
 
 # CPU sets for the unsharded path and for two shards, one of them forked.
@@ -187,6 +191,74 @@ def reference_count_table(n):
         raise AssertionError(f"population mismatch at degree {n}: {e} vs {e_downup}")
     return CountTable(n=n, e=e, ene=ene, enw=enw, eup=eup, edown=edown,
                       dup=dup, ddown=ddown)
+
+
+def _slices(items, count):
+    """`items` cut into `count` contiguous slices of near-equal length."""
+    size = len(items)
+    return [items[i * size // count:(i + 1) * size // count] for i in range(count)]
+
+
+def whole_degree_bijection_checks(max_n):
+    """The reports of ``verify.bijection_checks(max_n)``, with every
+    permutation of every degree built and classified in this process
+    first, then checked in contiguous slices, one per CPU.
+
+    The path that came before the units of one (degree, first value)
+    subtree, kept as the oracle of the streamed one.
+    """
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
+    degrees = range(2, max_n + 1)
+    smu_sets = {}
+    maxmin_sets = {}
+    for n in degrees:
+        smu, maxmin = [], []
+        for p in enumerate_alternating(n, AltKind.UP_DOWN):
+            c = classify(p)
+            if c.secondmax is SecondMaxKind.UPPER:
+                smu.append(p)
+            if n % 2 == 0 and c.minmax is MinMaxKind.MAX_MIN:
+                maxmin.append(p)
+        smu_sets[n], maxmin_sets[n] = smu, maxmin
+
+    count = max(1, min(workers.cpu_count(), len(smu_sets[max_n])))
+    units = [(n, smu, maxmin) for n in degrees
+             for smu, maxmin in zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))]
+    results = {n: verify._DegreeResult() for n in degrees}
+    for (n, _, _), part in zip(units, workers.map_dealt(verify._check_unit, units, count)):
+        results[n].absorb(part)
+
+    failure_count = verify._failure_count
+    involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
+    smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")
+    for n in degrees:
+        r = results[n]
+        involution.entries.append(failure_count(n, "fixed points", r.fixed))
+        involution.entries.append(failure_count(n, "involution violations", r.involution_bad))
+        smu_roundtrip.entries.append(failure_count(n, "round-trip failures", r.smu_bad))
+        smu_roundtrip.entries.append(
+            CheckEntry(n, "left-oriented half", 2 * r.lefts, len(smu_sets[n]))
+        )
+
+    maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
+    doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
+    for n in range(2, max_n + 1, 2):
+        r = results[n]
+        maxmin_roundtrip.entries.append(failure_count(n, "round-trip failures", r.maxmin_bad))
+        images = set(r.images)
+        doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * len(maxmin_sets[n])))
+        doubling.entries.append(
+            CheckEntry(
+                n,
+                "image = second-max-upper set",
+                sorted(images),
+                sorted(p.values for p in smu_sets[n]),
+            )
+        )
+        doubling.entries.append(failure_count(n, "inverse round-trip failures", r.inverse_bad))
+
+    return [involution, smu_roundtrip, maxmin_roundtrip, doubling]
 
 
 def cauchy_mul(fc, gc):

@@ -15,6 +15,7 @@ from euler_refine import (
     smu_to_maxmin,
     swap_top_two,
 )
+from euler_refine import bij
 from euler_refine.bij import embed, standardize
 
 from helpers import maxmin_set, smu_set, updown
@@ -94,39 +95,76 @@ def test_left_oriented_half_of_degree_6():
         assert compose_smu(decompose_smu(p), 6) == p
 
 
+def _malformed(compose):
+    """(decomposition, degree, message pattern) of each malformed input
+    case of one compose map."""
+    if compose is compose_smu:
+        d = decompose_smu(P("14253"))
+        return [
+            (d, 7, "partition"),
+            (Decomposition(((1, 2), (3,), ()), (P("12"), P("1"), P(""))), 5, "odd"),
+            (Decomposition(((1,), (1,), (3,)), d.patterns), 5, "partition"),
+            (Decomposition(((1,), (1,), (2, 3)), (P("1"), P("1"), P("12"))), 5, "partition"),
+            (Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2])), 5, "cannot use"),
+        ]
+    d = decompose_maxmin(P("3412"))
+    return [
+        (Decomposition(((3,), (2, 3), (2,)), (P("1"), P("12"), P("1"))), 4, "partition"),
+        (d, 6, "partition"),
+        (Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2])), 4, "cannot use"),
+        (Decomposition(((5,), (4,), (2, 3)), (P("1"), P("1"), P("21"))), 6,
+         r"\(odd, even, odd\)"),
+    ]
+
+
 def test_compose_smu_rejects_malformed():
-    d = decompose_smu(P("14253"))
-    assert compose_smu(d, 5) == P("14253")
-    with pytest.raises(ValueError, match="partition"):
-        compose_smu(d, 7)
-    bad_sizes = Decomposition(((1, 2), (3,), ()), (P("12"), P("1"), P("")))
-    with pytest.raises(ValueError, match="odd"):
-        compose_smu(bad_sizes, 5)
-    bad_parts = Decomposition(((1,), (1,), (3,)), d.patterns)
-    with pytest.raises(ValueError, match="partition"):
-        compose_smu(bad_parts, 5)
-    repeated = Decomposition(((1,), (1,), (2, 3)), (P("1"), P("1"), P("12")))
-    with pytest.raises(ValueError, match="partition"):
-        compose_smu(repeated, 5)
-    bad_pattern = Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2]))
-    with pytest.raises(ValueError, match="cannot use"):
-        compose_smu(bad_pattern, 5)
+    assert compose_smu(decompose_smu(P("14253")), 5) == P("14253")
+    for d, n, message in _malformed(compose_smu):
+        with pytest.raises(ValueError, match=message):
+            compose_smu(d, n)
 
 
 def test_compose_maxmin_rejects_malformed():
-    d = decompose_maxmin(P("3412"))
-    assert compose_maxmin(d, 4) == P("3412")
-    repeated = Decomposition(((3,), (2, 3), (2,)), (P("1"), P("12"), P("1")))
-    with pytest.raises(ValueError, match="partition"):
-        compose_maxmin(repeated, 4)
-    with pytest.raises(ValueError, match="partition"):
-        compose_maxmin(d, 6)
-    bad_pattern = Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2]))
-    with pytest.raises(ValueError, match="cannot use"):
-        compose_maxmin(bad_pattern, 4)
-    odd_middle = Decomposition(((5,), (4,), (2, 3)), (P("1"), P("1"), P("21")))
-    with pytest.raises(ValueError, match=r"\(odd, even, odd\)"):
-        compose_maxmin(odd_middle, 6)
+    assert compose_maxmin(decompose_maxmin(P("3412")), 4) == P("3412")
+    for d, n, message in _malformed(compose_maxmin):
+        with pytest.raises(ValueError, match=message):
+            compose_maxmin(d, n)
+
+
+def _outcome(fn, *args):
+    """What `fn` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_memoised_maps_equal_their_unmemoised_forms():
+    # Each memoised call runs twice, so that the second one is answered
+    # from the memo.
+    for n in range(1, 9):
+        splits = []
+        for p in updown(n):
+            for decompose in (decompose_smu, decompose_maxmin):
+                expected = _outcome(decompose.__wrapped__, p)
+                assert _outcome(decompose, p) == _outcome(decompose, p) == expected, p
+                if isinstance(expected, Decomposition):
+                    splits.append(expected)
+        for d in splits:
+            for compose in (compose_smu, compose_maxmin):
+                expected = _outcome(compose.__wrapped__, d, n)
+                assert _outcome(compose, d, n) == _outcome(compose, d, n) == expected, d
+            for rewire in (bij._smu_split_of, bij._maxmin_split_of):
+                expected = _outcome(rewire.__wrapped__, d)
+                assert _outcome(rewire, d) == _outcome(rewire, d) == expected, d
+
+
+def test_malformed_splits_raise_alike_memoised_or_not():
+    for compose in (compose_smu, compose_maxmin):
+        for d, n, _ in _malformed(compose):
+            expected = _outcome(compose.__wrapped__, d, n)
+            assert expected[0] is ValueError
+            assert _outcome(compose, d, n) == _outcome(compose, d, n) == expected
 
 
 def test_sizes_place_the_landmarks():

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 from math import factorial
 
 import pytest
@@ -171,6 +172,22 @@ def test_classify_rejects_what_the_oracle_rejects():
         assert rejected == (factorial(n) if n < 2 else factorial(n) - 2 * EULER[n])
 
 
+def test_a_filled_classification_is_no_part_of_the_value():
+    for n in range(2, 8):
+        for p in updown(n) + downup(n):
+            filled, fresh = Permutation(p.values), Permutation(p.values)
+            c = classify(filled)
+            assert filled.classification is c and fresh.classification is None
+            assert classify(filled) is c
+            assert c == reference_classify(fresh)
+            value = (repr(fresh), fresh, hash(fresh))
+            assert (repr(filled), filled, hash(filled)) == value
+            for q in (filled, fresh):
+                back = pickle.loads(pickle.dumps(q))
+                assert (repr(back), back, hash(back)) == value
+                assert classify(back) == c
+
+
 def test_zigzag_tests_equal_the_definition():
     for n in range(0, 8):
         for values in itertools.permutations(range(1, n + 1)):
@@ -217,6 +234,24 @@ def test_enumerate_agrees_with_filter_reference():
             pruned = list(enumerate_alternating(n, kind))
             filtered = list(enumerate_alternating_by_filter(n, kind))
             assert pruned == filtered
+
+
+@pytest.mark.parametrize("kind", list(AltKind))
+def test_enumerate_by_first_value_concatenates_to_the_whole(kind):
+    for n in range(1, 9):
+        by_first = []
+        for first in range(1, n + 1):
+            subtree = list(enumerate_alternating(n, kind, first))
+            assert all(p.values[0] == first for p in subtree)
+            by_first += subtree
+        assert by_first == list(enumerate_alternating(n, kind))
+
+
+@pytest.mark.parametrize("n, first", [(1, 0), (1, 2), (6, -1), (6, 0), (6, 7)])
+def test_enumerate_rejects_a_first_value_outside_the_degree(n, first):
+    for kind in AltKind:
+        with pytest.raises(ValueError, match=f"first value must be in 1..{n}"):
+            list(enumerate_alternating(n, kind, first))
 
 
 def test_count_refinements_matches_reference_tables():

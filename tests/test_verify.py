@@ -11,7 +11,7 @@ import euler_refine
 from euler_refine import bij, bijection_checks, euler_numbers, perm, run_verification, verify
 from euler_refine.cli import main
 
-from helpers import ONE_CPU, TWO_CPUS, maxmin_set, smu_set
+from helpers import ONE_CPU, TWO_CPUS, maxmin_set, smu_set, whole_degree_bijection_checks
 
 
 def test_default_scale_run_passes():
@@ -154,6 +154,49 @@ def test_the_first_failure_in_enumeration_order_is_named(monkeypatch):
     first = bad[0].to_text()
     assert [(e.n, e.left, e.note) for e in report.failures()] == [
         (8, 2, f"first bad permutation: {first} raised ValueError: cannot split {first}")
+    ]
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_streamed_units_equal_the_whole_degree_path(monkeypatch, cpus):
+    _use_cpus(monkeypatch, cpus)
+    streamed = [r.to_json_dict() for r in bijection_checks(max_n=8)]
+    assert streamed == [r.to_json_dict() for r in whole_degree_bijection_checks(8)]
+
+
+def test_a_unit_checks_the_subtree_of_its_first_value():
+    for n in (7, 8):
+        for first in range(1, n + 1):
+            r = verify._check_subtree((n, first))
+            smu = [p for p in smu_set(n) if p.values[0] == first]
+            maxmin = [p for p in maxmin_set(n) if p.values[0] == first and n % 2 == 0]
+            assert (r.smu, r.maxmin, len(r.images)) == (len(smu), len(maxmin), 2 * len(maxmin))
+            # The doubling map and its image are checked at even degree only.
+            assert r.smu_values == ([p.values for p in smu] if n % 2 == 0 else [])
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_the_first_failure_across_first_value_units_is_named(monkeypatch, cpus):
+    # Units are dealt in turn, so on two CPUs the subtrees of first values
+    # 2 and 3 at degree 8 are checked in different processes.
+    lefts = [p for p in smu_set(8) if p.position_of(7) < p.position_of(8)]
+    bad = ([p for p in lefts if p.values[0] == 3][-1],
+           next(p for p in lefts if p.values[0] == 2))
+    original = bij.decompose_smu
+
+    def broken(p):
+        if p in bad:
+            raise ValueError(f"cannot split {p}")
+        return original(p)
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, "decompose_smu", broken)
+    reports = {r.identity: r for r in bijection_checks(max_n=8)}
+    first = bad[1].to_text()
+    assert [(e.n, e.label, e.left, e.note)
+            for e in reports["second-max-upper split round trip"].failures()] == [
+        (8, "round-trip failures", 2,
+         f"first bad permutation: {first} raised ValueError: cannot split {first}")
     ]
 
 
