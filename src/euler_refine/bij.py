@@ -25,7 +25,9 @@ permutation is classified once, however many maps check it.  The
 splittings, the compositions and the two rewirings between them are
 pure maps of frozen values, each memoised for its last two arguments:
 a round trip and the two sides of the doubling map ask for the same
-one back to back.
+one back to back.  The blocks carry few distinct patterns, so each
+pattern is built and checked once and shared, and its complement and
+its zigzag tests are computed once, in tables of bounded size.
 """
 
 from __future__ import annotations
@@ -63,15 +65,32 @@ class Decomposition:
         return tuple(map(len, self.parts))
 
 
+# However many permutations the bijection checks split, their blocks
+# carry few patterns: the same 649 distinct ones up to degree 10 and up
+# to degree 11, the checks' default cap (an odd degree's blocks are no
+# longer than those of the even degree below it).  Each table below is
+# keyed by a pattern and bounded by this, so that it holds every pattern
+# up to that cap and no caller that goes higher can grow it without end.
+_PATTERNS = 1024
+
+# One shared, checked Permutation per rank tuple, and the complement and
+# the zigzag tests of each such pattern.
+_pattern = lru_cache(maxsize=_PATTERNS)(Permutation)
+_complement = lru_cache(maxsize=_PATTERNS)(complement)
+_is_up_down = lru_cache(maxsize=_PATTERNS)(is_up_down)
+_is_down_up = lru_cache(maxsize=_PATTERNS)(is_down_up)
+
+
 def standardize(block: Sequence[int]) -> Permutation:
     """Order-isomorphic pattern of a block: each value replaced by its rank."""
     return _ranked(block, sorted(block))
 
 
 def _ranked(block: Sequence[int], ordered: Sequence[int]) -> Permutation:
-    """The pattern of `block`, whose values sorted are `ordered`."""
+    """The pattern of `block`, whose values sorted are `ordered`, as the
+    one object shared by every block with that pattern."""
     # As in embed, a leading placeholder makes each index a 1-based rank.
-    return Permutation(tuple(map((None, *ordered).index, block)))
+    return _pattern(tuple(map((None, *ordered).index, block)))
 
 
 def embed(pattern: Permutation, values: Sequence[int]) -> tuple[int, ...]:
@@ -153,7 +172,7 @@ def compose_smu(d: Decomposition, n: int) -> Permutation:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
     _check_parts(d, range(1, n - 1))
     for pattern in d.patterns:
-        if not is_up_down(pattern):
+        if not _is_up_down(pattern):
             raise ValueError(f"block pattern {pattern} is not up-down")
     return Permutation(_join(d, n - 1, n))
 
@@ -186,9 +205,9 @@ def compose_maxmin(d: Decomposition, n: int) -> Permutation:
     if s1 % 2 == 0 or s2 % 2 != 0 or s3 % 2 == 0:
         raise ValueError(f"block sizes must be (odd, even, odd), got {d.sizes}")
     _check_parts(d, range(2, n))
-    if not (is_up_down(d.patterns[0]) and is_up_down(d.patterns[1])):
+    if not (_is_up_down(d.patterns[0]) and _is_up_down(d.patterns[1])):
         raise ValueError("the blocks before 1 must carry up-down patterns")
-    if not is_down_up(d.patterns[2]):
+    if not _is_down_up(d.patterns[2]):
         raise ValueError("the block after 1 must carry a down-up pattern")
     return Permutation(_join(d, n, 1))
 
@@ -217,7 +236,7 @@ def _smu_split_of(d: Decomposition) -> Decomposition:
     """The max-min split (A, B, C) rewired as maxmin_to_smu says."""
     part_a, part_b, part_c = (tuple(v - 1 for v in part) for part in d.parts)
     pat_a, pat_b, pat_c = d.patterns
-    return Decomposition((part_a, part_c, part_b), (pat_a, complement(pat_c), pat_b))
+    return Decomposition((part_a, part_c, part_b), (pat_a, _complement(pat_c), pat_b))
 
 
 @lru_cache(maxsize=2)
@@ -225,7 +244,7 @@ def _maxmin_split_of(d: Decomposition) -> Decomposition:
     """The second-max split rewired back, inverse of :func:`_smu_split_of`."""
     part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
     pat_a, pat_c, pat_b = d.patterns
-    return Decomposition((part_a, part_b, part_c), (pat_a, pat_b, complement(pat_c)))
+    return Decomposition((part_a, part_b, part_c), (pat_a, pat_b, _complement(pat_c)))
 
 
 def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:

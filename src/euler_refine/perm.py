@@ -49,9 +49,12 @@ class Permutation:
     """One-line notation; values[i-1] is the image of i.
 
     Degree 0 is allowed so that empty blocks of a decomposition can be
-    carried as (vacuously alternating) patterns.  ``classification`` is
-    filled by :func:`classify` on its first call and is no part of the
-    value: it takes no part in init, repr, equality or hashing.
+    carried as (vacuously alternating) patterns.  ``values`` may be given
+    as any sequence; it is kept as a tuple, and one that already is a
+    tuple is kept as given.  Every instance is checked on construction.
+    ``classification`` is filled by :func:`classify` on its first call
+    and is no part of the value: it takes no part in init, repr,
+    equality or hashing.
     """
 
     values: tuple[int, ...]
@@ -59,11 +62,14 @@ class Permutation:
         default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        n = len(self.values)
+        values = self.values
+        if type(values) is not tuple:
+            values = tuple(values)
+            object.__setattr__(self, "values", values)
+        n = len(values)
         # n values that cover 1..n are exactly a permutation of 1..n.
-        if not set(self.values).issuperset(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.values}")
+        if not set(values).issuperset(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {values}")
 
     @property
     def n(self) -> int:

@@ -9,6 +9,7 @@ sequence flags every dependent identity instead of aborting the run.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -296,20 +297,34 @@ def _check_unit(
 
 def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
     """Enumerate, classify and check the up-down permutations of degree n
-    that start with one value, given as the unit (n, first)."""
-    n, first = unit
-    smu, maxmin = [], []
-    for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
-        c = perm.classify(p)
-        if c.secondmax is perm.SecondMaxKind.UPPER:
-            smu.append(p)
-        if n % 2 == 0 and c.minmax is perm.MinMaxKind.MAX_MIN:
-            maxmin.append(p)
-    r = _check_unit((n, smu, maxmin))
-    r.smu, r.maxmin = len(smu), len(maxmin)
-    if n % 2 == 0:
-        r.smu_values = [p.values for p in smu]
-    return r
+    that start with one value, given as the unit (n, first).
+
+    The cyclic garbage collector is paused while the unit runs and left
+    as the caller had it, also when a check raises.  A unit allocates
+    up to hundreds of thousands of objects, none of them in a reference
+    cycle, so each collection that the allocations would set off finds
+    nothing to free; the few cycles a unit does leave, such as its
+    enumerator's, wait for the collector's next run.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        n, first = unit
+        smu, maxmin = [], []
+        for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
+            c = perm.classify(p)
+            if c.secondmax is perm.SecondMaxKind.UPPER:
+                smu.append(p)
+            if n % 2 == 0 and c.minmax is perm.MinMaxKind.MAX_MIN:
+                maxmin.append(p)
+        r = _check_unit((n, smu, maxmin))
+        r.smu, r.maxmin = len(smu), len(maxmin)
+        if n % 2 == 0:
+            r.smu_values = [p.values for p in smu]
+        return r
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:

@@ -15,10 +15,10 @@ from euler_refine import (
     smu_to_maxmin,
     swap_top_two,
 )
-from euler_refine import bij
+from euler_refine import bij, complement, is_down_up, is_up_down
 from euler_refine.bij import embed, standardize
 
-from helpers import maxmin_set, smu_set, updown
+from helpers import downup, maxmin_set, smu_set, updown
 
 P = Permutation.from_text
 
@@ -29,6 +29,27 @@ def test_standardize_and_embed_invert():
     assert pattern == P("213")
     assert embed(pattern, sorted(block)) == block
     assert standardize(()) == Permutation(())
+
+
+def test_block_patterns_are_built_once_and_shared():
+    blocks = {p.values[i:j] for n in range(1, 9) for p in updown(n)
+              for i in range(n + 1) for j in range(i, n + 1)}
+    for block in blocks:
+        ordered = sorted(block)
+        fresh = Permutation(tuple(ordered.index(v) + 1 for v in block))
+        pattern = standardize(block)
+        assert pattern == fresh and type(pattern.values) is tuple, block
+        assert standardize(block) is pattern, block
+        assert bij._ranked(block, ordered) is pattern, block
+
+
+def test_pattern_memos_equal_the_plain_maps():
+    patterns = [Permutation(())] + [p for n in range(1, 9) for p in updown(n) + downup(n)]
+    memos = ((bij._complement, complement), (bij._is_up_down, is_up_down),
+             (bij._is_down_up, is_down_up))
+    for p in patterns:
+        for memo, plain in memos:
+            assert memo(p) == memo(p) == plain(p), (p, plain.__name__)
 
 
 def test_swap_example():
@@ -106,6 +127,8 @@ def _malformed(compose):
             (Decomposition(((1,), (1,), (3,)), d.patterns), 5, "partition"),
             (Decomposition(((1,), (1,), (2, 3)), (P("1"), P("1"), P("12"))), 5, "partition"),
             (Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2])), 5, "cannot use"),
+            (Decomposition(((1,), (2,), (3, 4, 5)), (P("1"), P("1"), P("321"))), 7,
+             "block pattern 321 is not up-down"),
         ]
     d = decompose_maxmin(P("3412"))
     return [
@@ -114,6 +137,8 @@ def _malformed(compose):
         (Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2])), 4, "cannot use"),
         (Decomposition(((5,), (4,), (2, 3)), (P("1"), P("1"), P("21"))), 6,
          r"\(odd, even, odd\)"),
+        (Decomposition(((3, 4, 5), (), (2,)), (P("321"), P(""), P("1"))), 6, "up-down patterns"),
+        (Decomposition(((5,), (), (2, 3, 4)), (P("1"), P(""), P("123"))), 6, "down-up pattern"),
     ]
 
 
@@ -165,6 +190,13 @@ def test_malformed_splits_raise_alike_memoised_or_not():
             expected = _outcome(compose.__wrapped__, d, n)
             assert expected[0] is ValueError
             assert _outcome(compose, d, n) == _outcome(compose, d, n) == expected
+    # Rank tuples that are no permutation, as a block with a repeated
+    # value would give, are rejected by the pattern table every time.
+    for ranks in ((1, 1), (2,), (0, 1), (1, 3, 2, 5)):
+        expected = _outcome(Permutation, ranks)
+        assert expected[0] is ValueError
+        assert _outcome(bij._pattern, ranks) == _outcome(bij._pattern, ranks) == expected
+    assert _outcome(standardize, (4, 4)) == _outcome(Permutation, (1, 1))
 
 
 def test_sizes_place_the_landmarks():

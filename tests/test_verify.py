@@ -1,5 +1,6 @@
 """The cross-route verification engine, including its failure paths."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -173,6 +174,33 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
             assert (r.smu, r.maxmin, len(r.images)) == (len(smu), len(maxmin), 2 * len(maxmin))
             # The doubling map and its image are checked at even degree only.
             assert r.smu_values == ([p.values for p in smu] if n % 2 == 0 else [])
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_unit_leaves_the_collector_as_it_found_it(monkeypatch, enabled, raises):
+    paused = []
+    original = verify._check_unit
+
+    def check(unit):
+        paused.append(not gc.isenabled())
+        if raises:
+            raise RuntimeError("broken check")
+        return original(unit)
+
+    monkeypatch.setattr(verify, "_check_unit", check)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="broken check"):
+                verify._check_subtree((6, 2))
+        else:
+            assert verify._check_subtree((6, 2)).smu == sum(p.values[0] == 2 for p in smu_set(6))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert paused == [True]
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
