@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import stat
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import perm, seq, series
+from . import seq, series
 from .report import VerifyReport
 from .verify import SEQUENCES, FormulaRoute, bijection_checks, run_verification
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_ENUM_CAP = 11
 FORMULA_CAP = 200
@@ -82,6 +81,8 @@ def render_text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> 
 
 
 def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -90,6 +91,8 @@ def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def render_json(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -134,6 +137,14 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
 
 # ---------------------------------------------------------------- table
 
+def _count_tables(max_n: int) -> list[seq.CountTable]:
+    """The enumerated count table of each degree 2..max_n.  Only the
+    commands that enumerate come here, so only they load the enumeration."""
+    from . import perm
+
+    return [perm.count_refinements(n) for n in range(2, max_n + 1)]
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max_n
     names = [name for name, s in SEQUENCES.items() if s.formula or args.populations == "both"]
@@ -143,7 +154,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     ns = range(2, max_n + 1)
     formulas = (FormulaRoute(seq.euler_numbers(max_n)) if args.method in ("formula", "all")
                 else None)
-    tables = [perm.count_refinements(n) for n in ns] if needs_enum else []
+    tables = _count_tables(max_n) if needs_enum else []
     routes = {
         "formula": lambda s: [s.formula(formulas, n) for n in ns],
         "egf": lambda s: series.extract_counts(s.series(max_n - s.offset))[
@@ -239,6 +250,8 @@ class RatioRow:
 
 
 def ratios_data(max_n: int) -> list[RatioRow]:
+    from fractions import Fraction
+
     formulas = FormulaRoute(seq.euler_numbers(max_n))
     rows = []
     for n in range(2, max_n + 1):
@@ -257,6 +270,8 @@ def minmax_deviation_nonincreasing(rows: list[RatioRow]) -> bool:
 
 def _ratio_cells(x: Optional[Fraction]) -> list[str]:
     """A ratio as a fraction and a 10-digit decimal, or "undefined" twice."""
+    from decimal import Decimal, localcontext
+
     if x is None:
         return ["undefined", "undefined"]
     with localcontext() as ctx:
@@ -341,7 +356,7 @@ def _candidate_library(order: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def openq_data(max_n: int) -> dict:
-    tables = [perm.count_refinements(n) for n in range(2, max_n + 1)]
+    tables = _count_tables(max_n)
     rows = [
         {"n": t.n, "Dup": t.dup, "Ddown": t.ddown, "E": t.e, "partition": t.dup + t.ddown == t.e}
         for t in tables
@@ -417,7 +432,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         formulas = FormulaRoute(seq.euler_numbers(max_n))
         values = [spec.formula(formulas, n) for n in range(spec.offset, max_n + 1)]
     else:
-        values = [getattr(perm.count_refinements(n), spec.field) for n in range(2, max_n + 1)]
+        values = [getattr(t, spec.field) for t in _count_tables(max_n)]
     _emit(
         args,
         bfile=lambda: "".join(f"{n} {v}\n" for n, v in enumerate(values, spec.offset)),

@@ -15,11 +15,13 @@ count vectors, with no tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import mul
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _pascal_rows(n: int) -> Iterable[list[int]]:
@@ -56,6 +58,8 @@ class TruncatedEGF:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-series coefficients c_n = a_n/n!."""
+        from fractions import Fraction
+
         factorials = accumulate(range(1, len(self.counts)), mul, initial=1)
         return tuple(map(Fraction, self.counts, factorials))
 

@@ -5,16 +5,23 @@ Each identity is checked by comparing two independently computed sides
 recorded as a :class:`VerifyReport`.  Exceptions raised while computing
 a side become failed entries rather than crashes, so a corrupted input
 sequence flags every dependent identity instead of aborting the run.
+
+The enumeration, the bijections and the fork helper (``perm``, ``bij``
+and ``workers``) are imported by the functions that run them, so a
+command that only evaluates formulas and series never loads them.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import bij, perm, seq, series, workers
+from . import seq, series
 from .report import CheckEntry, VerifyReport
+
+if TYPE_CHECKING:
+    from . import perm
 
 
 def _entry(n: int, label: str, left: Callable[[], object], right: Callable[[], object]) -> CheckEntry:
@@ -146,6 +153,8 @@ def run_verification(
     formula legs; hand it a corrupted prefix to watch the dependent
     identities fail.
     """
+    from . import perm
+
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     if egf_order < 2:
@@ -258,6 +267,8 @@ def _check_unit(
     A map that raises on a permutation records that permutation as a
     failure, with the exception in its witness.
     """
+    from . import bij, perm
+
     n, smu, maxmin = unit
     r = _DegreeResult()
     for p in smu:
@@ -306,6 +317,8 @@ def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
     nothing to free; the few cycles a unit does leave, such as its
     enumerator's, wait for the collector's next run.
     """
+    from . import perm
+
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -348,6 +361,8 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     one CPU nothing is forked.  The units' results are merged in
     enumeration order, so the reports do not depend on the CPU count.
     """
+    from . import workers
+
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     degrees = range(2, max_n + 1)

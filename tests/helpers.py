@@ -1,12 +1,16 @@
 """Shared fixtures: CPU sets, cached enumerations, frozen reference rows,
 the enumeration, classification, counting, bijection-check, series,
-convolution and Euler-number oracles, and a b-file reader."""
+convolution and Euler-number oracles, a b-file reader and the environment
+of a new interpreter."""
 
 import itertools
+import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from pathlib import Path
 
+import euler_refine
 from euler_refine import (
     AltKind,
     CheckEntry,
@@ -372,3 +376,11 @@ def parse_bfile(text):
         idx, val = line.split()
         entries.append((int(idx), int(val)))
     return entries
+
+
+def fresh_env():
+    """The environment of a new interpreter that imports these sources, with the default cap."""
+    src = str(Path(euler_refine.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("EULER_REFINE_CAP", None)
+    return env

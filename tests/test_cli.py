@@ -4,18 +4,15 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-
-import euler_refine
 
 from euler_refine import euler_numbers
 from euler_refine.cli import main
 from euler_refine.report import CheckEntry, VerifyReport
 from euler_refine.verify import SEQUENCES
 
-from helpers import EDOWN, ENE, ENW, EULER, EUP, parse_bfile
+from helpers import EDOWN, ENE, ENW, EULER, EUP, fresh_env, parse_bfile
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +146,16 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert rc == 1
     assert "overall: FAIL" in out
     assert "left=0 right=1" in out
+
+
+def test_bijection_check_exit_code_on_failure(capsys, monkeypatch):
+    failing = VerifyReport("forced failure", "enumeration", "enumeration",
+                           [CheckEntry(3, "x", 1, 0)])
+    monkeypatch.setattr("euler_refine.cli.bijection_checks", lambda *a, **k: [failing])
+    rc, out, _ = run_cli(capsys, "bijection-check", "--max-n", "4")
+    assert rc == 1
+    assert "overall: FAIL" in out
+    assert "n=3 x: left=1 right=0" in out
 
 
 @pytest.mark.parametrize("error", [
@@ -357,13 +364,76 @@ BAD_INPUT = [
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, expected):
     missing = tmp_path / "missing"
     argv = [a.format(missing=missing) for a in argv]
-    src = str(Path(euler_refine.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("EULER_REFINE_CAP", None)
     proc = subprocess.run([sys.executable, "-m", "euler_refine.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=fresh_env(), timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert expected.format(missing=missing) in proc.stderr
     assert ".tmp" not in proc.stderr.replace(str(missing), "")
     assert proc.stdout == ""
+
+
+# A new interpreter runs the code after `bare = set(sys.modules)` and then
+# prints, as the last line of stderr, the modules it loaded that a bare
+# interpreter had not.
+LOADED = """
+import sys
+bare = set(sys.modules)
+{code}
+sys.stdout.flush()
+print(" ".join(sorted(set(sys.modules) - bare)), file=sys.stderr)
+sys.exit(rc)
+"""
+ENUMERATION = {"euler_refine.perm", "euler_refine.bij", "euler_refine.workers"}
+FORMATTERS = {"json", "csv", "decimal", "fractions"}
+
+
+def loaded_in_a_fresh_interpreter(code):
+    proc = subprocess.run([sys.executable, "-c", LOADED.format(code=code)], capture_output=True,
+                          text=True, env=fresh_env(), timeout=120)
+    assert "Traceback" not in proc.stderr
+    *errors, loaded = proc.stderr.split("\n")[:-1]
+    return proc, errors, set(loaded.split())
+
+
+def test_building_the_parser_loads_no_enumeration_and_no_formatter():
+    proc, errors, loaded = loaded_in_a_fresh_interpreter(
+        "from euler_refine.cli import build_parser\nbuild_parser()\nrc = 0")
+    assert (proc.returncode, errors) == (0, [])
+    assert "euler_refine.cli" in loaded
+    assert not loaded & (ENUMERATION | FORMATTERS)
+
+
+# Each command line, and which of the enumeration modules it must load;
+# it must load none of the others.  Every subcommand, --method, --format
+# and population, and a formula and an enumeration-only export.
+COMMAND_IMPORTS = [
+    (["table", "--max-n", "6"], set()),
+    (["table", "--max-n", "6", "--method", "egf", "--format", "json"], set()),
+    (["table", "--max-n", "6", "--method", "enum", "--format", "csv"], {"euler_refine.perm"}),
+    (["table", "--max-n", "6", "--method", "all"], {"euler_refine.perm"}),
+    (["table", "--max-n", "6", "--populations", "both"], {"euler_refine.perm"}),
+    (["verify", "--max-n", "5", "--egf-order", "6"], {"euler_refine.perm"}),
+    (["verify", "--max-n", "5", "--egf-order", "6", "--format", "json"], {"euler_refine.perm"}),
+    (["ratios", "--max-n", "12"], set()),
+    (["ratios", "--max-n", "12", "--format", "csv"], set()),
+    (["openq", "--max-n", "9", "--format", "json"], {"euler_refine.perm"}),
+    (["export", "--sequence", "Eup", "--max-n", "9"], set()),
+    (["export", "--sequence", "Eup", "--max-n", "9", "--format", "json"], set()),
+    (["export", "--sequence", "Dup", "--max-n", "9", "--format", "csv"], {"euler_refine.perm"}),
+    (["bijection-check", "--max-n", "5"], ENUMERATION),
+]
+
+
+@pytest.mark.parametrize("argv, needed", COMMAND_IMPORTS, ids=" ".join)
+def test_each_command_loads_only_the_modules_it_runs(capsys, argv, needed):
+    proc, errors, loaded = loaded_in_a_fresh_interpreter(
+        f"from euler_refine.cli import main\nrc = main({argv!r})")
+    assert (proc.returncode, errors) == (0, [])
+    assert loaded & ENUMERATION == needed
+    rc, out, _ = run_cli(capsys, *argv)
+    assert (rc, out) == (0, proc.stdout)
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+    for formatter in ("json", "csv"):
+        if fmt != formatter:
+            assert formatter not in loaded
