@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import seq, series
 from .report import VerifyReport
-from .verify import SEQUENCES, FormulaRoute, bijection_checks, run_verification
+from .verify import SEQUENCES, bijection_checks, run_verification
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -112,10 +112,10 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
         sys.stdout.write(text)
         return
     try:
-        write_through = not stat.S_ISREG(os.lstat(out).st_mode)
+        mode = os.lstat(out).st_mode
     except FileNotFoundError:
-        write_through = False
-    if write_through:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
@@ -127,6 +127,8 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
         raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with fh:
+            if mode is not None:  # the replaced file keeps its permissions
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, out)
     except BaseException:
@@ -152,11 +154,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_max_n(max_n, args.cap if needs_enum else None, formula=True)
 
     ns = range(2, max_n + 1)
-    formulas = (FormulaRoute(seq.euler_numbers(max_n)) if args.method in ("formula", "all")
-                else None)
+    ee = seq.euler_numbers(max_n) if args.method in ("formula", "all") else None
     tables = _count_tables(max_n) if needs_enum else []
     routes = {
-        "formula": lambda s: [s.formula(formulas, n) for n in ns],
+        "formula": lambda s: [s.formula(ee, n) for n in ns],
         "egf": lambda s: series.extract_counts(s.series(max_n - s.offset))[
             2 - s.offset:],
         "enum": lambda s: [getattr(t, s.field) for t in tables],
@@ -252,11 +253,11 @@ class RatioRow:
 def ratios_data(max_n: int) -> list[RatioRow]:
     from fractions import Fraction
 
-    formulas = FormulaRoute(seq.euler_numbers(max_n))
+    ee = seq.euler_numbers(max_n)
     rows = []
     for n in range(2, max_n + 1):
         ene, enw, eup, edown = (
-            SEQUENCES[name].formula(formulas, n) for name in ("Ene", "Enw", "Eup", "Edown")
+            SEQUENCES[name].formula(ee, n) for name in ("Ene", "Enw", "Eup", "Edown")
         )
         rows.append(RatioRow(n, Fraction(enw, ene), Fraction(edown, eup) if eup else None))
     return rows
@@ -429,8 +430,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     if max_n < 0:
         raise CliError("--max-n must be nonnegative")
     if spec.formula:
-        formulas = FormulaRoute(seq.euler_numbers(max_n))
-        values = [spec.formula(formulas, n) for n in range(spec.offset, max_n + 1)]
+        ee = seq.euler_numbers(max_n)
+        values = [spec.formula(ee, n) for n in range(spec.offset, max_n + 1)]
     else:
         values = [getattr(t, spec.field) for t in _count_tables(max_n)]
     _emit(

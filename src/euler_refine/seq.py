@@ -208,7 +208,9 @@ def theorem_check(n_max: int, euler: Optional[Sequence[int]] = None) -> VerifyRe
 
     For every even n <= n_max this checks eup = 2 enw, ene - enw =
     E_{n-2}, E_n = 2 enw + E_{n-2} and E_n = eup + edown, recording both
-    sides of each.  Failures become report entries, never exceptions.
+    sides of each.  Failures become report entries, never exceptions: a
+    prefix `euler` too short for n_max gives the one failed entry
+    (n_max, "theorem_check").  Only n_max below 2 raises.
 
     The first two entries are identities of the formula code and pass on
     any prefix: for odd m, C(m, s2) E_{s2} E_{m-s2} is unchanged by
@@ -219,7 +221,11 @@ def theorem_check(n_max: int, euler: Optional[Sequence[int]] = None) -> VerifyRe
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     report = VerifyReport("even-degree theorem chain", "formula", "formula")
-    ee = _euler_prefix(n_max, euler)
+    try:
+        ee = _euler_prefix(n_max, euler)
+    except ValueError as exc:
+        report.entries.append(CheckEntry(n_max, "theorem_check", note=str(exc)))
+        return report
     for n in range(2, n_max + 1, 2):
         try:
             enw = e_nw_formula(n, ee)

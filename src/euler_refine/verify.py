@@ -38,37 +38,6 @@ def _entry(n: int, label: str, left: Callable[[], object], right: Callable[[], o
     return CheckEntry(n, label, lval, rval, "; ".join(notes))
 
 
-def _theorem_report(max_n: int, euler: Sequence[int]) -> VerifyReport:
-    try:
-        return seq.theorem_check(max_n, euler)
-    except ValueError as exc:
-        report = VerifyReport("even-degree theorem chain", "formula", "formula")
-        report.entries.append(CheckEntry(max_n, "theorem_check", note=str(exc)))
-        return report
-
-
-def _per_degree(compute: Callable[[int], object]) -> Callable[[int], object]:
-    """`compute` evaluated at most once per degree.
-
-    An exception it raises is kept and raised again on every later call
-    for that degree, so each entry that reads the degree fails.
-    """
-    done: dict[int, object] = {}
-
-    def value(n: int) -> object:
-        if n not in done:
-            try:
-                done[n] = compute(n)
-            except Exception as exc:
-                done[n] = exc
-        result = done[n]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    return value
-
-
 def _pairwise_report(
     identity: str,
     left_method: str,
@@ -84,25 +53,14 @@ def _pairwise_report(
     return report
 
 
-class FormulaRoute:
-    """The formula route over one Euler-number prefix `euler`.
-
-    ``pair(n)`` is the (ene, enw) pair of degree n, computed once and
-    shared by the two sequences it gives.
-    """
-
-    def __init__(self, euler: Sequence[int]) -> None:
-        self.euler = euler
-        self.pair = _per_degree(lambda n: seq.e_ne_nw_pair(n, euler))
-
-
 @dataclass(frozen=True)
 class SequenceRoutes:
     """Where each route finds one counting sequence.
 
     `offset` is the first degree of the sequence's b-file and the shift
     of its series: the series at order k carries degrees offset..offset+k.
-    `field` names its :class:`~euler_refine.seq.CountTable` column.  A
+    `field` names its :class:`~euler_refine.seq.CountTable` column, and
+    ``formula(ee, n)`` computes degree n from the Euler prefix `ee`.  A
     sequence without `formula` and `series` is enumeration-only, and has
     no report titles.
     """
@@ -111,7 +69,7 @@ class SequenceRoutes:
     field: str
     enum_title: str = ""  # its enumeration vs formula report
     series_title: str = ""  # its formula vs series report
-    formula: Optional[Callable[[FormulaRoute, int], int]] = None
+    formula: Optional[Callable[[Sequence[int], int], int]] = None
     series: Optional[Callable[[int], series.TruncatedEGF]] = None
 
 
@@ -120,23 +78,23 @@ SEQUENCES: dict[str, SequenceRoutes] = {
     "E": SequenceRoutes(
         0, "e", "alternating count: enumeration vs triangle",
         "Euler numbers: triangle vs sec+tan series",
-        lambda f, n: f.euler[n], lambda k: series.sec_egf(k) + series.tan_egf(k)),
+        lambda ee, n: ee[n], lambda k: series.sec_egf(k) + series.tan_egf(k)),
     "Ene": SequenceRoutes(
         2, "ene", "min-max count: enumeration vs convolution",
         "series identity: min-max counts vs sec^2(sec+tan)",
-        lambda f, n: f.pair(n)[0], lambda k: series.ene_egf(k)),
+        lambda ee, n: seq.e_ne_nw_pair(n, ee)[0], lambda k: series.ene_egf(k)),
     "Enw": SequenceRoutes(
         2, "enw", "max-min count: enumeration vs convolution",
         "series identity: max-min counts vs sec tan(sec+tan)",
-        lambda f, n: f.pair(n)[1], lambda k: series.enw_egf(k)),
+        lambda ee, n: seq.e_ne_nw_pair(n, ee)[1], lambda k: series.enw_egf(k)),
     "Eup": SequenceRoutes(
         2, "eup", "second-max-upper count: enumeration vs convolution",
         "series identity: second-max-upper counts vs 2tan^2(sec+tan)",
-        lambda f, n: seq.e_up_formula(n, f.euler), lambda k: series.eup_egf(k)),
+        lambda ee, n: seq.e_up_formula(n, ee), lambda k: series.eup_egf(k)),
     "Edown": SequenceRoutes(
         2, "edown", "second-max-lower count: enumeration vs recurrence",
         "series identity: second-max-lower counts vs sec+2tan",
-        lambda f, n: seq.e_down_recurrence(n, f.euler), lambda k: series.edown_egf(k)),
+        lambda ee, n: seq.e_down_recurrence(n, ee), lambda k: series.edown_egf(k)),
     "Dup": SequenceRoutes(2, "dup"),
     "Ddown": SequenceRoutes(2, "ddown"),
 }
@@ -150,8 +108,10 @@ def run_verification(
     """Check every identity three ways at desk scale.
 
     `euler` optionally replaces the Euler-number prefix used by the
-    formula legs; hand it a corrupted prefix to watch the dependent
-    identities fail.
+    formula legs and the theorem chain; hand it a corrupted or short
+    prefix to watch the dependent identities fail.  A degree whose
+    :func:`~euler_refine.perm.count_refinements` raises fails every
+    entry that reads it.
     """
     from . import perm
 
@@ -161,9 +121,7 @@ def run_verification(
         raise ValueError("egf_order must be at least 2")
     ee = euler if euler is not None else seq.euler_numbers(max(max_n, egf_order + 2))
     ns = range(2, max_n + 1)
-    # A degree whose enumeration raises fails the entries that read it.
-    table = _per_degree(perm.count_refinements)
-    formulas = FormulaRoute(ee)
+    table = perm.count_refinements
     closed_form = {name: s for name, s in SEQUENCES.items() if s.formula}
     counts = {name: series.extract_counts(s.series(egf_order)) for name, s in closed_form.items()}
     sec, tan = series.sec_egf(egf_order), series.tan_egf(egf_order)
@@ -173,7 +131,7 @@ def run_verification(
     enum_reports = [
         _pairwise_report(
             s.enum_title, "enumeration", "formula", ns, f"{name}_n",
-            lambda n: getattr(table(n), s.field), lambda n: s.formula(formulas, n),
+            lambda n: getattr(table(n), s.field), lambda n: s.formula(ee, n),
         )
         for name, s in closed_form.items()
     ]
@@ -181,7 +139,7 @@ def run_verification(
         _pairwise_report(
             s.series_title, "formula", "egf",
             range(s.offset, egf_order + s.offset + 1), f"{name}_n",
-            lambda n: s.formula(formulas, n), lambda n: counts[name][n - s.offset],
+            lambda n: s.formula(ee, n), lambda n: counts[name][n - s.offset],
         )
         for name, s in closed_form.items()
     ]
@@ -203,7 +161,7 @@ def run_verification(
             range(3, max_n + 1, 2), "Ene = Enw",
             lambda n: table(n).ene, lambda n: table(n).enw,
         ),
-        _theorem_report(max_n, ee),
+        seq.theorem_check(max_n, ee),
     ] + series_reports[1:] + [
         _pairwise_report(
             "series identity: Ene+Enw = Eup+Edown", "egf", "egf",

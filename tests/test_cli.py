@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -294,6 +295,18 @@ def test_out_is_left_intact_when_the_rename_fails(tmp_path, capsys, monkeypatch)
     assert rc == 2
     assert "simulated rename failure" in err
     assert target.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["E.txt"]
+
+
+def test_out_keeps_the_permissions_of_the_file_it_replaces(tmp_path, capsys):
+    target = tmp_path / "E.txt"
+    target.write_text("previous contents\n")
+    target.chmod(0o600)
+    rc, _, _ = run_cli(capsys, "export", "--sequence", "E", "--max-n", "3",
+                       "--out", str(target))
+    assert rc == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert target.read_text() == "0 1\n1 1\n2 1\n3 2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["E.txt"]
 
 

@@ -1,8 +1,12 @@
-"""The README's library quickstart runs and prints what it says it prints."""
+"""The README's library quickstart runs and prints what it says it prints, and
+every command line it shows runs and exits 0."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from euler_refine.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +33,20 @@ def test_quickstart_expressions_print_their_comments():
         else:
             exec(code, namespace)
     assert checked == 8
+
+
+def command_lines() -> list[list[str]]:
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = command_lines()
+    assert len(lines) == 8
+    for argv in lines:
+        assert argv[0] == "euler-refine", argv
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    assert (tmp_path / "E.txt").read_text().startswith("0 1\n1 1\n2 1\n3 2\n")

@@ -249,6 +249,16 @@ def test_theorem_check_tests_the_prefix_only_in_its_e_n_entries():
     }
 
 
+def test_theorem_check_reports_a_short_prefix_as_one_failed_entry():
+    report = theorem_check(8, euler_numbers(5))
+    assert report.identity == "even-degree theorem chain"
+    assert not report.passed
+    assert [(e.n, e.label) for e in report.entries] == [(8, "theorem_check")]
+    assert "too short" in report.entries[0].note
+    with pytest.raises(ValueError, match="at least 2"):
+        theorem_check(1)
+
+
 def test_euler_prefix_validation():
     with pytest.raises(ValueError, match="too short"):
         e_up_formula(12, euler_numbers(4))

@@ -58,6 +58,30 @@ def test_exceptions_become_failed_entries():
     assert noted and any("too short" in e.note or "index" in e.note for e in noted)
 
 
+def test_a_count_that_raises_at_one_degree_fails_only_that_degree(monkeypatch):
+    count = perm.count_refinements
+
+    def broken(n):
+        if n == 3:
+            raise ValueError("no count at degree 3")
+        return count(n)
+
+    monkeypatch.setattr(perm, "count_refinements", broken)
+    reports = run_verification(5, 6)
+    reading = [(r, e) for r in reports if "enumeration" in (r.left_method, r.right_method)
+               for e in r.entries]
+    assert {e.n for _, e in reading} == {2, 3, 4, 5}
+    for r, e in reading:
+        if e.n != 3:
+            assert e.passed, (r.identity, e)
+            continue
+        assert not e.passed, (r.identity, e)
+        for side, method in (("left", r.left_method), ("right", r.right_method)):
+            assert (f"{side}: no count at degree 3" in e.note) == (method == "enumeration")
+    assert all(e.passed for r in reports for e in r.entries
+               if "enumeration" not in (r.left_method, r.right_method))
+
+
 def test_report_serialization_is_deterministic():
     a = [r.to_json_dict() for r in run_verification(max_n=4, egf_order=6)]
     b = [r.to_json_dict() for r in run_verification(max_n=4, egf_order=6)]
