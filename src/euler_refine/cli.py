@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import stat
 import sys
@@ -20,7 +19,7 @@ from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import seq, series
-from .report import VerifyReport
+from .report import VerifyReport, render_csv, render_json, render_text_table, report_formats
 from .verify import SEQUENCES, bijection_checks, run_verification
 
 if TYPE_CHECKING:
@@ -64,36 +63,6 @@ def _check_max_n(max_n: int, cap: Optional[int] = None, formula: bool = False,
         )
     if formula and max_n > FORMULA_CAP:
         raise CliError(f"--max-n {max_n} exceeds the formula cap {FORMULA_CAP}")
-
-
-# ---------------------------------------------------------------- rendering
-
-def render_text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def render_json(obj) -> str:
-    import json
-
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
@@ -196,36 +165,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _report_text(reports: list[VerifyReport]) -> str:
-    lines = []
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"[{status}] {r.identity} ({r.left_method} vs {r.right_method}): "
-            f"{sum(e.passed for e in r.entries)}/{len(r.entries)} checks"
-        )
-        for e in r.failures():
-            detail = f"    n={e.n} {e.label}: left={e.left} right={e.right}"
-            if e.note:
-                detail += f" ({e.note})"
-            lines.append(detail)
-    overall = "PASS" if all(r.passed for r in reports) else "FAIL"
-    lines.append(f"overall: {overall}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_reports(reports: list[VerifyReport], args: argparse.Namespace) -> int:
+def _emit_reports(reports: list[VerifyReport], args: argparse.Namespace) -> int:
     """Emit the reports; the exit status is 0 when all of them pass, else 1."""
-    _emit(
-        args,
-        json=lambda: render_json([r.to_json_dict() for r in reports]),
-        csv=lambda: render_csv(
-            ["identity", "n", "label", "left", "right", "pass"],
-            [[r.identity, str(e.n), e.label, str(e.left), str(e.right), str(e.passed)]
-             for r in reports for e in r.entries],
-        ),
-        table=lambda: _report_text(reports),
-    )
+    _emit(args, **report_formats(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -238,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--egf-order {args.egf_order} exceeds {FORMULA_CAP - 2}: its series checks "
             f"reach degree {args.egf_order + 2}, above the formula cap {FORMULA_CAP}"
         )
-    return _render_reports(run_verification(args.max_n, args.egf_order), args)
+    return _emit_reports(run_verification(args.max_n, args.egf_order), args)
 
 
 # ---------------------------------------------------------------- ratios
@@ -449,7 +391,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_bijection_check(args: argparse.Namespace) -> int:
     _check_max_n(args.max_n, args.cap)
-    return _render_reports(bijection_checks(args.max_n), args)
+    return _emit_reports(bijection_checks(args.max_n), args)
 
 
 # ---------------------------------------------------------------- parser

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .seq import CountTable
 
@@ -212,17 +212,7 @@ def enumerate_alternating(
     yield from extend()
 
 
-class _Tally(NamedTuple):
-    """Leaf counts of one alternating population, one counter per class."""
-
-    total: int
-    minmax: int
-    maxmin: int
-    upper: int
-    lower: int
-
-
-def _count_kind(n: int, kind: AltKind) -> _Tally:
+def _count_kind(n: int, kind: AltKind) -> list[int]:
     """Count by class the alternating permutations of degree n of one kind.
 
     A forward pass over the pruned tree of :func:`enumerate_alternating`,
@@ -230,7 +220,8 @@ def _count_kind(n: int, kind: AltKind) -> _Tally:
     are merged: a prefix is kept only as its set of used values, its last
     value and two class bits, with the number of prefixes that share
     them.  Bit 0 says that 1 was placed while n was unused (min-max), and
-    bit 1 that n - 1 was placed at a peak (second-max upper).  This is the
+    bit 1 that n - 1 was placed at a peak (second-max upper); the four
+    joint class counts are returned indexed by those bits.  This is the
     subset dynamic programme of Held and Karp, "A dynamic programming
     approach to sequencing problems" (1962), and still an exhaustive
     count of the same tree: it holds O(2^n n) states, not O(E_n) leaves.
@@ -262,10 +253,7 @@ def _count_kind(n: int, kind: AltKind) -> _Tally:
     by_bits = [0] * 4
     for (_, _, bits), count in layer.items():
         by_bits[bits] += count
-    total = sum(by_bits)
-    minmax = by_bits[1] + by_bits[3]
-    upper = by_bits[2] + by_bits[3]
-    return _Tally(total, minmax, total - minmax, upper, total - upper)
+    return by_bits
 
 
 @lru_cache(maxsize=None)
@@ -283,9 +271,9 @@ def count_refinements(n: int) -> CountTable:
     if n < 2:
         raise ValueError("degree must be at least 2")
     up, down = (_count_kind(n, kind) for kind in AltKind)
-    if down.total != up.total:
-        raise AssertionError(
-            f"population mismatch at degree {n}: {up.total} vs {down.total}"
-        )
-    return CountTable(n=n, e=up.total, ene=up.minmax, enw=up.maxmin, eup=up.upper,
-                      edown=up.lower, dup=down.upper, ddown=down.lower)
+    e = sum(up)
+    if sum(down) != e:
+        raise AssertionError(f"population mismatch at degree {n}: {e} vs {sum(down)}")
+    ene, eup, dup = up[1] + up[3], up[2] + up[3], down[2] + down[3]
+    return CountTable(n=n, e=e, ene=ene, enw=e - ene, eup=eup, edown=e - eup,
+                      dup=dup, ddown=e - dup)

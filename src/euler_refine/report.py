@@ -1,8 +1,11 @@
-"""Structured pass/fail records for identity checks."""
+"""Structured pass/fail records for identity checks, and the text, CSV
+and JSON renderings of tables and report lists."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -53,3 +56,59 @@ class VerifyReport:
                 for e in self.entries
             ],
         }
+
+
+def render_text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    widths = [
+        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+        for i, h in enumerate(headers)
+    ]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
+
+
+def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def render_json(obj) -> str:
+    import json
+
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def report_formats(reports: Sequence[VerifyReport]) -> dict[str, Callable[[], str]]:
+    """The json, csv and table renderings of a report list, each built
+    only when its builder is called."""
+
+    def text() -> str:
+        lines = []
+        for r in reports:
+            lines.append(
+                f"[{'PASS' if r.passed else 'FAIL'}] {r.identity} "
+                f"({r.left_method} vs {r.right_method}): "
+                f"{sum(e.passed for e in r.entries)}/{len(r.entries)} checks"
+            )
+            lines += [f"    n={e.n} {e.label}: left={e.left} right={e.right}"
+                      + (f" ({e.note})" if e.note else "") for e in r.failures()]
+        lines.append(f"overall: {'PASS' if all(r.passed for r in reports) else 'FAIL'}")
+        return "\n".join(lines) + "\n"
+
+    return {
+        "json": lambda: render_json([r.to_json_dict() for r in reports]),
+        "csv": lambda: render_csv(
+            ["identity", "n", "label", "left", "right", "pass"],
+            [[r.identity, str(e.n), e.label, str(e.left), str(e.right), str(e.passed)]
+             for r in reports for e in r.entries],
+        ),
+        "table": text,
+    }

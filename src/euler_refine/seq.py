@@ -34,8 +34,7 @@ class CountTable:
     """Per-degree record of the alternating-permutation counts.
 
     ``ene``/``enw`` and ``eup``/``edown`` refine the up-down count ``e``;
-    ``dup``/``ddown`` refine the down-up count (same total) and may be
-    absent when not computed.
+    ``dup``/``ddown`` refine the down-up count (same total).
     """
 
     n: int
@@ -44,8 +43,8 @@ class CountTable:
     enw: int
     eup: int
     edown: int
-    dup: Optional[int] = None
-    ddown: Optional[int] = None
+    dup: int
+    ddown: int
 
     def __post_init__(self) -> None:
         if self.ene + self.enw != self.e:
@@ -54,9 +53,7 @@ class CountTable:
             raise ValueError(f"second-max split {self.eup}+{self.edown} != {self.e}")
         if self.eup % 2 != 0:
             raise ValueError(f"second-max-upper count must be even, got {self.eup}")
-        if (self.dup is None) != (self.ddown is None):
-            raise ValueError("dup and ddown must be given together")
-        if self.dup is not None and self.dup + self.ddown != self.e:
+        if self.dup + self.ddown != self.e:
             raise ValueError(f"down-up split {self.dup}+{self.ddown} != {self.e}")
 
 

@@ -3,6 +3,7 @@
 import itertools
 import os
 import pickle
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -274,10 +275,18 @@ def test_count_refinements_rejects_degree_below_2():
         count_refinements(1)
 
 
+def marginals(by_bits):
+    """(total, min-max, max-min, upper, lower) from the four joint class
+    counts, indexed by the min-max bit plus twice the upper bit."""
+    total = sum(by_bits)
+    minmax, upper = by_bits[1] + by_bits[3], by_bits[2] + by_bits[3]
+    return total, minmax, total - minmax, upper, total - upper
+
+
 def test_count_minmax_populations():
     # The down-up population swaps the two counts of the up-down one.
     def count_minmax(n, kind):
-        _, minmax, maxmin, _, _ = _count_kind(n, kind)
+        _, minmax, maxmin, _, _ = marginals(_count_kind(n, kind))
         return minmax, maxmin
 
     for n in range(2, 8):
@@ -292,14 +301,24 @@ def test_count_minmax_populations():
 def test_count_kind_equals_classify_oracle(kind):
     # Every per-class counter, not only the totals the partitions imply.
     for n in range(2, 10):
-        assert _count_kind(n, kind) == reference_tally(n, kind), n
+        assert marginals(_count_kind(n, kind)) == reference_tally(n, kind), n
+
+
+@pytest.mark.parametrize("kind", list(AltKind))
+def test_count_kind_joint_classes_equal_classify(kind):
+    # All four joint classes; the marginals fix only three of them.
+    for n in range(2, 10):
+        joint = Counter((c.minmax is MinMaxKind.MIN_MAX, c.secondmax is SecondMaxKind.UPPER)
+                        for c in map(classify, enumerate_alternating(n, kind)))
+        expected = [joint[minmax, upper] for upper in (False, True) for minmax in (False, True)]
+        assert _count_kind(n, kind) == expected, n
 
 
 def test_count_kind_equals_the_per_leaf_oracle():
     for n in range(2, 11):
         for kind in AltKind:
             leaves = [per_leaf_tally_walk(n, kind, first) for first in range(1, n + 1)]
-            assert _count_kind(n, kind) == tuple(map(sum, zip(*leaves))), (n, kind)
+            assert marginals(_count_kind(n, kind)) == tuple(map(sum, zip(*leaves))), (n, kind)
 
 
 def test_count_refinements_equals_classify_oracle():
@@ -322,8 +341,10 @@ def test_count_refinements_rejects_passes_whose_totals_differ(monkeypatch):
     # The up-down and down-up passes are independent; their totals are
     # both E_n, so a difference is an error in the count.
     def one_short(n, kind):
-        tally = _count_kind(n, kind)
-        return tally._replace(total=tally.total - 1) if kind is AltKind.DOWN_UP else tally
+        by_bits = _count_kind(n, kind)
+        if kind is AltKind.DOWN_UP:
+            by_bits[0] -= 1
+        return by_bits
 
     monkeypatch.setattr(perm, "_count_kind", one_short)
     count_refinements.cache_clear()

@@ -266,10 +266,12 @@ def test_euler_prefix_validation():
 
 def test_count_table_invariants():
     with pytest.raises(ValueError):
-        CountTable(n=4, e=5, ene=3, enw=2, eup=3, edown=1)
+        CountTable(n=4, e=5, ene=3, enw=2, eup=3, edown=1, dup=4, ddown=1)
     with pytest.raises(ValueError):
-        CountTable(n=4, e=5, ene=3, enw=2, eup=3, edown=2)
+        CountTable(n=4, e=5, ene=3, enw=2, eup=3, edown=2, dup=4, ddown=1)
     with pytest.raises(ValueError):
-        CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, dup=4)
-    table = CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1)
-    assert table.dup is None
+        CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, dup=4, ddown=2)
+    with pytest.raises(TypeError):
+        CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, ddown=1)
+    table = CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, dup=4, ddown=1)
+    assert (table.dup, table.ddown) == (4, 1)
