@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "report": ("CheckEntry", "VerifyReport"),
     "seq": (
-        "CountTable", "e_down_recurrence", "e_ne_nw_pair", "e_nw_formula", "e_up_formula",
-        "e_up_terms", "euler_numbers", "theorem_check",
+        "CountTable", "e_down_recurrence", "e_ne_formula", "e_ne_nw_pair", "e_nw_formula",
+        "e_up_formula", "e_up_terms", "euler_numbers", "theorem_check",
     ),
     "series": (
         "TruncatedEGF", "cos_egf", "edown_egf", "egf_add", "egf_mul", "egf_reciprocal",

@@ -8,14 +8,14 @@ triangle.  The refined sequences split E_n two ways:
 * by where the second-largest value n-1 sits: in the upper row, i.e. at
   a peak position (``eup``), or not (``edown``).
 
-``eup`` has a doubled three-block convolution formula, ``edown`` a
-two-term recurrence, and ``enw`` at even degree its own three-block
-convolution; all three are exact integer computations here.  Every
-function accepts an optional precomputed Euler-number prefix so a shared
-prefix can be computed once and reused.  The inner pair convolution of
-the three-block sums depends only on the prefix, so it is tabulated once
-per prefix value: evaluating every degree over a prefix of length N
-costs O(N^2) terms, not O(N^3).
+``eup`` has a doubled three-block convolution formula and ``edown`` a
+two-term recurrence.  At even degree ``ene`` and ``enw`` each have their
+own three-block convolution; at odd degree each is E_n / 2.  All are
+exact integer computations here.  Every function accepts an optional
+precomputed Euler-number prefix so a shared prefix can be computed once
+and reused.  The inner pair convolution of the three-block sums depends
+only on the prefix, so it is tabulated once per prefix value: evaluating
+every degree over a prefix of length N costs O(N^2) terms, not O(N^3).
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _pair_sums(prefix: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(even), tuple(odd)
 
 
-def _three_block(total: int, ee: Sequence[int], s2_start: int) -> int:
+def _three_block(total: int, ee: Sequence[int], s1_start: int, s2_start: int) -> int:
     """Sum of C(total, s1) C(total-s1, s2) E_{s1} E_{s2} E_{s3} over s1 + s2 + s3 = total,
-    s1 odd, and s2 of the parity of s2_start (0 or 1).
+    s1 of the parity of s1_start and s2 of the parity of s2_start (each 0 or 1).
 
     Factored as an outer sum over s1 of C(total, s1) E_{s1} times the
     pair convolution P(total - s1), read from the one table
@@ -139,7 +139,8 @@ def _three_block(total: int, ee: Sequence[int], s2_start: int) -> int:
     terms; the table costs O(N^2) once for a prefix of length N.
     """
     pair = _pair_sums(tuple(ee))[s2_start]
-    return sum(comb(total, s1) * ee[s1] * pair[total - s1] for s1 in range(1, total + 1, 2))
+    return sum(comb(total, s1) * ee[s1] * pair[total - s1]
+               for s1 in range(s1_start, total + 1, 2))
 
 
 def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
@@ -150,7 +151,7 @@ def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
     if n < 2:
         raise ValueError("degree must be at least 2")
     ee = _euler_prefix(n - 2, euler) if n > 2 else []
-    return 2 * _three_block(n - 2, ee, 1)
+    return 2 * _three_block(n - 2, ee, 1, 1)
 
 
 def e_down_recurrence(n: int, euler: Optional[Sequence[int]] = None) -> int:
@@ -166,38 +167,46 @@ def e_down_recurrence(n: int, euler: Optional[Sequence[int]] = None) -> int:
     return ee[n - 2] if n % 2 == 0 else 2 * ee[n - 2]
 
 
-def e_nw_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
-    """Max-min count at even degree by the three-block convolution.
-
-    Splitting around the largest value (a peak) and the value 1 (a
-    valley) leaves blocks of sizes (odd, even, odd) summing to n - 2:
-    the count is sum C(n-2, s1) C(n-2-s1, s2) E_{s1} E_{s2} E_{s3}.
-    """
+def _minmax_formula(n: int, euler: Optional[Sequence[int]], s1_start: int) -> int:
+    """E_n / 2 at odd degree n; at even degree the three-block sum with s1
+    of the parity of s1_start and s2 even, which makes s3 of that parity too."""
     if n < 2:
         raise ValueError("degree must be at least 2")
-    if n % 2 != 0:
-        raise ValueError("convolution applies to even degree only; "
-                         "use e_ne_nw_pair for odd degree")
-    ee = _euler_prefix(n - 2, euler) if n > 2 else []
-    return _three_block(n - 2, ee, 0)
+    if n % 2 == 1:
+        ee = _euler_prefix(n, euler)
+        if ee[n] % 2 != 0:
+            raise ValueError(f"odd-degree count E_{n} = {ee[n]} is not even")
+        return ee[n] // 2
+    return _three_block(n - 2, _euler_prefix(n - 2, euler), s1_start, 0)
+
+
+def e_ne_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
+    """Min-max count of the up-down permutations of degree n.
+
+    At even degree the value 1 sits at a valley before n at a peak, and
+    the three blocks around them all have even sizes summing to n - 2:
+    the count is sum C(n-2, s1) C(n-2-s1, s2) E_{s1} E_{s2} E_{s3} over
+    even s1, s2, s3, the coefficient [x^{n-2}/(n-2)!] of sec^3.  At odd
+    degree the min-max and max-min counts agree, so each is E_n / 2.
+    """
+    return _minmax_formula(n, euler, 0)
+
+
+def e_nw_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
+    """Max-min count of the up-down permutations of degree n.
+
+    At even degree, splitting around the largest value (a peak) and the
+    value 1 (a valley) leaves blocks of sizes (odd, even, odd) summing
+    to n - 2: the count is sum C(n-2, s1) C(n-2-s1, s2) E_{s1} E_{s2}
+    E_{s3}.  At odd degree it is E_n / 2, as the min-max count is.
+    """
+    return _minmax_formula(n, euler, 1)
 
 
 def e_ne_nw_pair(n: int, euler: Optional[Sequence[int]] = None) -> tuple[int, int]:
-    """(min-max, max-min) counts at degree n over up-down permutations.
-
-    Odd degree: the two counts agree, so each is E_n / 2.  Even degree:
-    max-min comes from the convolution and min-max exceeds it by E_{n-2}.
-    """
-    if n < 2:
-        raise ValueError("degree must be at least 2")
-    ee = _euler_prefix(n, euler)
-    if n % 2 == 1:
-        if ee[n] % 2 != 0:
-            raise ValueError(f"odd-degree count E_{n} = {ee[n]} is not even")
-        half = ee[n] // 2
-        return half, half
-    enw = e_nw_formula(n, ee)
-    return enw + ee[n - 2], enw
+    """(min-max, max-min) counts at degree n over up-down permutations:
+    :func:`e_ne_formula` and :func:`e_nw_formula`."""
+    return e_ne_formula(n, euler), e_nw_formula(n, euler)
 
 
 def theorem_check(n_max: int, euler: Optional[Sequence[int]] = None) -> VerifyReport:
@@ -209,11 +218,11 @@ def theorem_check(n_max: int, euler: Optional[Sequence[int]] = None) -> VerifyRe
     prefix `euler` too short for n_max gives the one failed entry
     (n_max, "theorem_check").  Only n_max below 2 raises.
 
-    The first two entries are identities of the formula code and pass on
-    any prefix: for odd m, C(m, s2) E_{s2} E_{m-s2} is unchanged by
+    The first entry is an identity of the formula code and passes on any
+    prefix: for odd m, C(m, s2) E_{s2} E_{m-s2} is unchanged by
     s2 -> m - s2, which swaps the parity of s2, so :func:`e_up_formula`
-    is twice :func:`e_nw_formula` at every even n; and ene is computed
-    as enw + E_{n-2}.  Only the two E_n entries test the prefix.
+    is twice :func:`e_nw_formula` at every even n.  The other three test
+    the prefix: ene and enw are separate convolutions.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -225,8 +234,7 @@ def theorem_check(n_max: int, euler: Optional[Sequence[int]] = None) -> VerifyRe
         return report
     for n in range(2, n_max + 1, 2):
         try:
-            enw = e_nw_formula(n, ee)
-            ene = enw + ee[n - 2]
+            ene, enw = e_ne_nw_pair(n, ee)
             eup = e_up_formula(n, ee)
             edown = e_down_recurrence(n, ee)
         except ValueError as exc:

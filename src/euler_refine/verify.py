@@ -82,11 +82,11 @@ SEQUENCES: dict[str, SequenceRoutes] = {
     "Ene": SequenceRoutes(
         2, "ene", "min-max count: enumeration vs convolution",
         "series identity: min-max counts vs sec^2(sec+tan)",
-        lambda ee, n: seq.e_ne_nw_pair(n, ee)[0], lambda k: series.ene_egf(k)),
+        lambda ee, n: seq.e_ne_formula(n, ee), lambda k: series.ene_egf(k)),
     "Enw": SequenceRoutes(
         2, "enw", "max-min count: enumeration vs convolution",
         "series identity: max-min counts vs sec tan(sec+tan)",
-        lambda ee, n: seq.e_ne_nw_pair(n, ee)[1], lambda k: series.enw_egf(k)),
+        lambda ee, n: seq.e_nw_formula(n, ee), lambda k: series.enw_egf(k)),
     "Eup": SequenceRoutes(
         2, "eup", "second-max-upper count: enumeration vs convolution",
         "series identity: second-max-upper counts vs 2tan^2(sec+tan)",

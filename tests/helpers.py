@@ -326,14 +326,14 @@ def double_sum_e_nw(n, ee):
     return acc
 
 
-def per_degree_three_block(total, ee, s2_start):
+def per_degree_three_block(total, ee, s1_start, s2_start):
     """The three-block sum of ``seq._three_block``, with the pair convolution
     sum_{s2} C(m, s2) E_{s2} E_{m-s2} recomputed for every s1 of every degree.
 
     The form the once-per-prefix pair table replaced, kept as its oracle.
     """
     acc = 0
-    for s1 in range(1, total + 1, 2):
+    for s1 in range(s1_start, total + 1, 2):
         m = total - s1
         pair = sum(comb(m, s2) * ee[s2] * ee[m - s2] for s2 in range(s2_start, m + 1, 2))
         acc += comb(total, s1) * ee[s1] * pair

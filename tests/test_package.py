@@ -12,7 +12,7 @@ import euler_refine
 from helpers import fresh_env
 
 # Every name the package exported when it imported all of its modules up
-# front, with the module it comes from.
+# front, and each one added since, with the module it comes from.
 EXPORTS = {
     "Decomposition": "bij", "compose_maxmin": "bij", "compose_smu": "bij",
     "decompose_maxmin": "bij", "decompose_smu": "bij", "maxmin_to_smu": "bij",
@@ -22,9 +22,9 @@ EXPORTS = {
     "complement": "perm", "count_refinements": "perm", "enumerate_alternating": "perm",
     "is_down_up": "perm", "is_up_down": "perm",
     "CheckEntry": "report", "VerifyReport": "report",
-    "CountTable": "seq", "e_down_recurrence": "seq", "e_ne_nw_pair": "seq",
-    "e_nw_formula": "seq", "e_up_formula": "seq", "e_up_terms": "seq",
-    "euler_numbers": "seq", "theorem_check": "seq",
+    "CountTable": "seq", "e_down_recurrence": "seq", "e_ne_formula": "seq",
+    "e_ne_nw_pair": "seq", "e_nw_formula": "seq", "e_up_formula": "seq",
+    "e_up_terms": "seq", "euler_numbers": "seq", "theorem_check": "seq",
     "TruncatedEGF": "series", "cos_egf": "series", "edown_egf": "series",
     "egf_add": "series", "egf_mul": "series", "egf_reciprocal": "series",
     "ene_egf": "series", "enw_egf": "series", "eup_egf": "series",

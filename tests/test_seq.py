@@ -10,6 +10,7 @@ from euler_refine import (
     TruncatedEGF,
     count_refinements,
     e_down_recurrence,
+    e_ne_formula,
     e_ne_nw_pair,
     e_nw_formula,
     e_up_formula,
@@ -116,13 +117,14 @@ def test_e_nw_formula_equals_the_double_sum():
 def assert_three_block_formulas_equal_the_oracle(ee):
     """Every degree the prefix `ee` covers, against the per-degree three-block sum."""
     for n in range(2, len(ee)):
-        assert e_up_formula(n, ee) == 2 * per_degree_three_block(n - 2, ee, 1), n
+        assert e_up_formula(n, ee) == 2 * per_degree_three_block(n - 2, ee, 1, 1), n
         if n % 2 == 0:
-            enw = per_degree_three_block(n - 2, ee, 0)
-            assert e_nw_formula(n, ee) == enw, n
-            assert e_ne_nw_pair(n, ee) == (enw + ee[n - 2], enw), n
+            ene = per_degree_three_block(n - 2, ee, 0, 0)
+            enw = per_degree_three_block(n - 2, ee, 1, 0)
         else:
-            assert e_ne_nw_pair(n, ee) == (ee[n] // 2, ee[n] // 2), n
+            ene = enw = ee[n] // 2
+        assert (e_ne_formula(n, ee), e_nw_formula(n, ee)) == (ene, enw), n
+        assert e_ne_nw_pair(n, ee) == (ene, enw), n
 
 
 def test_three_block_formulas_equal_the_oracle_to_200():
@@ -145,9 +147,11 @@ def test_three_block_formulas_follow_a_prefix_mutated_in_place():
     assert [(e_up_formula(n, ee), e_ne_nw_pair(n, ee)) for n in range(2, 201)] != before
 
 
-def test_e_nw_formula_rejects_odd_degree():
-    with pytest.raises(ValueError):
-        e_nw_formula(7)
+def test_e_nw_formula_at_odd_degree_is_half_of_e_n():
+    assert e_nw_formula(7) == 136
+    for formula in (e_ne_formula, e_nw_formula):
+        with pytest.raises(ValueError, match="E_7 = 1 is not even"):
+            formula(7, [1] * 8)
 
 
 def test_e_nw_degree_10():
@@ -169,8 +173,9 @@ def test_pair_reference_rows():
 
 
 def test_pair_even_difference_is_shifted_euler():
-    ee = euler_numbers(20)
-    for n in range(2, 21, 2):
+    # ene and enw are separate convolutions; their difference is a theorem.
+    ee = euler_numbers(200)
+    for n in range(2, 201, 2):
         ene, enw = e_ne_nw_pair(n, ee)
         assert ene - enw == ee[n - 2]
 
@@ -235,7 +240,7 @@ def test_theorem_check_flags_corruption():
     assert any(not e.passed for e in report.entries if e.n == 8)
 
 
-def test_theorem_check_tests_the_prefix_only_in_its_e_n_entries():
+def test_theorem_check_tests_the_prefix_in_all_but_its_eup_entry():
     rng = random.Random(41)
     prefix = [2 * rng.randrange(1, 10**6) for _ in range(41)]
     outcomes = {}
@@ -243,7 +248,7 @@ def test_theorem_check_tests_the_prefix_only_in_its_e_n_entries():
         outcomes.setdefault(e.label, set()).add(e.passed)
     assert outcomes == {
         "eup = 2*enw": {True},
-        "ene - enw = E_{n-2}": {True},
+        "ene - enw = E_{n-2}": {False},
         "E_n = 2*enw + E_{n-2}": {False},
         "E_n = eup + edown": {False},
     }
