@@ -33,9 +33,9 @@ _EXPORTS = {
         "e_up_formula", "e_up_terms", "euler_numbers", "theorem_check",
     ),
     "series": (
-        "TruncatedEGF", "cos_egf", "edown_egf", "egf_add", "egf_mul", "egf_reciprocal",
-        "ene_egf", "enw_egf", "eup_egf", "extract_counts", "one_egf", "sec_egf",
-        "sin_egf", "tan_egf",
+        "TruncatedEGF", "cos_egf", "ddown_egf", "dup_egf", "edown_egf", "egf_add", "egf_mul",
+        "egf_reciprocal", "ene_egf", "enw_egf", "eup_egf", "extract_counts", "one_egf",
+        "sec_egf", "sin_egf", "tan_egf",
     ),
     "verify": ("bijection_checks", "run_verification"),
 }

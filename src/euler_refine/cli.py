@@ -15,7 +15,6 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import seq, series
@@ -267,37 +266,6 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- openq
 
-def _candidate_library(order: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Small sec/tan products (exponents <= 3, coefficients 1..3) and their sums."""
-    sec, tan = series.sec_egf(order), series.tan_egf(order)
-    sec_powers, tan_powers = [series.one_egf(order)], [series.one_egf(order)]
-    for _ in range(3):
-        sec_powers.append(sec_powers[-1] * sec)
-        tan_powers.append(tan_powers[-1] * tan)
-
-    def monomial_name(c: int, a: int, b: int) -> str:
-        factors = []
-        if a:
-            factors.append("sec" + (f"^{a}" if a > 1 else ""))
-        if b:
-            factors.append("tan" + (f"^{b}" if b > 1 else ""))
-        body = "*".join(factors)
-        return body if c == 1 else f"{c}*{body}"
-
-    monomials = []
-    for a in range(4):
-        for b in range(4):
-            if a or b:
-                f = sec_powers[a] * tan_powers[b]
-                monomials += [(monomial_name(c, a, b), f.scale(c)) for c in (1, 2, 3)]
-    library: dict[tuple[int, ...], str] = {}
-    for name, f in monomials:
-        library.setdefault(f.counts, name)
-    for (n1, f1), (n2, f2) in combinations_with_replacement(monomials, 2):
-        library.setdefault((f1 + f2).counts, f"{n1} + {n2}")
-    return [(name, counts) for counts, name in library.items()]
-
-
 def openq_data(max_n: int) -> dict:
     tables = _count_tables(max_n)
     rows = [
@@ -307,11 +275,9 @@ def openq_data(max_n: int) -> dict:
     conjectures = []
     terms = max_n - 1
     if terms >= CONJECTURE_MIN_TERMS:
-        targets = {"Dup": [t.dup for t in tables], "Ddown": [t.ddown for t in tables]}
-        for name, counts in _candidate_library(max_n - 2):
-            for target_name, target in targets.items():
-                if list(counts) == target:
-                    conjectures.append((target_name, name))
+        for target, name in (("Ddown", "sec"), ("Dup", "2*sec*tan^2 + 2*sec^2*tan")):
+            if series.extract_counts(SEQUENCES[target].series(max_n - 2)) == [r[target] for r in rows]:
+                conjectures.append((target, name))
     return {"rows": rows, "conjectures": conjectures, "terms": terms}
 
 

@@ -63,8 +63,10 @@ class TruncatedEGF:
         factorials = accumulate(range(1, len(self.counts)), mul, initial=1)
         return tuple(map(Fraction, self.counts, factorials))
 
-    def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        return egf_add(self, other)
+    def __add__(self, other) -> "TruncatedEGF":
+        if isinstance(other, TruncatedEGF):
+            return egf_add(self, other)
+        return NotImplemented
 
     def __mul__(self, other) -> "TruncatedEGF":
         if isinstance(other, TruncatedEGF):
@@ -176,3 +178,19 @@ def eup_egf(order: int) -> TruncatedEGF:
 def edown_egf(order: int) -> TruncatedEGF:
     """Series for second-max-lower counts: sec(x) + 2 tan(x)."""
     return sec_egf(order) + 2 * tan_egf(order)
+
+
+def ddown_egf(order: int) -> TruncatedEGF:
+    """Series for down-up counts with n-1 off the peaks: sec(x).  At a valley,
+    n-1 needs two larger neighbours, so it sits at an end next to n: at odd n
+    both ends are peaks (count 0), and at even n deleting n-1 and n leaves an
+    alternating permutation of degree n-2 (count E_{n-2})."""
+    return sec_egf(order)
+
+
+def dup_egf(order: int) -> TruncatedEGF:
+    """Series for down-up counts with n-1 at a peak: 2 sec(x) tan(x) (sec(x) + tan(x)).
+    Dup = E - Ddown, and E shifted two steps is (sec + tan)'' = sec (sec + tan)^2,
+    which less sec is 2 sec tan (sec + tan), as sec^2 - 1 = tan^2."""
+    sec, tan = sec_egf(order), tan_egf(order)
+    return 2 * sec * tan * (sec + tan)

@@ -61,42 +61,42 @@ class SequenceRoutes:
     of its series: the series at order k carries degrees offset..offset+k.
     `field` names its :class:`~euler_refine.seq.CountTable` column, and
     ``formula(ee, n)`` computes degree n from the Euler prefix `ee`.  A
-    sequence without `formula` and `series` is enumeration-only, and has
-    no report titles.
+    sequence without `formula` is counted by enumeration, and has no
+    report titles.
     """
 
     offset: int
     field: str
+    series: Callable[[int], series.TruncatedEGF]
+    formula: Optional[Callable[[Sequence[int], int], int]] = None
     enum_title: str = ""  # its enumeration vs formula report
     series_title: str = ""  # its formula vs series report
-    formula: Optional[Callable[[Sequence[int], int], int]] = None
-    series: Optional[Callable[[int], series.TruncatedEGF]] = None
 
 
 # Each function is looked up in its module when called, never bound here.
 SEQUENCES: dict[str, SequenceRoutes] = {
     "E": SequenceRoutes(
-        0, "e", "alternating count: enumeration vs triangle",
-        "Euler numbers: triangle vs sec+tan series",
-        lambda ee, n: ee[n], lambda k: series.sec_egf(k) + series.tan_egf(k)),
+        0, "e", lambda k: series.sec_egf(k) + series.tan_egf(k), lambda ee, n: ee[n],
+        "alternating count: enumeration vs triangle",
+        "Euler numbers: triangle vs sec+tan series"),
     "Ene": SequenceRoutes(
-        2, "ene", "min-max count: enumeration vs convolution",
-        "series identity: min-max counts vs sec^2(sec+tan)",
-        lambda ee, n: seq.e_ne_formula(n, ee), lambda k: series.ene_egf(k)),
+        2, "ene", lambda k: series.ene_egf(k), lambda ee, n: seq.e_ne_formula(n, ee),
+        "min-max count: enumeration vs convolution",
+        "series identity: min-max counts vs sec^2(sec+tan)"),
     "Enw": SequenceRoutes(
-        2, "enw", "max-min count: enumeration vs convolution",
-        "series identity: max-min counts vs sec tan(sec+tan)",
-        lambda ee, n: seq.e_nw_formula(n, ee), lambda k: series.enw_egf(k)),
+        2, "enw", lambda k: series.enw_egf(k), lambda ee, n: seq.e_nw_formula(n, ee),
+        "max-min count: enumeration vs convolution",
+        "series identity: max-min counts vs sec tan(sec+tan)"),
     "Eup": SequenceRoutes(
-        2, "eup", "second-max-upper count: enumeration vs convolution",
-        "series identity: second-max-upper counts vs 2tan^2(sec+tan)",
-        lambda ee, n: seq.e_up_formula(n, ee), lambda k: series.eup_egf(k)),
+        2, "eup", lambda k: series.eup_egf(k), lambda ee, n: seq.e_up_formula(n, ee),
+        "second-max-upper count: enumeration vs convolution",
+        "series identity: second-max-upper counts vs 2tan^2(sec+tan)"),
     "Edown": SequenceRoutes(
-        2, "edown", "second-max-lower count: enumeration vs recurrence",
-        "series identity: second-max-lower counts vs sec+2tan",
-        lambda ee, n: seq.e_down_recurrence(n, ee), lambda k: series.edown_egf(k)),
-    "Dup": SequenceRoutes(2, "dup"),
-    "Ddown": SequenceRoutes(2, "ddown"),
+        2, "edown", lambda k: series.edown_egf(k), lambda ee, n: seq.e_down_recurrence(n, ee),
+        "second-max-lower count: enumeration vs recurrence",
+        "series identity: second-max-lower counts vs sec+2tan"),
+    "Dup": SequenceRoutes(2, "dup", lambda k: series.dup_egf(k)),
+    "Ddown": SequenceRoutes(2, "ddown", lambda k: series.ddown_egf(k)),
 }
 
 

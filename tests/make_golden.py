@@ -16,7 +16,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json.gz")
 CASES = [
     [cmd, "--max-n", n, *extra, "--format", fmt]
     for cmd, n, extra in (("verify", "6", ["--egf-order", "8"]), ("ratios", "12", []),
-                          ("openq", "9", []), ("bijection-check", "6", []))
+                          ("openq", "9", []), ("openq", "12", ["--cap", "12"]),
+                          ("bijection-check", "6", []))
     for fmt in ("table", "json", "csv")
 ] + [
     ["table", "--max-n", "8", "--method", method, "--populations", pop, "--format", fmt]

@@ -25,7 +25,8 @@ EXPORTS = {
     "CountTable": "seq", "e_down_recurrence": "seq", "e_ne_formula": "seq",
     "e_ne_nw_pair": "seq", "e_nw_formula": "seq", "e_up_formula": "seq",
     "e_up_terms": "seq", "euler_numbers": "seq", "theorem_check": "seq",
-    "TruncatedEGF": "series", "cos_egf": "series", "edown_egf": "series",
+    "TruncatedEGF": "series", "cos_egf": "series", "ddown_egf": "series",
+    "dup_egf": "series", "edown_egf": "series",
     "egf_add": "series", "egf_mul": "series", "egf_reciprocal": "series",
     "ene_egf": "series", "enw_egf": "series", "eup_egf": "series",
     "extract_counts": "series", "one_egf": "series", "sec_egf": "series",

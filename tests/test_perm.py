@@ -18,11 +18,14 @@ from euler_refine import (
     classify,
     complement,
     count_refinements,
+    ddown_egf,
+    dup_egf,
     e_down_recurrence,
     e_ne_nw_pair,
     e_up_formula,
     enumerate_alternating,
     euler_numbers,
+    extract_counts,
     is_down_up,
     is_up_down,
 )
@@ -364,6 +367,8 @@ def test_count_refinements_equals_the_formulas_at_degrees_12_to_14(n):
     assert (t.ene, t.enw) == e_ne_nw_pair(n, ee)
     assert t.eup == e_up_formula(n, ee)
     assert t.edown == e_down_recurrence(n, ee)
+    assert t.dup == extract_counts(dup_egf(n - 2))[n - 2]
+    assert t.ddown == extract_counts(ddown_egf(n - 2))[n - 2]
 
 
 def test_second_max_lower_positions_are_extremal():

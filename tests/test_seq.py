@@ -9,6 +9,8 @@ from euler_refine import (
     CountTable,
     TruncatedEGF,
     count_refinements,
+    ddown_egf,
+    dup_egf,
     e_down_recurrence,
     e_ne_formula,
     e_ne_nw_pair,
@@ -25,6 +27,8 @@ from euler_refine import (
     tan_egf,
     theorem_check,
 )
+
+from euler_refine import seq
 
 from helpers import (
     EDOWN,
@@ -55,6 +59,10 @@ def test_euler_numbers_equal_the_knuth_buckholtz_recurrences_to_200():
     assert knuth_buckholtz_euler(0) == [1]
     assert knuth_buckholtz_euler(9) == EULER
     assert euler_numbers(200) == knuth_buckholtz_euler(200)
+
+
+def test_down_up_series_sum_to_the_euler_numbers_to_200():
+    assert extract_counts(dup_egf(198) + ddown_egf(198)) == euler_numbers(200)[2:]
 
 
 def test_e_up_reference_row():
@@ -267,6 +275,15 @@ def test_theorem_check_reports_a_short_prefix_as_one_failed_entry():
 def test_euler_prefix_validation():
     with pytest.raises(ValueError, match="too short"):
         e_up_formula(12, euler_numbers(4))
+
+
+def test_formulas_without_a_prefix_share_a_few_pair_tables():
+    ee = euler_numbers(120)
+    expected = [e_up_formula(n, ee) for n in range(2, 121)]
+    seq._shared_euler.cache_clear()
+    seq._pair_sums.cache_clear()
+    assert [e_up_formula(n) for n in range(2, 121)] == expected
+    assert seq._pair_sums.cache_info().misses <= 3
 
 
 def test_count_table_invariants():

@@ -102,6 +102,12 @@ def test_add_requires_equal_orders():
         egf_mul(one_egf(3), one_egf(4))
 
 
+def test_add_and_mul_reject_a_non_series_operand():
+    for op in (lambda f: f + 1, lambda f: 1 + f, lambda f: f * 1.5, lambda f: 1.5 * f):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(tan_egf(3))
+
+
 def test_add_zero_is_identity():
     f = tan_egf(6)
     assert egf_add(f, TruncatedEGF([0] * 7)) == f
