@@ -275,7 +275,7 @@ def openq_data(max_n: int) -> dict:
     conjectures = []
     terms = max_n - 1
     if terms >= CONJECTURE_MIN_TERMS:
-        for target, name in (("Ddown", "sec"), ("Dup", "2*sec*tan^2 + 2*sec^2*tan")):
+        for target, name in series.DOWN_UP_SERIES_NAMES:
             if series.extract_counts(SEQUENCES[target].series(max_n - 2)) == [r[target] for r in rows]:
                 conjectures.append((target, name))
     return {"rows": rows, "conjectures": conjectures, "terms": terms}

@@ -77,20 +77,10 @@ def euler_numbers(n_max: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _shared_euler(n_max: int) -> tuple[int, ...]:
-    return tuple(euler_numbers(n_max))
-
-
 def _euler_prefix(upto: int, euler: Optional[Sequence[int]]) -> Sequence[int]:
-    """Euler numbers through index `upto`, validating a caller-supplied prefix.
-
-    Without one, calls share one prefix through index 64 or the next power
-    of two above `upto`, so a sweep over the degrees builds a few prefixes
-    and pair tables, not one of each per degree.
-    """
+    """Euler numbers through index `upto`, validating a caller-supplied prefix."""
     if euler is None:
-        return _shared_euler(1 << max(upto, 63).bit_length())
+        return euler_numbers(max(upto, 0))
     if len(euler) <= upto:
         raise ValueError(f"euler prefix too short: need index {upto}, have {len(euler) - 1}")
     return euler

@@ -181,10 +181,10 @@ def edown_egf(order: int) -> TruncatedEGF:
 
 
 def ddown_egf(order: int) -> TruncatedEGF:
-    """Series for down-up counts with n-1 off the peaks: sec(x).  At a valley,
-    n-1 needs two larger neighbours, so it sits at an end next to n: at odd n
-    both ends are peaks (count 0), and at even n deleting n-1 and n leaves an
-    alternating permutation of degree n-2 (count E_{n-2})."""
+    """Series for down-up counts with n-1 off the peaks: sec(x).  n-1 cannot be
+    an interior valley (only n exceeds it), so it is an end valley next to n:
+    at odd n both ends are peaks (count 0), and at even n deleting n-1 and n
+    leaves an alternating permutation of degree n-2 (count E_{n-2})."""
     return sec_egf(order)
 
 
@@ -194,3 +194,7 @@ def dup_egf(order: int) -> TruncatedEGF:
     which less sec is 2 sec tan (sec + tan), as sec^2 - 1 = tan^2."""
     sec, tan = sec_egf(order), tan_egf(order)
     return 2 * sec * tan * (sec + tan)
+
+
+# openq's printed name of each down-up series, in report order; match the code above.
+DOWN_UP_SERIES_NAMES = (("Ddown", "sec"), ("Dup", "2*sec*tan^2 + 2*sec^2*tan"))

@@ -62,15 +62,16 @@ def test_criterion_1_golden_tables():
 def test_criterion_2_formula_vs_enumeration():
     start = time.perf_counter()
     failures = []
+    ee = euler_numbers(10)
     for n in range(2, 11):
         t = count_refinements(n)
-        if e_up_formula(n) != t.eup:
-            failures.append(f"e_up_formula({n}) = {e_up_formula(n)} != {t.eup}")
-        if e_down_recurrence(n) != t.edown:
+        if e_up_formula(n, ee) != t.eup:
+            failures.append(f"e_up_formula({n}) = {e_up_formula(n, ee)} != {t.eup}")
+        if e_down_recurrence(n, ee) != t.edown:
             failures.append(f"e_down_recurrence({n}) != {t.edown}")
-        if e_ne_nw_pair(n) != (t.ene, t.enw):
+        if e_ne_nw_pair(n, ee) != (t.ene, t.enw):
             failures.append(f"e_ne_nw_pair({n}) != ({t.ene}, {t.enw})")
-        if n % 2 == 0 and e_nw_formula(n) != t.enw:
+        if n % 2 == 0 and e_nw_formula(n, ee) != t.enw:
             failures.append(f"e_nw_formula({n}) != {t.enw}")
     check(2, "every formula matches brute force for n <= 10",
           60, failures, time.perf_counter() - start)
@@ -80,17 +81,18 @@ def test_criterion_3_egf_route():
     start = time.perf_counter()
     order = 18
     failures = []
+    ee = euler_numbers(order + 2)
     routes = [
-        ("Ene", ene_egf(order), lambda n: e_ne_nw_pair(n)[0]),
-        ("Enw", enw_egf(order), lambda n: e_ne_nw_pair(n)[1]),
+        ("Ene", ene_egf(order), lambda n, ee: e_ne_nw_pair(n, ee)[0]),
+        ("Enw", enw_egf(order), lambda n, ee: e_ne_nw_pair(n, ee)[1]),
         ("Eup", eup_egf(order), e_up_formula),
         ("Edown", edown_egf(order), e_down_recurrence),
     ]
     for name, f, formula in routes:
         counts = extract_counts(f)
         for m in range(order + 1):
-            if counts[m] != formula(m + 2):
-                failures.append(f"{name}: series a_{m} = {counts[m]} != {formula(m + 2)}")
+            if counts[m] != formula(m + 2, ee):
+                failures.append(f"{name}: series a_{m} = {counts[m]} != {formula(m + 2, ee)}")
     check(3, "series coefficients at order 18 equal the shifted sequences",
           5, failures, time.perf_counter() - start)
 

@@ -272,14 +272,15 @@ def test_export_round_trip(tmp_path, capsys):
 
 
 def test_export_round_trip_refinement_offset(tmp_path, capsys):
-    from euler_refine import e_up_formula
+    from euler_refine import e_up_formula, euler_numbers
 
     path = tmp_path / "eup.txt"
     rc, _, _ = run_cli(capsys, "export", "--sequence", "Eup", "--max-n", "20",
                        "--out", str(path))
     assert rc == 0
     entries = parse_bfile(path.read_text())
-    assert entries == [(n, e_up_formula(n)) for n in range(2, 21)]
+    ee = euler_numbers(20)
+    assert entries == [(n, e_up_formula(n, ee)) for n in range(2, 21)]
 
 
 def test_out_is_left_intact_when_the_rename_fails(tmp_path, capsys, monkeypatch):

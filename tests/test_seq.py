@@ -28,8 +28,6 @@ from euler_refine import (
     theorem_check,
 )
 
-from euler_refine import seq
-
 from helpers import (
     EDOWN,
     ENE,
@@ -275,15 +273,6 @@ def test_theorem_check_reports_a_short_prefix_as_one_failed_entry():
 def test_euler_prefix_validation():
     with pytest.raises(ValueError, match="too short"):
         e_up_formula(12, euler_numbers(4))
-
-
-def test_formulas_without_a_prefix_share_a_few_pair_tables():
-    ee = euler_numbers(120)
-    expected = [e_up_formula(n, ee) for n in range(2, 121)]
-    seq._shared_euler.cache_clear()
-    seq._pair_sums.cache_clear()
-    assert [e_up_formula(n) for n in range(2, 121)] == expected
-    assert seq._pair_sums.cache_info().misses <= 3
 
 
 def test_count_table_invariants():
