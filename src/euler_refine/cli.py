@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import seq, series
-from .report import VerifyReport, render_csv, render_json, render_text_table, report_formats
+from .report import (CheckEntry, VerifyReport, render_csv, render_json, render_text_table,
+                     report_formats)
 from .verify import SEQUENCES, bijection_checks, run_verification
 
 if TYPE_CHECKING:
@@ -27,7 +28,6 @@ if TYPE_CHECKING:
 DEFAULT_ENUM_CAP = 11
 FORMULA_CAP = 200
 CAP_ENV_VAR = "EULER_REFINE_CAP"
-CONJECTURE_MIN_TERMS = 8
 
 
 class CliError(Exception):
@@ -117,8 +117,9 @@ def _count_tables(max_n: int) -> list[seq.CountTable]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max_n
-    names = [name for name, s in SEQUENCES.items() if s.formula or args.populations == "both"]
-    needs_enum = args.method in ("enum", "all") or args.populations == "both"
+    down_up = dict(series.DOWN_UP_SERIES_NAMES)
+    names = [name for name in SEQUENCES if args.populations == "both" or name not in down_up]
+    needs_enum = args.method in ("enum", "all")
     _check_max_n(max_n, args.cap if needs_enum else None, formula=True)
 
     ns = range(2, max_n + 1)
@@ -134,9 +135,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     methods: dict[str, str] = {}
     for name in names:
         spec = SEQUENCES[name]
-        if not spec.formula:
-            columns[name], methods[name] = routes["enum"](spec), "enum"
-        elif args.method != "all":
+        if args.method != "all":
             columns[name], methods[name] = routes[args.method](spec), args.method
         else:  # all three routes must agree
             by_formula, by_egf, by_enum = (routes[r](spec) for r in ("formula", "egf", "enum"))
@@ -267,18 +266,23 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- openq
 
 def openq_data(max_n: int) -> dict:
+    """The enumerated down-up rows of each degree 2..max_n, and a report per
+    down-up sequence that checks its column against its series at every degree."""
     tables = _count_tables(max_n)
     rows = [
         {"n": t.n, "Dup": t.dup, "Ddown": t.ddown, "E": t.e, "partition": t.dup + t.ddown == t.e}
         for t in tables
     ]
-    conjectures = []
-    terms = max_n - 1
-    if terms >= CONJECTURE_MIN_TERMS:
-        for target, name in series.DOWN_UP_SERIES_NAMES:
-            if series.extract_counts(SEQUENCES[target].series(max_n - 2)) == [r[target] for r in rows]:
-                conjectures.append((target, name))
-    return {"rows": rows, "conjectures": conjectures, "terms": terms}
+    checks = []
+    for target, name in series.DOWN_UP_SERIES_NAMES:
+        spec = SEQUENCES[target]
+        counts = series.extract_counts(spec.series(max_n - spec.offset))
+        checks.append(VerifyReport(
+            f"{target} counts (shifted two steps) vs the series {name}", "enumeration", "egf",
+            [CheckEntry(t.n, f"{target}_n", getattr(t, spec.field), counts[t.n - spec.offset])
+             for t in tables],
+        ))
+    return {"rows": rows, "checks": checks}
 
 
 def cmd_openq(args: argparse.Namespace) -> int:
@@ -289,39 +293,19 @@ def cmd_openq(args: argparse.Namespace) -> int:
         [str(r["n"]), str(r["Dup"]), str(r["Ddown"]), str(r["E"]), "ok" if r["partition"] else "BROKEN"]
         for r in data["rows"]
     ]
-
-    def text() -> str:
-        parts = [render_text_table(headers, rows)]
-        if data["terms"] < CONJECTURE_MIN_TERMS:
-            parts.append(
-                f"conjecture scan skipped: {data['terms']} terms available, "
-                f"{CONJECTURE_MIN_TERMS} needed\n"
-            )
-        elif not data["conjectures"]:
-            parts.append("no candidate series matches the computed prefixes\n")
-        else:
-            for target, name in data["conjectures"]:
-                parts.append(
-                    f"CONJECTURE: {target} counts (shifted two steps) match the series "
-                    f"{name} (prefix match only, not a proof)\n"
-                )
-        return "".join(parts)
-
+    checks = data["checks"]
     _emit(
         args,
         json=lambda: render_json({
             # Counts become decimal strings; the partition flag stays a boolean.
             "rows": [{k: str(v) if type(v) is int else v for k, v in row.items()}
                      for row in data["rows"]],
-            "conjectures": [
-                {"sequence": target, "series": name, "status": "prefix match only, not a proof"}
-                for target, name in data["conjectures"]
-            ],
+            "checks": [r.to_json_dict() for r in checks],
         }),
         csv=lambda: render_csv(headers, rows),
-        table=text,
+        table=lambda: render_text_table(headers, rows) + report_formats(checks)["table"](),
     )
-    return 0
+    return 0 if all(r.passed for r in checks) else 1
 
 
 # ---------------------------------------------------------------- export
@@ -332,16 +316,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     if spec is None:
         raise CliError(f"unknown sequence {name!r}; valid names: {', '.join(SEQUENCES)}")
     _check_max_n(
-        max_n, None if spec.formula else args.cap, formula=spec.formula is not None,
+        max_n, formula=True,
         floor="--max-n must be at least 2 for the refined sequences" if spec.offset else "",
     )
     if max_n < 0:
         raise CliError("--max-n must be nonnegative")
-    if spec.formula:
-        ee = seq.euler_numbers(max_n)
-        values = [spec.formula(ee, n) for n in range(spec.offset, max_n + 1)]
-    else:
-        values = [getattr(t, spec.field) for t in _count_tables(max_n)]
+    ee = seq.euler_numbers(max_n)
+    values = [spec.formula(ee, n) for n in range(spec.offset, max_n + 1)]
     _emit(
         args,
         bfile=lambda: "".join(f"{n} {v}\n" for n, v in enumerate(values, spec.offset)),
@@ -395,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, 20)
     sp.set_defaults(func=cmd_ratios)
 
-    sp = sub.add_parser("openq", help="down-up refinement data and conjecture scan")
+    sp = sub.add_parser("openq", help="down-up refinement data, checked against its series")
     common(sp, 10)
     sp.set_defaults(func=cmd_openq)
 

@@ -263,7 +263,7 @@ def count_refinements(n: int) -> CountTable:
     Counts the up-down and the down-up permutations by class, one pass
     over merged prefixes each (:func:`_count_kind`); no permutation is
     materialised and no process is started.  The two passes are
-    independent, and their totals must agree.
+    independent, and a ValueError says that their totals differ.
 
     ``ene``/``enw`` are counted over the up-down population (the
     convention under which they refine E_n rather than 2 E_n).
@@ -273,7 +273,7 @@ def count_refinements(n: int) -> CountTable:
     up, down = (_count_kind(n, kind) for kind in AltKind)
     e = sum(up)
     if sum(down) != e:
-        raise AssertionError(f"population mismatch at degree {n}: {e} vs {sum(down)}")
+        raise ValueError(f"population mismatch at degree {n}: {e} vs {sum(down)}")
     ene, eup, dup = up[1] + up[3], up[2] + up[3], down[2] + down[3]
     return CountTable(n=n, e=e, ene=ene, enw=e - ene, eup=eup, edown=e - eup,
                       dup=dup, ddown=e - dup)

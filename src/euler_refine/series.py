@@ -196,5 +196,6 @@ def dup_egf(order: int) -> TruncatedEGF:
     return 2 * sec * tan * (sec + tan)
 
 
-# openq's printed name of each down-up series, in report order; match the code above.
-DOWN_UP_SERIES_NAMES = (("Ddown", "sec"), ("Dup", "2*sec*tan^2 + 2*sec^2*tan"))
+# The down-up sequences, in table order, each with the printed name of its
+# series above; the names must match the code.
+DOWN_UP_SERIES_NAMES = (("Dup", "2*sec*tan^2 + 2*sec^2*tan"), ("Ddown", "sec"))

@@ -60,15 +60,15 @@ class SequenceRoutes:
     `offset` is the first degree of the sequence's b-file and the shift
     of its series: the series at order k carries degrees offset..offset+k.
     `field` names its :class:`~euler_refine.seq.CountTable` column, and
-    ``formula(ee, n)`` computes degree n from the Euler prefix `ee`.  A
-    sequence without `formula` is counted by enumeration, and has no
-    report titles.
+    ``formula(ee, n)`` computes degree n from the Euler prefix `ee`.  The
+    titles name its two reports in :func:`run_verification`; the down-up
+    sequences have none, as those reports cover the up-down population.
     """
 
     offset: int
     field: str
     series: Callable[[int], series.TruncatedEGF]
-    formula: Optional[Callable[[Sequence[int], int], int]] = None
+    formula: Callable[[Sequence[int], int], int]
     enum_title: str = ""  # its enumeration vs formula report
     series_title: str = ""  # its formula vs series report
 
@@ -95,8 +95,18 @@ SEQUENCES: dict[str, SequenceRoutes] = {
         2, "edown", lambda k: series.edown_egf(k), lambda ee, n: seq.e_down_recurrence(n, ee),
         "second-max-lower count: enumeration vs recurrence",
         "series identity: second-max-lower counts vs sec+2tan"),
-    "Dup": SequenceRoutes(2, "dup", lambda k: series.dup_egf(k)),
-    "Ddown": SequenceRoutes(2, "ddown", lambda k: series.ddown_egf(k)),
+    # In a down-up permutation n-1 can sit at a valley only at an end, next to
+    # n, as an interior valley needs two larger neighbours.  At odd n both ends
+    # are peaks: Dup = E_n and Ddown = 0.  At even n, reversal maps up-down onto
+    # down-up and peaks onto peaks, so Dup = Eup; and n-1 at the last position
+    # with n before it leaves, once both are deleted, any down-up permutation
+    # of degree n-2, so Ddown = E_{n-2}.
+    "Dup": SequenceRoutes(
+        2, "dup", lambda k: series.dup_egf(k),
+        lambda ee, n: seq.e_up_formula(n, ee) if n % 2 == 0 else ee[n]),
+    "Ddown": SequenceRoutes(
+        2, "ddown", lambda k: series.ddown_egf(k),
+        lambda ee, n: ee[n - 2] if n % 2 == 0 else 0),
 }
 
 
@@ -112,6 +122,12 @@ def run_verification(
     prefix to watch the dependent identities fail.  A degree whose
     :func:`~euler_refine.perm.count_refinements` raises fails every
     entry that reads it.
+
+    The three partition reports pass by construction: ``count_refinements``
+    sets ``enw``, ``edown`` and ``ddown`` to ``e`` less the other part, and
+    :class:`~euler_refine.seq.CountTable` rejects any other split.  What
+    they test is the population total, which ``count_refinements`` checks
+    across its up-down and down-up passes.
     """
     from . import perm
 
@@ -122,8 +138,9 @@ def run_verification(
     ee = euler if euler is not None else seq.euler_numbers(max(max_n, egf_order + 2))
     ns = range(2, max_n + 1)
     table = perm.count_refinements
-    closed_form = {name: s for name, s in SEQUENCES.items() if s.formula}
-    counts = {name: series.extract_counts(s.series(egf_order)) for name, s in closed_form.items()}
+    down_up = dict(series.DOWN_UP_SERIES_NAMES)
+    up_down = {name: s for name, s in SEQUENCES.items() if name not in down_up}
+    counts = {name: series.extract_counts(s.series(egf_order)) for name, s in up_down.items()}
     sec, tan = series.sec_egf(egf_order), series.tan_egf(egf_order)
     sec_squared = (sec * sec).coeffs
     one_plus_tan_squared = (series.one_egf(egf_order) + tan * tan).coeffs
@@ -133,7 +150,7 @@ def run_verification(
             s.enum_title, "enumeration", "formula", ns, f"{name}_n",
             lambda n: getattr(table(n), s.field), lambda n: s.formula(ee, n),
         )
-        for name, s in closed_form.items()
+        for name, s in up_down.items()
     ]
     series_reports = [
         _pairwise_report(
@@ -141,7 +158,7 @@ def run_verification(
             range(s.offset, egf_order + s.offset + 1), f"{name}_n",
             lambda n: s.formula(ee, n), lambda n: counts[name][n - s.offset],
         )
-        for name, s in closed_form.items()
+        for name, s in up_down.items()
     ]
     ene, enw, eup, edown = (counts[name] for name in ("Ene", "Enw", "Eup", "Edown"))
     partition_reports = [
@@ -152,7 +169,7 @@ def run_verification(
             lambda n: table(n).e,
         )
         for split, a, b in (("min-max", "Ene", "Enw"), ("second-max", "Eup", "Edown"),
-                            ("down-up second-max", "Dup", "Ddown"))
+                            ("down-up second-max", *down_up))
     ]
     # The Euler-number series check leads, the refined ones follow the theorem chain.
     return series_reports[:1] + enum_reports + partition_reports + [

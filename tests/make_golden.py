@@ -16,7 +16,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json.gz")
 CASES = [
     [cmd, "--max-n", n, *extra, "--format", fmt]
     for cmd, n, extra in (("verify", "6", ["--egf-order", "8"]), ("ratios", "12", []),
-                          ("openq", "9", []), ("openq", "12", ["--cap", "12"]),
+                          ("openq", "5", []), ("openq", "9", []),
+                          ("openq", "12", ["--cap", "12"]),
                           ("bijection-check", "6", []))
     for fmt in ("table", "json", "csv")
 ] + [
@@ -27,6 +28,9 @@ CASES = [
     ["export", "--sequence", name, "--max-n", "9", "--format", fmt]
     for name in ("E", "Ene", "Enw", "Eup", "Edown", "Dup", "Ddown")
     for fmt in ("bfile", "json", "csv")
+] + [
+    ["export", "--sequence", name, "--max-n", "30", "--format", fmt]
+    for name in ("Dup", "Ddown") for fmt in ("bfile", "json", "csv")
 ]
 
 

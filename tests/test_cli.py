@@ -1,5 +1,6 @@
 """CLI behaviour: golden outputs, formats, caps, exit codes."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -85,9 +86,41 @@ def test_table_with_down_up_columns(capsys):
                          "--format", "json")
     assert rc == 0
     payload = json.loads(out)
-    assert payload["methods"]["Dup"] == "enum"
+    assert payload["methods"]["Dup"] == "formula"
     row4 = [r for r in payload["rows"] if r["n"] == 4][0]
     assert (row4["Dup"], row4["Ddown"]) == ("4", "1")
+
+
+def test_table_down_up_route_disagreement_is_a_verification_failure(capsys, monkeypatch):
+    dup = SEQUENCES["Dup"]
+    monkeypatch.setitem(SEQUENCES, "Dup", dataclasses.replace(
+        dup, formula=lambda ee, n: dup.formula(ee, n) + (n == 5)))
+    rc, out, err = run_cli(capsys, "table", "--method", "all", "--populations", "both",
+                           "--max-n", "6")
+    assert rc == 1
+    assert err == "error: route disagreement for Dup at n=5: formula 17, egf 16, enum 16\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["table", "--method", "enum"], ["openq"]], ids=" ".join)
+def test_a_population_mismatch_is_one_error_line(capsys, monkeypatch, argv):
+    from euler_refine import perm
+
+    count_kind = perm._count_kind
+
+    def one_short(n, kind):
+        by_bits = count_kind(n, kind)
+        if kind is perm.AltKind.DOWN_UP and n == 5:
+            by_bits[0] -= 1
+        return by_bits
+
+    monkeypatch.setattr(perm, "_count_kind", one_short)
+    perm.count_refinements.cache_clear()
+    try:
+        rc, out, err = run_cli(capsys, *argv, "--max-n", "6")
+    finally:
+        perm.count_refinements.cache_clear()
+    assert (rc, out, err) == (2, "", "error: population mismatch at degree 5: 16 vs 15\n")
 
 
 def test_table_enumeration_cap(capsys):
@@ -98,12 +131,11 @@ def test_table_enumeration_cap(capsys):
 
 def test_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("EULER_REFINE_CAP", "9")
-    rc, _, err = run_cli(capsys, "export", "--sequence", "Dup", "--max-n", "10")
+    rc, _, err = run_cli(capsys, "openq", "--max-n", "10")
     assert rc == 2 and "cap 9" in err
-    rc, out, _ = run_cli(capsys, "export", "--sequence", "Dup", "--max-n", "10",
-                         "--cap", "10", "--format", "json")
+    rc, out, _ = run_cli(capsys, "openq", "--max-n", "10", "--cap", "10", "--format", "json")
     assert rc == 0
-    assert json.loads(out)[-1] == "49136"
+    assert json.loads(out)["rows"][-1]["Dup"] == "49136"
 
 
 def test_cap_env_must_be_integer(capsys, monkeypatch):
@@ -161,7 +193,7 @@ def test_bijection_check_exit_code_on_failure(capsys, monkeypatch):
 
 @pytest.mark.parametrize("error", [
     ValueError("min-max split 1+1 != 3"),
-    AssertionError("population mismatch at degree 3: 2 vs 1"),
+    ValueError("population mismatch at degree 3: 2 vs 1"),
 ])
 def test_verify_reports_enumeration_faults_as_failures(capsys, monkeypatch, error):
     def broken(n):
@@ -196,7 +228,7 @@ def test_ratios_json_odd_degrees_are_exactly_one(capsys):
     assert payload["deviation |Enw/Ene - 1| nonincreasing over even n"] is True
 
 
-def test_openq_partition_and_conjectures(capsys):
+def test_openq_partition_and_series_checks(capsys):
     rc, out, _ = run_cli(capsys, "openq", "--max-n", "10", "--format", "json")
     assert rc == 0
     payload = json.loads(out)
@@ -205,21 +237,34 @@ def test_openq_partition_and_conjectures(capsys):
     assert (rows[4]["Dup"], rows[4]["Ddown"]) == ("4", "1")
     assert rows[2]["Ddown"] == "1"
     assert rows[9]["Dup"] == "7936"
-    assert payload["conjectures"]
-    assert all("not a proof" in c["status"] for c in payload["conjectures"])
+    assert [c["identity"].split()[0] for c in payload["checks"]] == ["Dup", "Ddown"]
+    for c in payload["checks"]:
+        assert c["pass"] and [e["n"] for e in c["entries"]] == list(range(2, 11))
 
 
-def test_openq_text_labels_conjectures(capsys):
+def test_openq_text_prints_a_pass_line_per_series(capsys):
     rc, out, _ = run_cli(capsys, "openq", "--max-n", "10")
     assert rc == 0
-    assert "CONJECTURE" in out
-    assert "not a proof" in out
+    assert ("[PASS] Dup counts (shifted two steps) vs the series 2*sec*tan^2 + 2*sec^2*tan "
+            "(enumeration vs egf): 9/9 checks\n") in out
+    assert ("[PASS] Ddown counts (shifted two steps) vs the series sec "
+            "(enumeration vs egf): 9/9 checks\n") in out
 
 
-def test_openq_short_prefix_skips_scan(capsys):
+def test_openq_checks_a_short_prefix(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "openq", "--max-n", "8")
     assert rc == 0
-    assert "conjecture scan skipped" in out
+    assert out.count("[PASS]") == 2 and out.count("7/7 checks") == 2
+    # A wrong series fails its line, names the first bad degree and exits 1.
+    from euler_refine import series
+
+    monkeypatch.setattr(series, "ddown_egf", lambda k: series.sec_egf(k) + series.tan_egf(k))
+    rc, out, _ = run_cli(capsys, "openq", "--max-n", "8")
+    assert rc == 1
+    assert "[PASS] Dup counts" in out
+    assert "[FAIL] Ddown counts (shifted two steps) vs the series sec" in out
+    assert "    n=3 Ddown_n: left=0 right=1\n" in out
+    assert out.endswith("overall: FAIL\n")
 
 
 @pytest.mark.parametrize("name", list(SEQUENCES))
@@ -420,13 +465,15 @@ def test_building_the_parser_loads_no_enumeration_and_no_formatter():
 
 # Each command line, and which of the enumeration modules it must load;
 # it must load none of the others.  Every subcommand, --method, --format
-# and population, and a formula and an enumeration-only export.
+# and population, and the export of an up-down and a down-up sequence.
 COMMAND_IMPORTS = [
     (["table", "--max-n", "6"], set()),
     (["table", "--max-n", "6", "--method", "egf", "--format", "json"], set()),
     (["table", "--max-n", "6", "--method", "enum", "--format", "csv"], {"euler_refine.perm"}),
     (["table", "--max-n", "6", "--method", "all"], {"euler_refine.perm"}),
-    (["table", "--max-n", "6", "--populations", "both"], {"euler_refine.perm"}),
+    (["table", "--max-n", "6", "--populations", "both"], set()),
+    (["table", "--max-n", "6", "--method", "enum", "--populations", "both"],
+     {"euler_refine.perm"}),
     (["verify", "--max-n", "5", "--egf-order", "6"], {"euler_refine.perm"}),
     (["verify", "--max-n", "5", "--egf-order", "6", "--format", "json"], {"euler_refine.perm"}),
     (["ratios", "--max-n", "12"], set()),
@@ -434,7 +481,7 @@ COMMAND_IMPORTS = [
     (["openq", "--max-n", "9", "--format", "json"], {"euler_refine.perm"}),
     (["export", "--sequence", "Eup", "--max-n", "9"], set()),
     (["export", "--sequence", "Eup", "--max-n", "9", "--format", "json"], set()),
-    (["export", "--sequence", "Dup", "--max-n", "9", "--format", "csv"], {"euler_refine.perm"}),
+    (["export", "--sequence", "Dup", "--max-n", "9", "--format", "csv"], set()),
     (["bijection-check", "--max-n", "5"], ENUMERATION),
 ]
 

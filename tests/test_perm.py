@@ -32,6 +32,7 @@ from euler_refine import (
 
 from euler_refine import perm
 from euler_refine.perm import _count_kind
+from euler_refine.verify import SEQUENCES
 
 from helpers import (
     EDOWN,
@@ -264,6 +265,9 @@ def test_count_refinements_matches_reference_tables():
         assert (t.e, t.ene, t.enw, t.eup, t.edown) == (
             EULER[n], ENE[n - 2], ENW[n - 2], EUP[n - 2], EDOWN[n - 2]
         )
+        # The down-up columns have no frozen row; their formulas stand in.
+        assert (t.dup, t.ddown) == (SEQUENCES["Dup"].formula(EULER, n),
+                                    SEQUENCES["Ddown"].formula(EULER, n)), n
 
 
 def test_count_refinements_down_up_examples():
@@ -352,7 +356,7 @@ def test_count_refinements_rejects_passes_whose_totals_differ(monkeypatch):
     monkeypatch.setattr(perm, "_count_kind", one_short)
     count_refinements.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="population mismatch at degree 5: 16 vs 15"):
+        with pytest.raises(ValueError, match="population mismatch at degree 5: 16 vs 15"):
             count_refinements(5)
     finally:
         count_refinements.cache_clear()
@@ -367,8 +371,8 @@ def test_count_refinements_equals_the_formulas_at_degrees_12_to_14(n):
     assert (t.ene, t.enw) == e_ne_nw_pair(n, ee)
     assert t.eup == e_up_formula(n, ee)
     assert t.edown == e_down_recurrence(n, ee)
-    assert t.dup == extract_counts(dup_egf(n - 2))[n - 2]
-    assert t.ddown == extract_counts(ddown_egf(n - 2))[n - 2]
+    assert t.dup == extract_counts(dup_egf(n - 2))[n - 2] == SEQUENCES["Dup"].formula(ee, n)
+    assert t.ddown == extract_counts(ddown_egf(n - 2))[n - 2] == SEQUENCES["Ddown"].formula(ee, n)
 
 
 def test_second_max_lower_positions_are_extremal():

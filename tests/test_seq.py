@@ -27,6 +27,7 @@ from euler_refine import (
     tan_egf,
     theorem_check,
 )
+from euler_refine.verify import SEQUENCES
 
 from helpers import (
     EDOWN,
@@ -61,6 +62,13 @@ def test_euler_numbers_equal_the_knuth_buckholtz_recurrences_to_200():
 
 def test_down_up_series_sum_to_the_euler_numbers_to_200():
     assert extract_counts(dup_egf(198) + ddown_egf(198)) == euler_numbers(200)[2:]
+
+
+def test_down_up_formulas_equal_their_series_to_200():
+    ee = euler_numbers(200)
+    for name, egf in (("Dup", dup_egf), ("Ddown", ddown_egf)):
+        formula = SEQUENCES[name].formula
+        assert [formula(ee, n) for n in range(2, 201)] == extract_counts(egf(198)), name
 
 
 def test_e_up_reference_row():
