@@ -1,4 +1,4 @@
-"""Command-line front end: tables, verification, ratios, exploration, export.
+"""Command-line front end: tables, verification, ratios, export, bijection checks.
 
 Exit codes: 0 on success (all checks passing), 1 when a verification
 fails, 2 on usage or I/O errors, reported on one line without a
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import seq, series
-from .report import (CheckEntry, VerifyReport, render_csv, render_json, render_text_table,
-                     report_formats)
-from .verify import SEQUENCES, bijection_checks, run_verification
+from .report import VerifyReport, render_csv, render_json, render_text_table, report_formats
+from .verify import DOWN_UP, SEQUENCES, bijection_checks, run_verification
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -107,24 +106,19 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
 
 # ---------------------------------------------------------------- table
 
-def _count_tables(max_n: int) -> list[seq.CountTable]:
-    """The enumerated count table of each degree 2..max_n.  Only the
-    commands that enumerate come here, so only they load the enumeration."""
-    from . import perm
-
-    return [perm.count_refinements(n) for n in range(2, max_n + 1)]
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max_n
-    down_up = dict(series.DOWN_UP_SERIES_NAMES)
-    names = [name for name in SEQUENCES if args.populations == "both" or name not in down_up]
+    names = [name for name in SEQUENCES if args.populations == "both" or name not in DOWN_UP]
     needs_enum = args.method in ("enum", "all")
     _check_max_n(max_n, args.cap if needs_enum else None, formula=True)
 
     ns = range(2, max_n + 1)
     ee = seq.euler_numbers(max_n) if args.method in ("formula", "all") else None
-    tables = _count_tables(max_n) if needs_enum else []
+    tables: list[seq.CountTable] = []
+    if needs_enum:  # only the enumerating methods load the enumeration
+        from . import perm
+
+        tables = [perm.count_refinements(n) for n in ns]
     routes = {
         "formula": lambda s: [s.formula(ee, n) for n in ns],
         "egf": lambda s: series.extract_counts(s.series(max_n - s.offset))[
@@ -263,51 +257,6 @@ def cmd_ratios(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- openq
-
-def openq_data(max_n: int) -> dict:
-    """The enumerated down-up rows of each degree 2..max_n, and a report per
-    down-up sequence that checks its column against its series at every degree."""
-    tables = _count_tables(max_n)
-    rows = [
-        {"n": t.n, "Dup": t.dup, "Ddown": t.ddown, "E": t.e, "partition": t.dup + t.ddown == t.e}
-        for t in tables
-    ]
-    checks = []
-    for target, name in series.DOWN_UP_SERIES_NAMES:
-        spec = SEQUENCES[target]
-        counts = series.extract_counts(spec.series(max_n - spec.offset))
-        checks.append(VerifyReport(
-            f"{target} counts (shifted two steps) vs the series {name}", "enumeration", "egf",
-            [CheckEntry(t.n, f"{target}_n", getattr(t, spec.field), counts[t.n - spec.offset])
-             for t in tables],
-        ))
-    return {"rows": rows, "checks": checks}
-
-
-def cmd_openq(args: argparse.Namespace) -> int:
-    _check_max_n(args.max_n, args.cap)
-    data = openq_data(args.max_n)
-    headers = ["n", "Dup(enum)", "Ddown(enum)", "E", "Dup+Ddown=E"]
-    rows = [
-        [str(r["n"]), str(r["Dup"]), str(r["Ddown"]), str(r["E"]), "ok" if r["partition"] else "BROKEN"]
-        for r in data["rows"]
-    ]
-    checks = data["checks"]
-    _emit(
-        args,
-        json=lambda: render_json({
-            # Counts become decimal strings; the partition flag stays a boolean.
-            "rows": [{k: str(v) if type(v) is int else v for k, v in row.items()}
-                     for row in data["rows"]],
-            "checks": [r.to_json_dict() for r in checks],
-        }),
-        csv=lambda: render_csv(headers, rows),
-        table=lambda: render_text_table(headers, rows) + report_formats(checks)["table"](),
-    )
-    return 0 if all(r.passed for r in checks) else 1
-
-
 # ---------------------------------------------------------------- export
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -351,16 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, max_n_default: int, formats=("table", "json", "csv")) -> None:
+    def common(sp, max_n_default: int, formats=("table", "json", "csv"),
+               capped: bool = False) -> None:
+        """The options of every subcommand; `capped` adds --cap to those that enumerate."""
         sp.add_argument("--max-n", dest="max_n", type=int, default=max_n_default)
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument("--cap", type=int, default=None,
-                        help=f"enumeration cap (default {DEFAULT_ENUM_CAP}, "
-                             f"env {CAP_ENV_VAR})")
+        if capped:
+            sp.add_argument("--cap", type=int, default=None,
+                            help=f"enumeration cap (default {DEFAULT_ENUM_CAP}, "
+                                 f"env {CAP_ENV_VAR})")
 
     sp = sub.add_parser("table", help="refined counting table")
-    common(sp, 9)
+    common(sp, 9, capped=True)
     sp.add_argument("--method", choices=("enum", "formula", "egf", "all"),
                     default="formula")
     sp.add_argument("--populations", choices=("updown", "both"), default="updown",
@@ -368,17 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="cross-check every identity three ways")
-    common(sp, 10)
+    common(sp, 10, capped=True)
     sp.add_argument("--egf-order", dest="egf_order", type=int, default=20)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("ratios", help="exact ratio tables for the two refinements")
     common(sp, 20)
     sp.set_defaults(func=cmd_ratios)
-
-    sp = sub.add_parser("openq", help="down-up refinement data, checked against its series")
-    common(sp, 10)
-    sp.set_defaults(func=cmd_openq)
 
     sp = sub.add_parser("export", help="write one sequence as b-file, JSON or CSV")
     common(sp, 9, formats=("bfile", "json", "csv"))
@@ -387,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("bijection-check", help="exhaustive bijection verification")
-    common(sp, 8)
+    common(sp, 8, capped=True)
     sp.set_defaults(func=cmd_bijection_check)
 
     return parser
@@ -396,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap is not None and args.cap < 0:
+    capped = "cap" in args  # ratios and export read no cap
+    if capped and args.cap is not None and args.cap < 0:
         parser.error(f"--cap must be non-negative, got {args.cap}")
     try:
-        if args.cap is None:
+        if capped and args.cap is None:
             args.cap = enumeration_cap()
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

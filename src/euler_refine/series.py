@@ -194,8 +194,3 @@ def dup_egf(order: int) -> TruncatedEGF:
     which less sec is 2 sec tan (sec + tan), as sec^2 - 1 = tan^2."""
     sec, tan = sec_egf(order), tan_egf(order)
     return 2 * sec * tan * (sec + tan)
-
-
-# The down-up sequences, in table order, each with the printed name of its
-# series above; the names must match the code.
-DOWN_UP_SERIES_NAMES = (("Dup", "2*sec*tan^2 + 2*sec^2*tan"), ("Ddown", "sec"))

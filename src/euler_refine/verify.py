@@ -108,6 +108,8 @@ SEQUENCES: dict[str, SequenceRoutes] = {
         2, "ddown", lambda k: series.ddown_egf(k),
         lambda ee, n: ee[n - 2] if n % 2 == 0 else 0),
 }
+# The down-up sequences, in table order.
+DOWN_UP = ("Dup", "Ddown")
 
 
 def run_verification(
@@ -138,8 +140,7 @@ def run_verification(
     ee = euler if euler is not None else seq.euler_numbers(max(max_n, egf_order + 2))
     ns = range(2, max_n + 1)
     table = perm.count_refinements
-    down_up = dict(series.DOWN_UP_SERIES_NAMES)
-    up_down = {name: s for name, s in SEQUENCES.items() if name not in down_up}
+    up_down = {name: s for name, s in SEQUENCES.items() if name not in DOWN_UP}
     counts = {name: series.extract_counts(s.series(egf_order)) for name, s in up_down.items()}
     sec, tan = series.sec_egf(egf_order), series.tan_egf(egf_order)
     sec_squared = (sec * sec).coeffs
@@ -169,7 +170,7 @@ def run_verification(
             lambda n: table(n).e,
         )
         for split, a, b in (("min-max", "Ene", "Enw"), ("second-max", "Eup", "Edown"),
-                            ("down-up second-max", *down_up))
+                            ("down-up second-max", *DOWN_UP))
     ]
     # The Euler-number series check leads, the refined ones follow the theorem chain.
     return series_reports[:1] + enum_reports + partition_reports + [

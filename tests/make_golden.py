@@ -16,8 +16,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json.gz")
 CASES = [
     [cmd, "--max-n", n, *extra, "--format", fmt]
     for cmd, n, extra in (("verify", "6", ["--egf-order", "8"]), ("ratios", "12", []),
-                          ("openq", "5", []), ("openq", "9", []),
-                          ("openq", "12", ["--cap", "12"]),
+                          ("table", "12", ["--cap", "12", "--method", "all",
+                                           "--populations", "both"]),
                           ("bijection-check", "6", []))
     for fmt in ("table", "json", "csv")
 ] + [

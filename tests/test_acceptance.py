@@ -31,7 +31,7 @@ from euler_refine import (
     theorem_check,
 )
 from euler_refine.bij import compose_maxmin, compose_smu, decompose_maxmin, decompose_smu
-from euler_refine.cli import main, minmax_deviation_nonincreasing, openq_data, ratios_data
+from euler_refine.cli import main, minmax_deviation_nonincreasing, ratios_data
 
 from helpers import EDOWN, ENE, ENW, EULER, EUP, maxmin_set, smu_set, updown
 
@@ -186,17 +186,15 @@ def test_criterion_7_worked_example_degree_8():
 def test_criterion_8_open_problem_data(capsys):
     start = time.perf_counter()
     failures = []
-    data = openq_data(10)
-    for row in data["rows"]:
-        if row["Dup"] + row["Ddown"] != row["E"]:
-            failures.append(f"partition broken at n={row['n']}")
-    if [r["n"] for r in data["rows"]] != list(range(2, 11)):
-        failures.append("missing degrees in the down-up table")
+    for n in range(2, 11):
+        t = count_refinements(n)
+        if t.dup + t.ddown != t.e:
+            failures.append(f"partition broken at n={n}")
     rows = ratios_data(40)
     if not minmax_deviation_nonincreasing(rows):
         failures.append("|Enw/Ene - 1| increased along even degrees <= 40")
-    if main(["openq", "--max-n", "10"]) != 0:
-        failures.append("openq command failed")
+    if main(["table", "--max-n", "10", "--populations", "both", "--method", "all"]) != 0:
+        failures.append("table of both populations failed")
     if main(["ratios", "--max-n", "40"]) != 0:
         failures.append("ratios command failed")
     out = capsys.readouterr().out

@@ -82,27 +82,60 @@ def test_table_route_disagreement_is_a_verification_failure(capsys, monkeypatch)
 
 
 def test_table_with_down_up_columns(capsys):
-    rc, out, _ = run_cli(capsys, "table", "--max-n", "4", "--populations", "both",
-                         "--format", "json")
+    rc, out, _ = run_cli(capsys, "table", "--max-n", "9", "--populations", "both",
+                         "--method", "all", "--format", "json")
     assert rc == 0
     payload = json.loads(out)
-    assert payload["methods"]["Dup"] == "formula"
-    row4 = [r for r in payload["rows"] if r["n"] == 4][0]
-    assert (row4["Dup"], row4["Ddown"]) == ("4", "1")
+    assert payload["methods"]["Dup"] == payload["methods"]["Ddown"] == "enum=formula=egf"
+    rows = {r["n"]: r for r in payload["rows"]}
+    assert (rows[4]["Dup"], rows[4]["Ddown"]) == ("4", "1")
+    assert rows[2]["Ddown"] == "1"
+    assert rows[9]["Dup"] == "7936"
 
 
-def test_table_down_up_route_disagreement_is_a_verification_failure(capsys, monkeypatch):
+def _wrong_dup_formula(monkeypatch):
     dup = SEQUENCES["Dup"]
     monkeypatch.setitem(SEQUENCES, "Dup", dataclasses.replace(
         dup, formula=lambda ee, n: dup.formula(ee, n) + (n == 5)))
+
+
+def _wrong_dup_series(monkeypatch):  # E shifted two steps, without taking Ddown's sec off
+    from euler_refine import series
+
+    dup_egf = series.dup_egf
+    monkeypatch.setattr(series, "dup_egf", lambda k: dup_egf(k) + series.sec_egf(k))
+
+
+def _wrong_ddown_formula(monkeypatch):  # E_{n-2} at odd n too
+    monkeypatch.setitem(SEQUENCES, "Ddown", dataclasses.replace(
+        SEQUENCES["Ddown"], formula=lambda ee, n: ee[n - 2]))
+
+
+def _wrong_ddown_series(monkeypatch):  # sec + tan in place of sec
+    from euler_refine import series
+
+    monkeypatch.setattr(series, "ddown_egf", lambda k: series.sec_egf(k) + series.tan_egf(k))
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (_wrong_dup_formula, "error: route disagreement for Dup at n=5: formula 17, egf 16, enum 16\n"),
+    (_wrong_dup_series, "error: route disagreement for Dup at n=2: formula 0, egf 1, enum 0\n"),
+    (_wrong_ddown_formula, "error: route disagreement for Ddown at n=3: formula 1, egf 0, enum 0\n"),
+    (_wrong_ddown_series, "error: route disagreement for Ddown at n=3: formula 0, egf 1, enum 0\n"),
+], ids=["Dup formula", "Dup series", "Ddown formula", "Ddown series"])
+def test_table_down_up_route_disagreement_is_a_verification_failure(
+        capsys, monkeypatch, corrupt, expected):
+    corrupt(monkeypatch)
     rc, out, err = run_cli(capsys, "table", "--method", "all", "--populations", "both",
                            "--max-n", "6")
     assert rc == 1
-    assert err == "error: route disagreement for Dup at n=5: formula 17, egf 16, enum 16\n"
+    assert err == expected
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [["table", "--method", "enum"], ["openq"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["table", "--method", "enum"],
+                                  ["table", "--method", "all", "--populations", "both"]],
+                         ids=" ".join)
 def test_a_population_mismatch_is_one_error_line(capsys, monkeypatch, argv):
     from euler_refine import perm
 
@@ -131,21 +164,41 @@ def test_table_enumeration_cap(capsys):
 
 def test_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("EULER_REFINE_CAP", "9")
-    rc, _, err = run_cli(capsys, "openq", "--max-n", "10")
+    argv = ("table", "--method", "enum", "--populations", "both", "--max-n", "10")
+    rc, _, err = run_cli(capsys, *argv)
     assert rc == 2 and "cap 9" in err
-    rc, out, _ = run_cli(capsys, "openq", "--max-n", "10", "--cap", "10", "--format", "json")
+    rc, out, _ = run_cli(capsys, *argv, "--cap", "10", "--format", "json")
     assert rc == 0
     assert json.loads(out)["rows"][-1]["Dup"] == "49136"
 
 
 def test_cap_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("EULER_REFINE_CAP", "many")
-    # Every subcommand, also those that never enumerate.
-    for argv in (["openq"], ["ratios"], ["table"], ["verify"], ["bijection-check"],
-                 ["export", "--sequence", "E"]):
+    # Every subcommand that takes --cap reads the environment, also without enumerating.
+    for argv in (["table"], ["verify"], ["bijection-check"]):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and "EULER_REFINE_CAP" in err, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize("argv", [["ratios"], ["export", "--sequence", "E"]], ids=" ".join)
+def test_commands_without_a_cap_do_not_read_its_environment(capsys, monkeypatch, argv):
+    monkeypatch.setenv("EULER_REFINE_CAP", "many")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--sequence", "Dup", "--max-n", "12", "--cap", "5"],
+    ["ratios", "--cap", "5"],
+    ["openq"],
+], ids=" ".join)
+def test_removed_commands_and_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_passes_above_the_enumeration_cap_when_it_is_raised(capsys):
@@ -226,45 +279,6 @@ def test_ratios_json_odd_degrees_are_exactly_one(capsys):
     nine = [r for r in payload["rows"] if r["n"] == 9][0]
     assert nine["Edown/Eup"] == "17/231"
     assert payload["deviation |Enw/Ene - 1| nonincreasing over even n"] is True
-
-
-def test_openq_partition_and_series_checks(capsys):
-    rc, out, _ = run_cli(capsys, "openq", "--max-n", "10", "--format", "json")
-    assert rc == 0
-    payload = json.loads(out)
-    rows = {int(r["n"]): r for r in payload["rows"]}
-    assert all(rows[n]["partition"] for n in range(2, 11))
-    assert (rows[4]["Dup"], rows[4]["Ddown"]) == ("4", "1")
-    assert rows[2]["Ddown"] == "1"
-    assert rows[9]["Dup"] == "7936"
-    assert [c["identity"].split()[0] for c in payload["checks"]] == ["Dup", "Ddown"]
-    for c in payload["checks"]:
-        assert c["pass"] and [e["n"] for e in c["entries"]] == list(range(2, 11))
-
-
-def test_openq_text_prints_a_pass_line_per_series(capsys):
-    rc, out, _ = run_cli(capsys, "openq", "--max-n", "10")
-    assert rc == 0
-    assert ("[PASS] Dup counts (shifted two steps) vs the series 2*sec*tan^2 + 2*sec^2*tan "
-            "(enumeration vs egf): 9/9 checks\n") in out
-    assert ("[PASS] Ddown counts (shifted two steps) vs the series sec "
-            "(enumeration vs egf): 9/9 checks\n") in out
-
-
-def test_openq_checks_a_short_prefix(capsys, monkeypatch):
-    rc, out, _ = run_cli(capsys, "openq", "--max-n", "8")
-    assert rc == 0
-    assert out.count("[PASS]") == 2 and out.count("7/7 checks") == 2
-    # A wrong series fails its line, names the first bad degree and exits 1.
-    from euler_refine import series
-
-    monkeypatch.setattr(series, "ddown_egf", lambda k: series.sec_egf(k) + series.tan_egf(k))
-    rc, out, _ = run_cli(capsys, "openq", "--max-n", "8")
-    assert rc == 1
-    assert "[PASS] Dup counts" in out
-    assert "[FAIL] Ddown counts (shifted two steps) vs the series sec" in out
-    assert "    n=3 Ddown_n: left=0 right=1\n" in out
-    assert out.endswith("overall: FAIL\n")
 
 
 @pytest.mark.parametrize("name", list(SEQUENCES))
@@ -478,7 +492,8 @@ COMMAND_IMPORTS = [
     (["verify", "--max-n", "5", "--egf-order", "6", "--format", "json"], {"euler_refine.perm"}),
     (["ratios", "--max-n", "12"], set()),
     (["ratios", "--max-n", "12", "--format", "csv"], set()),
-    (["openq", "--max-n", "9", "--format", "json"], {"euler_refine.perm"}),
+    (["table", "--max-n", "9", "--method", "all", "--populations", "both", "--format", "json"],
+     {"euler_refine.perm"}),
     (["export", "--sequence", "Eup", "--max-n", "9"], set()),
     (["export", "--sequence", "Eup", "--max-n", "9", "--format", "json"], set()),
     (["export", "--sequence", "Dup", "--max-n", "9", "--format", "csv"], set()),
@@ -486,7 +501,9 @@ COMMAND_IMPORTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, needed", COMMAND_IMPORTS, ids=" ".join)
+# A set is joined in sorted order, since its iteration order follows the string hash seed.
+@pytest.mark.parametrize("argv, needed", COMMAND_IMPORTS,
+                         ids=lambda v: " ".join(sorted(v) if isinstance(v, set) else v))
 def test_each_command_loads_only_the_modules_it_runs(capsys, argv, needed):
     proc, errors, loaded = loaded_in_a_fresh_interpreter(
         f"from euler_refine.cli import main\nrc = main({argv!r})")

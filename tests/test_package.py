@@ -1,15 +1,22 @@
 """The package namespace: every public name resolves on first access, and
-importing the package alone loads none of its modules."""
+importing the package alone loads none of its modules.  The console script
+that pyproject.toml declares is `cli.main`, and the command lines that CI runs
+through the installed script run here through `python -m euler_refine.cli`."""
 
 import importlib
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import euler_refine
 
 from helpers import fresh_env
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Every name the package exported when it imported all of its modules up
 # front, and each one added since, with the module it comes from.
@@ -79,3 +86,27 @@ def test_star_import_binds_every_name_without_warnings():
                      f"missing = set({sorted(EXPORTS)!r}) - set(globals())\n"
                      "print(sorted(missing))")
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_the_console_script_is_cli_main():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^euler-refine = (.*)$", pyproject, re.MULTILINE) == [
+        '"euler_refine.cli:main"']
+
+
+def installed_script_lines() -> list[list[str]]:
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    return [shlex.split(line)
+            for line in re.findall(r"^ +(euler-refine\b.*)$", workflow, re.MULTILINE)]
+
+
+def test_ci_runs_the_installed_script():
+    assert [argv[1] for argv in installed_script_lines()] == ["--help", "table"]
+
+
+@pytest.mark.parametrize("argv", installed_script_lines(), ids=" ".join)
+def test_each_installed_script_line_of_ci_exits_0(argv):
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "euler_refine.cli", *argv[1:]],
+                          capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout

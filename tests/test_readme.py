@@ -44,7 +44,7 @@ def command_lines() -> list[list[str]]:
 def test_command_line_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     lines = command_lines()
-    assert len(lines) == 8
+    assert len(lines) == 7
     for argv in lines:
         assert argv[0] == "euler-refine", argv
         assert main(argv[1:]) == 0, argv
