@@ -32,9 +32,8 @@ its zigzag tests are computed once, in tables of bounded size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .perm import (
     AltKind,
@@ -48,8 +47,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Three blocks around two landmark values.
 
     ``parts`` are the sorted value sets of the blocks and ``patterns``

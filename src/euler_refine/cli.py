@@ -14,8 +14,7 @@ import contextlib
 import os
 import stat
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import seq, series
 from .report import VerifyReport, render_csv, render_json, render_text_table, report_formats
@@ -24,7 +23,10 @@ from .verify import DOWN_UP, SEQUENCES, bijection_checks, run_verification
 if TYPE_CHECKING:
     from fractions import Fraction
 
-DEFAULT_ENUM_CAP = 11
+# verify and table count by merged prefix states; bijection-check lists
+# every permutation, and E_12 is 2.7 million of them.
+DEFAULT_ENUM_CAP = 14
+BIJECTION_ENUM_CAP = 11
 FORMULA_CAP = 200
 CAP_ENV_VAR = "EULER_REFINE_CAP"
 
@@ -33,11 +35,11 @@ class CliError(Exception):
     """Usage-level error; rendered to stderr with exit status 2."""
 
 
-def enumeration_cap() -> int:
-    """The cap set by the environment, or the default when it is unset or empty."""
+def enumeration_cap(default: int) -> int:
+    """The cap set by the environment, or `default` when it is unset or empty."""
     env = os.environ.get(CAP_ENV_VAR)
     if not env:
-        return DEFAULT_ENUM_CAP
+        return default
     try:
         cap = int(env)
     except ValueError:
@@ -177,8 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- ratios
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     n: int
     nw_over_ne: Fraction
     down_over_up: Optional[Fraction]
@@ -301,18 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, max_n_default: int, formats=("table", "json", "csv"),
-               capped: bool = False) -> None:
-        """The options of every subcommand; `capped` adds --cap to those that enumerate."""
+               cap: Optional[int] = None) -> None:
+        """The options of every subcommand; a default `cap` adds --cap to those
+        that enumerate."""
         sp.add_argument("--max-n", dest="max_n", type=int, default=max_n_default)
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None, help="write output to a file")
-        if capped:
+        if cap is not None:
             sp.add_argument("--cap", type=int, default=None,
-                            help=f"enumeration cap (default {DEFAULT_ENUM_CAP}, "
-                                 f"env {CAP_ENV_VAR})")
+                            help=f"enumeration cap (default {cap}, env {CAP_ENV_VAR})")
+            sp.set_defaults(default_cap=cap)
 
     sp = sub.add_parser("table", help="refined counting table")
-    common(sp, 9, capped=True)
+    common(sp, 9, cap=DEFAULT_ENUM_CAP)
     sp.add_argument("--method", choices=("enum", "formula", "egf", "all"),
                     default="formula")
     sp.add_argument("--populations", choices=("updown", "both"), default="updown",
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="cross-check every identity three ways")
-    common(sp, 10, capped=True)
+    common(sp, 10, cap=DEFAULT_ENUM_CAP)
     sp.add_argument("--egf-order", dest="egf_order", type=int, default=20)
     sp.set_defaults(func=cmd_verify)
 
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("bijection-check", help="exhaustive bijection verification")
-    common(sp, 8, capped=True)
+    common(sp, 8, cap=BIJECTION_ENUM_CAP)
     sp.set_defaults(func=cmd_bijection_check)
 
     return parser
@@ -349,7 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--cap must be non-negative, got {args.cap}")
     try:
         if capped and args.cap is None:
-            args.cap = enumeration_cap()
+            args.cap = enumeration_cap(args.default_cap)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

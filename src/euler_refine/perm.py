@@ -21,10 +21,9 @@ for degree <= 9 and comma-separated values above that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .seq import CountTable
 
@@ -44,22 +43,28 @@ class SecondMaxKind(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True, slots=True)
 class Permutation:
     """One-line notation; values[i-1] is the image of i.
 
     Degree 0 is allowed so that empty blocks of a decomposition can be
     carried as (vacuously alternating) patterns.  ``values`` may be given
     as any sequence; it is kept as a tuple, and one that already is a
-    tuple is kept as given.  Every instance is checked on construction.
-    ``classification`` is filled by :func:`classify` on its first call
-    and is no part of the value: it takes no part in init, repr,
-    equality or hashing.
+    tuple is kept as given.  Every instance is checked on construction,
+    by ``__post_init__``, which ``perfbench/layers.py`` patches on the
+    class to count constructions, and is immutable: assigning to an
+    attribute raises AttributeError.  ``classification`` is filled by
+    :func:`classify` on its first call and is no part of the value: it
+    takes no part in construction, repr, equality, hashing or pickling.
     """
 
+    __slots__ = ("values", "classification")
     values: tuple[int, ...]
-    classification: Optional[Classification] = field(
-        default=None, init=False, repr=False, compare=False, hash=False)
+    classification: Optional[Classification]
+
+    def __init__(self, values: Sequence[int]) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "classification", None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         values = self.values
@@ -70,6 +75,26 @@ class Permutation:
         # n values that cover 1..n are exactly a permutation of 1..n.
         if not set(values).issuperset(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {values}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Permutation, (self.values,)
+
+    def __repr__(self) -> str:
+        return f"Permutation(values={self.values!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @property
     def n(self) -> int:
@@ -97,8 +122,7 @@ class Permutation:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: AltKind
     minmax: MinMaxKind
     secondmax: SecondMaxKind

@@ -4,12 +4,10 @@ and JSON renderings of tables and report lists."""
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     """One compared pair of values; `note` records an error if a side failed."""
 
     n: int
@@ -23,14 +21,15 @@ class CheckEntry:
         return self.left is not None and self.right is not None and self.left == self.right
 
 
-@dataclass
 class VerifyReport:
     """Per-identity comparison record with one entry per checked index."""
 
-    identity: str
-    left_method: str
-    right_method: str
-    entries: list[CheckEntry] = field(default_factory=list)
+    def __init__(self, identity: str, left_method: str, right_method: str,
+                 entries: Optional[list[CheckEntry]] = None) -> None:
+        self.identity = identity
+        self.left_method = left_method
+        self.right_method = right_method
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> bool:

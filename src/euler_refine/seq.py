@@ -20,23 +20,15 @@ every degree over a prefix of length N costs O(N^2) terms, not O(N^3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .report import CheckEntry, VerifyReport
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Per-degree record of the alternating-permutation counts.
-
-    ``ene``/``enw`` and ``eup``/``edown`` refine the up-down count ``e``;
-    ``dup``/``ddown`` refine the down-up count (same total).
-    """
-
+class _CountFields(NamedTuple):
     n: int
     e: int
     ene: int
@@ -46,7 +38,18 @@ class CountTable:
     dup: int
     ddown: int
 
-    def __post_init__(self) -> None:
+
+class CountTable(_CountFields):
+    """Per-degree record of the alternating-permutation counts.
+
+    ``ene``/``enw`` and ``eup``/``edown`` refine the up-down count ``e``;
+    ``dup``/``ddown`` refine the down-up count (same total).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CountTable:
+        self = super().__new__(cls, *args, **kwargs)
         if self.ene + self.enw != self.e:
             raise ValueError(f"min-max split {self.ene}+{self.enw} != {self.e}")
         if self.eup + self.edown != self.e:
@@ -55,6 +58,12 @@ class CountTable:
             raise ValueError(f"second-max-upper count must be even, got {self.eup}")
         if self.dup + self.ddown != self.e:
             raise ValueError(f"down-up split {self.dup}+{self.ddown} != {self.e}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CountTable:
+        # The namedtuple _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
 
 
 def euler_numbers(n_max: int) -> list[int]:

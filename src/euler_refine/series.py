@@ -14,7 +14,6 @@ count vectors, with no tolerance anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import mul
@@ -33,23 +32,45 @@ def _pascal_rows(n: int) -> Iterable[list[int]]:
         yield row
 
 
-@dataclass(frozen=True)
 class TruncatedEGF:
     """A series truncated at x^N, holding its integer counts a_0..a_N.
 
     ``TruncatedEGF(counts)`` takes the counts as any iterable of ints.
+    An instance is immutable: assigning to ``counts`` raises
+    AttributeError.
     """
 
+    __slots__ = ("counts",)
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        counts = tuple(self.counts)
+    def __init__(self, counts: Iterable[int]) -> None:
+        counts = tuple(counts)
         if not counts:
             raise ValueError("a truncated series needs at least the constant term")
         for n, a in enumerate(counts):
             if type(a) is not int:
                 raise ValueError(f"the count of x^{n} must be an int, got {a!r}")
         object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TruncatedEGF, (self.counts,)
+
+    def __repr__(self) -> str:
+        return f"TruncatedEGF(counts={self.counts!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.counts == other.counts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
 
     @property
     def order(self) -> int:
@@ -138,7 +159,8 @@ def cos_egf(order: int) -> TruncatedEGF:
 
 
 # sec and tan are cached per order: every named series below is built from
-# them, and a TruncatedEGF is frozen, so one instance can be shared.
+# them, and TruncatedEGF.__setattr__ refuses every assignment, so one instance
+# can be shared.
 @lru_cache(maxsize=8)
 def sec_egf(order: int) -> TruncatedEGF:
     return egf_reciprocal(cos_egf(order))

@@ -14,8 +14,7 @@ command that only evaluates formulas and series never loads them.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import seq, series
 from .report import CheckEntry, VerifyReport
@@ -53,8 +52,7 @@ def _pairwise_report(
     return report
 
 
-@dataclass(frozen=True)
-class SequenceRoutes:
+class SequenceRoutes(NamedTuple):
     """Where each route finds one counting sequence.
 
     `offset` is the first degree of the sequence's b-file and the shift
@@ -204,7 +202,6 @@ def _raised(witness: str, exc: Exception) -> str:
     return f"{witness} raised {type(exc).__name__}: {exc}"
 
 
-@dataclass
 class _DegreeResult:
     """What one subtree of one degree found; witnesses in enumeration order.
 
@@ -213,25 +210,29 @@ class _DegreeResult:
     degree, where the doubling map's image is compared with them.
     """
 
-    fixed: list[str] = field(default_factory=list)
-    involution_bad: list[str] = field(default_factory=list)
-    smu_bad: list[str] = field(default_factory=list)
-    lefts: int = 0
-    maxmin_bad: list[str] = field(default_factory=list)
-    images: list[tuple[int, ...]] = field(default_factory=list)
-    inverse_bad: list[str] = field(default_factory=list)
-    smu: int = 0
-    maxmin: int = 0
-    smu_values: list[tuple[int, ...]] = field(default_factory=list)
+    __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
+                 "inverse_bad", "smu", "maxmin", "smu_values")
 
-    def absorb(self, later: "_DegreeResult") -> None:
+    def __init__(self) -> None:
+        self.fixed: list[str] = []
+        self.involution_bad: list[str] = []
+        self.smu_bad: list[str] = []
+        self.lefts = 0
+        self.maxmin_bad: list[str] = []
+        self.images: list[tuple[int, ...]] = []
+        self.inverse_bad: list[str] = []
+        self.smu = 0
+        self.maxmin = 0
+        self.smu_values: list[tuple[int, ...]] = []
+
+    def absorb(self, later: _DegreeResult) -> None:
         """Append the results of the subtree that follows this one."""
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(later, f.name)
+        for name in self.__slots__:
+            mine, theirs = getattr(self, name), getattr(later, name)
             if isinstance(mine, list):
                 mine.extend(theirs)
             else:
-                setattr(self, f.name, mine + theirs)
+                setattr(self, name, mine + theirs)
 
 
 def _check_unit(

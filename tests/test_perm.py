@@ -187,6 +187,11 @@ def test_a_filled_classification_is_no_part_of_the_value():
             assert c == reference_classify(fresh)
             value = (repr(fresh), fresh, hash(fresh))
             assert (repr(filled), filled, hash(filled)) == value
+            with pytest.raises(AttributeError):
+                fresh.values = filled.values[::-1]
+            with pytest.raises(AttributeError):
+                fresh.classification = c
+            assert fresh.classification is None and fresh == filled
             for q in (filled, fresh):
                 back = pickle.loads(pickle.dumps(q))
                 assert (repr(back), back, hash(back)) == value
@@ -220,10 +225,21 @@ def test_enumerate_degree_1():
     assert list(enumerate_alternating(1, AltKind.DOWN_UP)) == [P("1")]
 
 
-def test_enumerate_counts_match_euler_numbers():
+def test_enumerate_counts_match_euler_numbers(monkeypatch):
     for n in range(1, 10):
         assert len(updown(n)) == EULER[n]
         assert len(downup(n)) == EULER[n]
+    # The benchmark counts the permutations built by patching __post_init__
+    # on the class, so each construction must call it exactly once.
+    built, init = [], Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__", lambda p: (built.append(p), init(p))[1])
+    for n in range(1, 8):
+        built.clear()
+        assert list(enumerate_alternating(n, AltKind.DOWN_UP)) == built
+        assert len(built) == EULER[n]
+    built.clear()
+    p = P("2413")
+    assert [p, complement(p)] == built and built[0] is p
 
 
 def test_enumerate_is_sorted_and_duplicate_free():

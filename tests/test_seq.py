@@ -1,5 +1,6 @@
 """Formula routes against frozen reference rows and the enumeration oracle."""
 
+import pickle
 import random
 from math import comb, factorial
 
@@ -284,13 +285,23 @@ def test_euler_prefix_validation():
 
 
 def test_count_table_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="min-max split"):
+        CountTable(n=4, e=5, ene=3, enw=1, eup=4, edown=1, dup=4, ddown=1)
+    with pytest.raises(ValueError, match="second-max split"):
         CountTable(n=4, e=5, ene=3, enw=2, eup=3, edown=1, dup=4, ddown=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be even"):
         CountTable(n=4, e=5, ene=3, enw=2, eup=3, edown=2, dup=4, ddown=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="down-up split"):
         CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, dup=4, ddown=2)
+    with pytest.raises(ValueError, match="min-max split"):  # positionally too
+        CountTable(4, 5, 3, 1, 4, 1, 4, 1)
     with pytest.raises(TypeError):
         CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, ddown=1)
     table = CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, dup=4, ddown=1)
     assert (table.dup, table.ddown) == (4, 1)
+    assert repr(table) == "CountTable(n=4, e=5, ene=3, enw=2, eup=4, edown=1, dup=4, ddown=1)"
+    assert pickle.loads(pickle.dumps(table)) == table
+    with pytest.raises(AttributeError):
+        table.e = 6
+    with pytest.raises(ValueError, match="min-max split"):
+        table._replace(e=6)

@@ -1,5 +1,6 @@
 """Exact series arithmetic: the constructor, ring laws, count extraction."""
 
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
@@ -61,6 +62,11 @@ def test_sec_even_counts():
     counts = extract_counts(sec_egf(8))
     assert counts[0::2] == [1, 1, 5, 61, 1385]
     assert counts[1::2] == [0, 0, 0, 0]
+    # sec is cached, and every named series shares the instance.
+    shared = sec_egf(8)
+    with pytest.raises(AttributeError):
+        shared.counts = (0,) * 9
+    assert sec_egf(8) is shared and extract_counts(shared) == counts
 
 
 def test_sec_of_order_zero_is_constant_one():
@@ -204,6 +210,9 @@ def test_counts_round_trip():
     f = TruncatedEGF(EULER)
     assert extract_counts(f) == EULER
     assert f == sec_egf(9) + tan_egf(9)
+    assert repr(f) == f"TruncatedEGF(counts={tuple(EULER)!r})"
+    back = pickle.loads(pickle.dumps(f))
+    assert (back, hash(back)) == (f, hash(f))
 
 
 small_counts = st.integers(-4, 4)
