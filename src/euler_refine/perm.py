@@ -199,41 +199,39 @@ def enumerate_alternating(
     """Yield the alternating permutations of one kind in lexicographic order.
 
     Extends one value at a time and abandons any prefix that breaks the
-    zigzag chain.  With `first`, only those that start with it: the
-    subtree of that first value, so that the subtrees for 1..n, one
+    zigzag chain, depth first, in one generator frame with a stack of
+    candidate iterators.  With `first`, only those that start with it:
+    the subtree of that first value, so that the subtrees for 1..n, one
     after another, yield what the whole enumeration yields.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     if first is not None and not 1 <= first <= n:
         raise ValueError(f"first value must be in 1..{n}, got {first}")
-    used = bytearray(n + 1)
-    partial: list[int] = []
-
     # Position idx (0-based) must rise from its predecessor on odd idx
     # for up-down and on even idx for down-up.
     rise_parity = 1 if kind is AltKind.UP_DOWN else 0
-
-    def extend() -> Iterator[Permutation]:
-        idx = len(partial)
-        if idx == n:
-            yield Permutation(tuple(partial))
-            return
-        if idx == 0:
-            candidates = range(1, n + 1) if first is None else (first,)
-        elif idx % 2 == rise_parity:
-            candidates = range(partial[-1] + 1, n + 1)
-        else:
-            candidates = range(1, partial[-1])
-        for v in candidates:
+    last = n - 1
+    used = bytearray(n + 1)
+    partial: list[int] = []  # the values at positions 0..len(partial) - 1
+    # stack[idx] iterates the candidates for position idx, in increasing order.
+    stack: list[Iterator[int]] = [iter(range(1, n + 1) if first is None else (first,))]
+    while stack:
+        for v in stack[-1]:
             if not used[v]:
-                used[v] = 1
-                partial.append(v)
-                yield from extend()
-                partial.pop()
-                used[v] = 0
-
-    yield from extend()
+                break
+        else:  # no candidate left here: take back the value before it
+            stack.pop()
+            if partial:
+                used[partial.pop()] = 0
+            continue
+        idx = len(partial)
+        if idx == last:
+            yield Permutation((*partial, v))
+            continue
+        used[v] = 1
+        partial.append(v)
+        stack.append(iter(range(v + 1, n + 1) if (idx + 1) % 2 == rise_parity else range(1, v)))
 
 
 def _count_kind(n: int, kind: AltKind) -> list[int]:

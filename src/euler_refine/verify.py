@@ -14,7 +14,7 @@ command that only evaluates formulas and series never loads them.
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import seq, series
 from .report import CheckEntry, VerifyReport
@@ -206,8 +206,10 @@ class _DegreeResult:
     """What one subtree of one degree found; witnesses in enumeration order.
 
     `smu` and `maxmin` count the second-max-upper and the max-min
-    permutations checked, and `smu_values` lists the former at even
-    degree, where the doubling map's image is compared with them.
+    permutations checked.  At even degree, where the doubling map's
+    image is compared with the second-max-upper set, `images` and
+    `smu_values` list both packed as ``bytes(values)``, one byte per
+    value, which is about a third of a tuple's memory and pickle.
     """
 
     __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
@@ -219,11 +221,11 @@ class _DegreeResult:
         self.smu_bad: list[str] = []
         self.lefts = 0
         self.maxmin_bad: list[str] = []
-        self.images: list[tuple[int, ...]] = []
+        self.images: list[bytes] = []
         self.inverse_bad: list[str] = []
         self.smu = 0
         self.maxmin = 0
-        self.smu_values: list[tuple[int, ...]] = []
+        self.smu_values: list[bytes] = []
 
     def absorb(self, later: _DegreeResult) -> None:
         """Append the results of the subtree that follows this one."""
@@ -275,7 +277,7 @@ def _check_unit(
         for side in (0, 1):
             try:
                 q = bij.maxmin_to_smu(p, side)
-                r.images.append(q.values)
+                r.images.append(bytes(q.values))
                 if bij.smu_to_maxmin(q) != (p, side):
                     r.inverse_bad.append(f"{p.to_text()} with side {side}")
             except Exception as exc:
@@ -310,11 +312,18 @@ def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
         r = _check_unit((n, smu, maxmin))
         r.smu, r.maxmin = len(smu), len(maxmin)
         if n % 2 == 0:
-            r.smu_values = [p.values for p in smu]
+            r.smu_values = [bytes(p.values) for p in smu]
         return r
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _sorted_text(packed: Iterable[bytes]) -> str:
+    """``str(sorted(map(tuple, packed)))``, built without keeping the tuples.
+
+    Packed values of one length sort as their tuples do."""
+    return "[" + ", ".join(map(repr, map(tuple, sorted(packed)))) + "]"
 
 
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
@@ -330,7 +339,9 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     unit enumerates, classifies and checks the permutations of its
     subtree and returns what it found, so a process holds the
     permutations of one subtree at a time, and this process keeps only
-    what the reports print.  The units are dealt in turn to one shard
+    what the reports print: the doubling map's image and the
+    second-max-upper set come back packed, and each is held as the text
+    of its sorted list, one string for both when they agree.  The units are dealt in turn to one shard
     per CPU this process may run on (see
     :func:`euler_refine.workers.map_dealt`).  The shards run at the same
     time: this process works one, forked workers the others, and a
@@ -342,6 +353,8 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
 
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    if max_n > 255:
+        raise ValueError("max_n must be at most 255, as each value is packed in one byte")
     degrees = range(2, max_n + 1)
     units = [(n, first) for n in degrees for first in range(1, n + 1)]
     results = {n: _DegreeResult() for n in degrees}
@@ -362,11 +375,14 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     for n in range(2, max_n + 1, 2):
         r = results[n]
         maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
-        images = set(r.images)
+        images, r.images = set(r.images), []
         doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * r.maxmin))
-        doubling.entries.append(
-            CheckEntry(n, "image = second-max-upper set", sorted(images), sorted(r.smu_values))
-        )
+        image_text = _sorted_text(images)
+        del images
+        smu_text, r.smu_values = _sorted_text(r.smu_values), []
+        if smu_text == image_text:  # every passing run: one string for both sides
+            smu_text = image_text
+        doubling.entries.append(CheckEntry(n, "image = second-max-upper set", image_text, smu_text))
         doubling.entries.append(_failure_count(n, "inverse round-trip failures", r.inverse_bad))
 
     return [involution, smu_roundtrip, maxmin_roundtrip, doubling]

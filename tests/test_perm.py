@@ -45,6 +45,7 @@ from helpers import (
     downup,
     enumerate_alternating_by_filter,
     per_leaf_tally_walk,
+    recursive_enumerate_alternating,
     reference_classify,
     reference_count_table,
     reference_tally,
@@ -255,6 +256,24 @@ def test_enumerate_agrees_with_filter_reference():
             pruned = list(enumerate_alternating(n, kind))
             filtered = list(enumerate_alternating_by_filter(n, kind))
             assert pruned == filtered
+
+
+@pytest.mark.parametrize("kind", list(AltKind))
+def test_enumerate_agrees_with_the_recursive_walk(kind):
+    for n in range(1, 11):
+        for first in (None, *range(1, n + 1)):
+            assert ([p.values for p in enumerate_alternating(n, kind, first)]
+                    == [p.values for p in recursive_enumerate_alternating(n, kind, first)]), first
+
+
+def test_enumerate_checks_its_arguments_at_the_first_item():
+    # A generator function: the call itself raises nothing.
+    items = enumerate_alternating(0, AltKind.UP_DOWN)
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        next(items)
+    items = enumerate_alternating(3, AltKind.UP_DOWN, 4)
+    with pytest.raises(ValueError, match="first value must be in 1..3"):
+        next(items)
 
 
 @pytest.mark.parametrize("kind", list(AltKind))

@@ -11,6 +11,7 @@ import pytest
 import euler_refine
 from euler_refine import bij, bijection_checks, euler_numbers, perm, run_verification, verify
 from euler_refine.cli import main
+from euler_refine.report import report_formats
 
 from helpers import ONE_CPU, TWO_CPUS, maxmin_set, smu_set, whole_degree_bijection_checks
 
@@ -185,8 +186,10 @@ def test_the_first_failure_in_enumeration_order_is_named(monkeypatch):
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
 def test_streamed_units_equal_the_whole_degree_path(monkeypatch, cpus):
     _use_cpus(monkeypatch, cpus)
-    streamed = [r.to_json_dict() for r in bijection_checks(max_n=8)]
-    assert streamed == [r.to_json_dict() for r in whole_degree_bijection_checks(8)]
+    streamed = report_formats(bijection_checks(max_n=8))
+    whole = report_formats(whole_degree_bijection_checks(8))
+    for fmt in ("json", "csv", "table"):
+        assert streamed[fmt]() == whole[fmt](), fmt
 
 
 def test_a_unit_checks_the_subtree_of_its_first_value():
@@ -196,8 +199,46 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
             smu = [p for p in smu_set(n) if p.values[0] == first]
             maxmin = [p for p in maxmin_set(n) if p.values[0] == first and n % 2 == 0]
             assert (r.smu, r.maxmin, len(r.images)) == (len(smu), len(maxmin), 2 * len(maxmin))
-            # The doubling map and its image are checked at even degree only.
-            assert r.smu_values == ([p.values for p in smu] if n % 2 == 0 else [])
+            # The doubling map and its image are checked at even degree only,
+            # each value packed in one byte.
+            assert r.images == [bytes(bij.maxmin_to_smu(p, side).values)
+                                for p in maxmin for side in (0, 1)]
+            assert r.smu_values == ([bytes(p.values) for p in smu] if n % 2 == 0 else [])
+
+
+def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "_check_subtree", ran.append)
+    with pytest.raises(ValueError, match="max_n must be at most 255, as each value is packed"):
+        bijection_checks(max_n=256)
+    assert ran == []
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_a_wrong_image_fails_the_image_set_with_two_renderings(monkeypatch, cpus):
+    # One max-min permutation of degree 8 maps on side 0 to the image of
+    # another, still a second-max-upper permutation: the image loses one
+    # element and gains none.
+    original = bij.maxmin_to_smu
+    bad, other = maxmin_set(8)[0], maxmin_set(8)[1]
+    wrong = original(other, 0)
+
+    def broken(p, side):
+        return wrong if (p, side) == (bad, 0) else original(p, side)
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, "maxmin_to_smu", broken)
+    doubling = {r.identity: r for r in bijection_checks(max_n=8)}["doubling map bijectivity"]
+    failed = {e.label: e for e in doubling.failures() if e.n == 8}
+    assert {"image size", "image = second-max-upper set"} <= set(failed)
+    assert all(e.passed for e in doubling.entries if e.n != 8)
+    images = {broken(p, side).values for p in maxmin_set(8) for side in (0, 1)}
+    assert (failed["image size"].left, failed["image size"].right) == (
+        len(images), 2 * len(maxmin_set(8)))
+    entry = failed["image = second-max-upper set"]
+    assert entry.left != entry.right
+    assert entry.left == str(sorted(images))
+    assert entry.right == str(sorted(p.values for p in smu_set(8)))
 
 
 @pytest.mark.parametrize("raises", [False, True])
