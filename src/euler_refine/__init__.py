@@ -27,9 +27,9 @@ _EXPORTS = {
         "classify", "complement", "count_refinements", "enumerate_alternating",
         "is_down_up", "is_up_down",
     ),
-    "report": ("CheckEntry", "VerifyReport"),
+    "report": ("CheckEntry", "CountTable", "VerifyReport"),
     "seq": (
-        "CountTable", "e_down_recurrence", "e_ne_formula", "e_ne_nw_pair", "e_nw_formula",
+        "e_down_recurrence", "e_ne_formula", "e_ne_nw_pair", "e_nw_formula",
         "e_up_formula", "e_up_terms", "euler_numbers", "theorem_check",
     ),
     "series": (

@@ -23,30 +23,17 @@ from .verify import DOWN_UP, SEQUENCES, bijection_checks, run_verification
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .report import CountTable
+
 # verify and table count by merged prefix states; bijection-check lists
 # every permutation, and E_12 is 2.7 million of them.
 DEFAULT_ENUM_CAP = 14
 BIJECTION_ENUM_CAP = 11
 FORMULA_CAP = 200
-CAP_ENV_VAR = "EULER_REFINE_CAP"
 
 
 class CliError(Exception):
     """Usage-level error; rendered to stderr with exit status 2."""
-
-
-def enumeration_cap(default: int) -> int:
-    """The cap set by the environment, or `default` when it is unset or empty."""
-    env = os.environ.get(CAP_ENV_VAR)
-    if not env:
-        return default
-    try:
-        cap = int(env)
-    except ValueError:
-        raise CliError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
-    if cap < 0:
-        raise CliError(f"{CAP_ENV_VAR} must be non-negative, got {cap}")
-    return cap
 
 
 def _check_max_n(max_n: int, cap: Optional[int] = None, formula: bool = False,
@@ -58,9 +45,7 @@ def _check_max_n(max_n: int, cap: Optional[int] = None, formula: bool = False,
         raise CliError(floor)
     if cap is not None and max_n > cap:
         raise CliError(
-            f"--max-n {max_n} exceeds the enumeration cap {cap}; "
-            f"raise it with --cap or {CAP_ENV_VAR}"
-        )
+            f"--max-n {max_n} exceeds the enumeration cap {cap}; raise it with --cap")
     if formula and max_n > FORMULA_CAP:
         raise CliError(f"--max-n {max_n} exceeds the formula cap {FORMULA_CAP}")
 
@@ -116,7 +101,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     ns = range(2, max_n + 1)
     ee = seq.euler_numbers(max_n) if args.method in ("formula", "all") else None
-    tables: list[seq.CountTable] = []
+    tables: list[CountTable] = []
     if needs_enum:  # only the enumerating methods load the enumeration
         from . import perm
 
@@ -309,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None, help="write output to a file")
         if cap is not None:
-            sp.add_argument("--cap", type=int, default=None,
-                            help=f"enumeration cap (default {cap}, env {CAP_ENV_VAR})")
-            sp.set_defaults(default_cap=cap)
+            sp.add_argument("--cap", type=int, default=cap, help=f"enumeration cap (default {cap})")
 
     sp = sub.add_parser("table", help="refined counting table")
     common(sp, 9, cap=DEFAULT_ENUM_CAP)
@@ -346,12 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    capped = "cap" in args  # ratios and export read no cap
-    if capped and args.cap is not None and args.cap < 0:
+    if getattr(args, "cap", 0) < 0:  # ratios and export take no cap
         parser.error(f"--cap must be non-negative, got {args.cap}")
     try:
-        if capped and args.cap is None:
-            args.cap = enumeration_cap(args.default_cap)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

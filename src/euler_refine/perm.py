@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .seq import CountTable
+from .report import CountTable
 
 
 class AltKind(Enum):

@@ -23,47 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import add, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .report import CheckEntry, VerifyReport
-
-
-class _CountFields(NamedTuple):
-    n: int
-    e: int
-    ene: int
-    enw: int
-    eup: int
-    edown: int
-    dup: int
-    ddown: int
-
-
-class CountTable(_CountFields):
-    """Per-degree record of the alternating-permutation counts.
-
-    ``ene``/``enw`` and ``eup``/``edown`` refine the up-down count ``e``;
-    ``dup``/``ddown`` refine the down-up count (same total).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> CountTable:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.ene + self.enw != self.e:
-            raise ValueError(f"min-max split {self.ene}+{self.enw} != {self.e}")
-        if self.eup + self.edown != self.e:
-            raise ValueError(f"second-max split {self.eup}+{self.edown} != {self.e}")
-        if self.eup % 2 != 0:
-            raise ValueError(f"second-max-upper count must be even, got {self.eup}")
-        if self.dup + self.ddown != self.e:
-            raise ValueError(f"down-up split {self.dup}+{self.ddown} != {self.e}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> CountTable:
-        # The namedtuple _make, which _replace calls, would skip the checks.
-        return cls(*iterable)
 
 
 def euler_numbers(n_max: int) -> list[int]:

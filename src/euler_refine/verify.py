@@ -57,7 +57,7 @@ class SequenceRoutes(NamedTuple):
 
     `offset` is the first degree of the sequence's b-file and the shift
     of its series: the series at order k carries degrees offset..offset+k.
-    `field` names its :class:`~euler_refine.seq.CountTable` column, and
+    `field` names its :class:`~euler_refine.report.CountTable` column, and
     ``formula(ee, n)`` computes degree n from the Euler prefix `ee`.  The
     titles name its two reports in :func:`run_verification`; the down-up
     sequences have none, as those reports cover the up-down population.
@@ -125,7 +125,7 @@ def run_verification(
 
     The three partition reports pass by construction: ``count_refinements``
     sets ``enw``, ``edown`` and ``ddown`` to ``e`` less the other part, and
-    :class:`~euler_refine.seq.CountTable` rejects any other split.  What
+    :class:`~euler_refine.report.CountTable` rejects any other split.  What
     they test is the population total, which ``count_refinements`` checks
     across its up-down and down-up passes.
     """

@@ -416,8 +416,6 @@ def parse_bfile(text):
 
 
 def fresh_env():
-    """The environment of a new interpreter that imports these sources, with the default cap."""
+    """The environment of a new interpreter that imports these sources."""
     src = str(Path(euler_refine.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("EULER_REFINE_CAP", None)
-    return env
+    return {**os.environ, "PYTHONPATH": src}

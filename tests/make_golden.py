@@ -7,7 +7,6 @@ import contextlib
 import gzip
 import io
 import json
-import os
 from pathlib import Path
 
 from euler_refine.cli import main
@@ -35,7 +34,7 @@ CASES = [
 
 
 def run(argv: list[str]) -> dict:
-    """Run the CLI in this process (with EULER_REFINE_CAP unset) and capture it."""
+    """Run the CLI in this process and capture it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -43,7 +42,6 @@ def run(argv: list[str]) -> dict:
 
 
 if __name__ == "__main__":
-    os.environ.pop("EULER_REFINE_CAP", None)
     golden = {" ".join(argv): run(argv) for argv in CASES}
     text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
     GOLDEN.write_bytes(gzip.compress(text.encode("utf-8"), mtime=0))

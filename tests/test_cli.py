@@ -161,31 +161,31 @@ def test_table_enumeration_cap(capsys):
     assert "cap 14" in err
 
 
-def test_cap_flag_and_env(capsys, monkeypatch):
-    monkeypatch.setenv("EULER_REFINE_CAP", "9")
+def test_cap_flag(capsys):
     argv = ("table", "--method", "enum", "--populations", "both", "--max-n", "10")
-    rc, _, err = run_cli(capsys, *argv)
+    rc, _, err = run_cli(capsys, *argv, "--cap", "9")
     assert rc == 2 and "cap 9" in err
     rc, out, _ = run_cli(capsys, *argv, "--cap", "10", "--format", "json")
     assert rc == 0
     assert json.loads(out)["rows"][-1]["Dup"] == "49136"
 
 
-def test_cap_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("EULER_REFINE_CAP", "many")
-    # Every subcommand that takes --cap reads the environment, also without enumerating.
-    for argv in (["table"], ["verify"], ["bijection-check"]):
-        rc, out, err = run_cli(capsys, *argv)
-        assert rc == 2 and "EULER_REFINE_CAP" in err, argv
-        assert out == "", argv
-
-
-@pytest.mark.parametrize("argv", [["ratios"], ["export", "--sequence", "E"]], ids=" ".join)
-def test_commands_without_a_cap_do_not_read_its_environment(capsys, monkeypatch, argv):
-    monkeypatch.setenv("EULER_REFINE_CAP", "many")
-    rc, out, err = run_cli(capsys, *argv)
-    assert (rc, err) == (0, "")
-    assert out
+# The cap was once also read from this variable; only --cap sets it now.
+# `verify --max-n 12` is within its default cap but above a cap of 9.
+@pytest.mark.parametrize("value", ["9", "many"])
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-n", "5"],
+    ["verify", "--max-n", "12"],
+    ["ratios", "--max-n", "8"],
+    ["export", "--sequence", "E", "--max-n", "5"],
+    ["bijection-check", "--max-n", "5"],
+], ids=" ".join)
+def test_every_subcommand_ignores_the_old_cap_variable(capsys, monkeypatch, argv, value):
+    monkeypatch.delenv("EULER_REFINE_CAP", raising=False)
+    unset = run_cli(capsys, *argv)
+    assert unset[0] == 0 and unset[1]
+    monkeypatch.setenv("EULER_REFINE_CAP", value)
+    assert run_cli(capsys, *argv) == unset
 
 
 @pytest.mark.parametrize("argv", [
@@ -427,10 +427,10 @@ BAD_INPUT = [
     (["table", "--max-n", "5", "--cap", "-3"], "error: --cap must be non-negative, got -3\n"),
     (["verify", "--max-n", "3", "--egf-order", "199"],
      "error: --egf-order 199 exceeds 198: its series checks reach degree 201"),
-    (["verify", "--max-n", "15"], "error: --max-n 15 exceeds the enumeration cap 14; "
-     "raise it with --cap or EULER_REFINE_CAP\n"),
-    (["bijection-check", "--max-n", "12"], "error: --max-n 12 exceeds the enumeration cap 11; "
-     "raise it with --cap or EULER_REFINE_CAP\n"),
+    (["verify", "--max-n", "15"],
+     "error: --max-n 15 exceeds the enumeration cap 14; raise it with --cap\n"),
+    (["bijection-check", "--max-n", "12"],
+     "error: --max-n 12 exceeds the enumeration cap 11; raise it with --cap\n"),
 ]
 
 

@@ -15,6 +15,5 @@ def test_golden_file_covers_every_case():
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_equals_the_golden_file(monkeypatch, argv):
-    monkeypatch.delenv("EULER_REFINE_CAP", raising=False)
+def test_cli_output_equals_the_golden_file(argv):
     assert run(argv) == EXPECTED[" ".join(argv)]

@@ -28,8 +28,8 @@ EXPORTS = {
     "Permutation": "perm", "SecondMaxKind": "perm", "classify": "perm",
     "complement": "perm", "count_refinements": "perm", "enumerate_alternating": "perm",
     "is_down_up": "perm", "is_up_down": "perm",
-    "CheckEntry": "report", "VerifyReport": "report",
-    "CountTable": "seq", "e_down_recurrence": "seq", "e_ne_formula": "seq",
+    "CheckEntry": "report", "CountTable": "report", "VerifyReport": "report",
+    "e_down_recurrence": "seq", "e_ne_formula": "seq",
     "e_ne_nw_pair": "seq", "e_nw_formula": "seq", "e_up_formula": "seq",
     "e_up_terms": "seq", "euler_numbers": "seq", "theorem_check": "seq",
     "TruncatedEGF": "series", "cos_egf": "series", "ddown_egf": "series",
@@ -101,7 +101,9 @@ def installed_script_lines() -> list[list[str]]:
 
 
 def test_ci_runs_the_installed_script():
-    assert [argv[1] for argv in installed_script_lines()] == ["--help", "table"]
+    lines = installed_script_lines()
+    assert [argv[1] for argv in lines] == ["--help", "table", "table"]
+    assert any("--cap" in argv for argv in lines)  # an enumeration above its default cap
 
 
 @pytest.mark.parametrize("argv", installed_script_lines(), ids=" ".join)
