@@ -14,7 +14,7 @@ import contextlib
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, TextIO
 
 from . import seq, series
 from .report import VerifyReport, render_csv, render_json, render_text_table, report_formats
@@ -50,20 +50,17 @@ def _check_max_n(max_n: int, cap: Optional[int] = None, formula: bool = False,
         raise CliError(f"--max-n {max_n} exceeds the formula cap {FORMULA_CAP}")
 
 
-def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
-    """Write the text of the builder that --format names to stdout, or
-    to the file --out; no other builder runs.
+def _emit(args: argparse.Namespace, **writers: Callable[[TextIO], object]) -> None:
+    """Run the writer that --format names, and no other, on stdout or the file --out.
 
-    A new or regular file is replaced atomically: the text goes to a
-    temporary file beside `out` that is renamed over it, so `out` never
-    holds partial output; on any error the temporary file is removed and
-    `out` is left as it was.  Anything else, such as a symlink or a
-    device like /dev/stdout, is written through in place, because a
-    rename would replace the link or device node itself.
+    A new or regular file is replaced atomically through a temporary file
+    beside it, removed on any error, so `out` never holds partial output.
+    Anything else, such as a symlink or /dev/stdout, is written in place,
+    as a rename would replace the link or device node itself.
     """
-    text, out = builders[args.format](), args.out
+    write, out = writers[args.format], args.out
     if not out:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         mode = os.lstat(out).st_mode
@@ -71,7 +68,7 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         return
     directory, name = os.path.split(out)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -83,7 +80,7 @@ def _emit(args: argparse.Namespace, **builders: Callable[[], str]) -> None:
         with fh:
             if mode is not None:  # the replaced file keeps its permissions
                 os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.write(text)
+            write(fh)
         os.replace(tmp, out)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -131,13 +128,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = [[str(n)] + [str(columns[name][i]) for name in names] for i, n in enumerate(ns)]
     _emit(
         args,
-        json=lambda: render_json({
+        json=lambda fh: render_json({
             "methods": methods,
             "rows": [{"n": n, **{name: str(columns[name][i]) for name in names}}
                      for i, n in enumerate(ns)],
-        }),
-        csv=lambda: render_csv(headers, rows),
-        table=lambda: render_text_table(headers, rows),
+        }, fh),
+        csv=lambda fh: render_csv(headers, rows, fh),
+        table=lambda fh: fh.write(render_text_table(headers, rows)),
     )
     return 0
 
@@ -212,31 +209,29 @@ def cmd_ratios(args: argparse.Namespace) -> int:
     def cells(r: RatioRow) -> list[str]:
         return _ratio_cells(r.nw_over_ne) + _ratio_cells(r.down_over_up)
 
-    def text() -> str:
+    def text(fh: TextIO) -> None:
         headers = ["n", "Enw/Ene", "decimal", "Edown/Eup", "decimal"]
-        parts = []
         for p in ("even", "odd"):
-            parts.append(f"{p} degrees:\n")
-            parts.append(render_text_table(
+            fh.write(f"{p} degrees:\n")
+            fh.write(render_text_table(
                 headers, [[str(r.n), *cells(r)] for r in rows if parity(r) == p]))
-        parts.append(
+        fh.write(
             "deviation |Enw/Ene - 1| nonincreasing over even n: "
             + ("yes" if monotone else "no")
             + "\n(no limit is asserted; the table only reports values)\n"
         )
-        return "".join(parts)
 
     keys = ("Enw/Ene", "Enw/Ene decimal", "Edown/Eup", "Edown/Eup decimal")
     _emit(
         args,
-        json=lambda: render_json({
+        json=lambda fh: render_json({
             "rows": [{"n": r.n, "parity": parity(r), **dict(zip(keys, cells(r)))}
                      for r in rows],
             "deviation |Enw/Ene - 1| nonincreasing over even n": monotone,
-        }),
-        csv=lambda: render_csv(
+        }, fh),
+        csv=lambda fh: render_csv(
             ["n", "parity", "Enw/Ene", "decimal", "Edown/Eup", "decimal"],
-            [[str(r.n), parity(r), *cells(r)] for r in rows],
+            [[str(r.n), parity(r), *cells(r)] for r in rows], fh,
         ),
         table=text,
     )
@@ -260,10 +255,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     values = [spec.formula(ee, n) for n in range(spec.offset, max_n + 1)]
     _emit(
         args,
-        bfile=lambda: "".join(f"{n} {v}\n" for n, v in enumerate(values, spec.offset)),
-        json=lambda: render_json([str(v) for v in values]),
-        csv=lambda: render_csv(
-            ["n", name], [[str(n), str(v)] for n, v in enumerate(values, spec.offset)]
+        bfile=lambda fh: fh.write("".join(f"{n} {v}\n" for n, v in enumerate(values, spec.offset))),
+        json=lambda fh: render_json([str(v) for v in values], fh),
+        csv=lambda fh: render_csv(
+            ["n", name], [[str(n), str(v)] for n, v in enumerate(values, spec.offset)], fh
         ),
     )
     return 0

@@ -4,8 +4,7 @@ report lists."""
 
 from __future__ import annotations
 
-import io
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 
 class _CountFields(NamedTuple):
@@ -108,27 +107,31 @@ def render_text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]], fh: TextIO) -> None:
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
+    csv.writer(fh, lineterminator="\n").writerows([headers, *rows])
 
 
-def render_json(obj) -> str:
+def render_json(obj, fh: TextIO) -> None:
+    """Write `obj` as indented JSON and a newline, about 64 KB at a time, as
+    sys.stdout hands every write to its buffer; a longer piece goes alone."""
     import json
 
-    return json.dumps(obj, indent=2) + "\n"
+    pending, size = [], 0
+    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
+        size += len(chunk)
+        if size > 1 << 16:
+            fh.write("".join(pending))  # a one-piece join returns that piece, uncopied
+            pending, size = [], len(chunk)
+        pending.append(chunk)
+    fh.write("".join(pending) + "\n")
 
 
-def report_formats(reports: Sequence[VerifyReport]) -> dict[str, Callable[[], str]]:
-    """The json, csv and table renderings of a report list, each built
-    only when its builder is called."""
+def report_formats(reports: Sequence[VerifyReport]) -> dict[str, Callable[[TextIO], object]]:
+    """The json, csv and table writers of a report list; each renders only when called."""
 
-    def text() -> str:
+    def text(fh: TextIO) -> None:
         lines = []
         for r in reports:
             lines.append(
@@ -139,14 +142,14 @@ def report_formats(reports: Sequence[VerifyReport]) -> dict[str, Callable[[], st
             lines += [f"    n={e.n} {e.label}: left={e.left} right={e.right}"
                       + (f" ({e.note})" if e.note else "") for e in r.failures()]
         lines.append(f"overall: {'PASS' if all(r.passed for r in reports) else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+        fh.write("\n".join(lines) + "\n")
 
     return {
-        "json": lambda: render_json([r.to_json_dict() for r in reports]),
-        "csv": lambda: render_csv(
+        "json": lambda fh: render_json([r.to_json_dict() for r in reports], fh),
+        "csv": lambda fh: render_csv(
             ["identity", "n", "label", "left", "right", "pass"],
             [[r.identity, str(e.n), e.label, str(e.left), str(e.right), str(e.passed)]
-             for r in reports for e in r.entries],
+             for r in reports for e in r.entries], fh,
         ),
         "table": text,
     }

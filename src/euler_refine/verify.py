@@ -14,7 +14,7 @@ command that only evaluates formulas and series never loads them.
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import seq, series
 from .report import CheckEntry, VerifyReport
@@ -205,11 +205,10 @@ def _raised(witness: str, exc: Exception) -> str:
 class _DegreeResult:
     """What one subtree of one degree found; witnesses in enumeration order.
 
-    `smu` and `maxmin` count the second-max-upper and the max-min
-    permutations checked.  At even degree, where the doubling map's
-    image is compared with the second-max-upper set, `images` and
-    `smu_values` list both packed as ``bytes(values)``, one byte per
-    value, which is about a third of a tuple's memory and pickle.
+    `smu` and `maxmin` count the second-max-upper and the max-min permutations
+    checked.  At even degree, `images` packs the doubling map's images as n
+    bytes each, one per value, in one blob per first value of the image,
+    and `smu_values` the second-max-upper set in one sorted blob.
     """
 
     __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
@@ -221,11 +220,11 @@ class _DegreeResult:
         self.smu_bad: list[str] = []
         self.lefts = 0
         self.maxmin_bad: list[str] = []
-        self.images: list[bytes] = []
+        self.images: dict[int, bytearray] = {}
         self.inverse_bad: list[str] = []
         self.smu = 0
         self.maxmin = 0
-        self.smu_values: list[bytes] = []
+        self.smu_values = b""
 
     def absorb(self, later: _DegreeResult) -> None:
         """Append the results of the subtree that follows this one."""
@@ -233,6 +232,9 @@ class _DegreeResult:
             mine, theirs = getattr(self, name), getattr(later, name)
             if isinstance(mine, list):
                 mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for first, blob in theirs.items():
+                    mine.setdefault(first, bytearray()).extend(blob)
             else:
                 setattr(self, name, mine + theirs)
 
@@ -277,7 +279,7 @@ def _check_unit(
         for side in (0, 1):
             try:
                 q = bij.maxmin_to_smu(p, side)
-                r.images.append(bytes(q.values))
+                r.images.setdefault(q.values[0], bytearray()).extend(q.values)
                 if bij.smu_to_maxmin(q) != (p, side):
                     r.inverse_bad.append(f"{p.to_text()} with side {side}")
             except Exception as exc:
@@ -311,19 +313,24 @@ def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
                 maxmin.append(p)
         r = _check_unit((n, smu, maxmin))
         r.smu, r.maxmin = len(smu), len(maxmin)
-        if n % 2 == 0:
-            r.smu_values = [bytes(p.values) for p in smu]
+        r.smu_values = b"".join(sorted(bytes(p.values) for p in smu)) if n % 2 == 0 else b""
         return r
     finally:
         if was_enabled:
             gc.enable()
 
 
-def _sorted_text(packed: Iterable[bytes]) -> str:
-    """``str(sorted(map(tuple, packed)))``, built without keeping the tuples.
+def _records(blob: bytes, n: int) -> list[bytes]:
+    return [blob[i:i + n] for i in range(0, len(blob), n)]
 
-    Packed values of one length sort as their tuples do."""
-    return "[" + ", ".join(map(repr, map(tuple, sorted(packed)))) + "]"
+
+def _list_text(blob: bytes, n: int) -> str:
+    """The text of the list of records as tuples, 1,024 rendered at a time, joined once."""
+    parts = ["["]
+    for i in range(0, len(blob), 1024 * n):
+        chunk = map(tuple, _records(blob[i:i + 1024 * n], n))
+        parts += [", " * bool(i), ", ".join(map(repr, chunk))]
+    return "".join(parts + ["]"])
 
 
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
@@ -335,19 +342,14 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     a map that raises counts as a failure, and the note carries the
     exception.
 
-    The work is cut into units, one per degree and first value: each
-    unit enumerates, classifies and checks the permutations of its
-    subtree and returns what it found, so a process holds the
-    permutations of one subtree at a time, and this process keeps only
-    what the reports print: the doubling map's image and the
-    second-max-upper set come back packed, and each is held as the text
-    of its sorted list, one string for both when they agree.  The units are dealt in turn to one shard
-    per CPU this process may run on (see
-    :func:`euler_refine.workers.map_dealt`).  The shards run at the same
-    time: this process works one, forked workers the others, and a
-    shard whose worker is lost is checked again in this process.  With
-    one CPU nothing is forked.  The units' results are merged in
-    enumeration order, so the reports do not depend on the CPU count.
+    The work is cut into units, one per degree and first value, dealt in
+    turn to one shard per CPU this process may run on (see
+    :func:`euler_refine.workers.map_dealt`).  Each unit enumerates,
+    classifies and checks its subtree and returns what it found, with the
+    images and the second-max-upper set packed (see :class:`_DegreeResult`);
+    the results are merged in enumeration order, so the reports do not
+    depend on the CPU count.  The images are sorted one first value at a
+    time, and one text serves both sides of the set entry when they agree.
     """
     from . import workers
 
@@ -375,13 +377,13 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     for n in range(2, max_n + 1, 2):
         r = results[n]
         maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
-        images, r.images = set(r.images), []
-        doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * r.maxmin))
-        image_text = _sorted_text(images)
-        del images
-        smu_text, r.smu_values = _sorted_text(r.smu_values), []
-        if smu_text == image_text:  # every passing run: one string for both sides
-            smu_text = image_text
+        images = b"".join(b"".join(sorted(set(_records(bytes(r.images.get(first, b"")), n))))
+                          for first in range(1, n + 1))
+        smu, r.images, r.smu_values = r.smu_values, {}, b""
+        doubling.entries.append(CheckEntry(n, "image size", len(images) // n, 2 * r.maxmin))
+        image_text = _list_text(images, n)
+        # Every passing run: the sorted second-max-upper records are those images.
+        smu_text = image_text if smu == images else str(sorted(map(tuple, _records(smu, n))))
         doubling.entries.append(CheckEntry(n, "image = second-max-upper set", image_text, smu_text))
         doubling.entries.append(_failure_count(n, "inverse round-trip failures", r.inverse_bad))
 

@@ -1,8 +1,9 @@
 """Shared fixtures: CPU sets, cached enumerations, frozen reference rows,
 the enumeration, classification, counting, bijection-check, series,
-convolution and Euler-number oracles, a b-file reader and the environment
-of a new interpreter."""
+convolution and Euler-number oracles, a b-file reader, a writer's text and
+the environment of a new interpreter."""
 
+import io
 import itertools
 import os
 from fractions import Fraction
@@ -287,7 +288,9 @@ def whole_degree_bijection_checks(max_n):
     for n in range(2, max_n + 1, 2):
         r = results[n]
         maxmin_roundtrip.entries.append(failure_count(n, "round-trip failures", r.maxmin_bad))
-        images = {tuple(q) for q in r.images}  # the units pack each image as bytes
+        # the units pack each image as n bytes, in one blob per first value
+        images = {tuple(blob[i:i + n]) for blob in r.images.values()
+                  for i in range(0, len(blob), n)}
         doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * len(maxmin_sets[n])))
         doubling.entries.append(
             CheckEntry(
@@ -413,6 +416,14 @@ def parse_bfile(text):
         idx, val = line.split()
         entries.append((int(idx), int(val)))
     return entries
+
+
+def rendered(write):
+    """What a writer of ``report.report_formats``, as ``cli._emit`` runs
+    it, writes to its handle."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
 
 
 def fresh_env():

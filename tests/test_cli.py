@@ -1,16 +1,20 @@
 """CLI behaviour: golden outputs, formats, caps, exit codes."""
 
+import argparse
+import errno
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from euler_refine import euler_numbers
+from euler_refine import cli, euler_numbers
 from euler_refine.cli import main
-from euler_refine.report import CheckEntry, VerifyReport
+from euler_refine.report import CheckEntry, VerifyReport, report_formats
 from euler_refine.verify import SEQUENCES
 
 from helpers import EDOWN, ENE, ENW, EULER, EUP, fresh_env, parse_bfile
@@ -380,6 +384,75 @@ def test_out_through_a_symlink_writes_the_link_target(tmp_path, capsys):
     assert link.is_symlink()
     assert target.read_text() == "0 1\n1 1\n2 1\n3 2\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["E.txt", "link.txt"]
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   RuntimeError("writer failed")], ids=["OSError", "RuntimeError"])
+def test_a_writer_that_fails_midway_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, error):
+    target = tmp_path / "E.json"
+    target.write_bytes(b"previous contents\n")
+
+    def failing(obj, fh):
+        fh.write("[" + " " * 2**20)
+        fh.flush()
+        assert os.path.getsize(fh.name) > 2**20  # the temporary file holds part of the output
+        raise error
+
+    monkeypatch.setattr(cli, "render_json", failing)
+    argv = ["export", "--sequence", "E", "--max-n", "5", "--format", "json", "--out", str(target)]
+    if isinstance(error, OSError):
+        assert run_cli(capsys, *argv) == (2, "", "error: [Errno 28] No space left on device\n")
+    else:
+        with pytest.raises(RuntimeError, match="writer failed"):
+            main(argv)
+    assert target.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["E.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv", [("bijection-check", "--max-n", "8"), ("verify", "--max-n", "6")],
+                         ids=["bijection-check", "verify"])
+def test_out_holds_the_bytes_of_stdout(tmp_path, capsysbinary, argv, fmt):
+    argv = [*argv, "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert stdout and (tmp_path / "out").read_bytes() == stdout
+
+
+def test_the_json_emit_holds_little_more_than_its_largest_string(tmp_path):
+    # Both sides share one 1 MB string, as in a passing bijection-check.
+    # Written as it is encoded, one chunk of that size is held at a time,
+    # with its encoding; the json module was imported above.
+    text = "(1, 2), " * 2**17
+    reports = [VerifyReport("large", "a", "b", [CheckEntry(2, "both sides", text, text)])]
+    args = argparse.Namespace(format="json", out=str(tmp_path / "reports.json"))
+    tracemalloc.start()
+    try:
+        cli._emit(args, **report_formats(reports))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
+    assert json.loads((tmp_path / "reports.json").read_text())[0]["entries"][0]["left"] == text
+
+
+def test_json_goes_out_in_pieces_of_about_64_kb(monkeypatch):
+    # sys.stdout hands every write to its buffer, at about 1 us a call: one
+    # write per encoder piece, 35,138 of them here, cost about 60 ms.
+    sizes = []
+
+    class Sink(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["verify", "--max-n", "6", "--egf-order", "198", "--format", "json"]) == 0
+    assert sum(sizes) == len(sink.getvalue()) > 500_000
+    assert max(sizes) <= 2**16 and len(sizes) <= sum(sizes) // 2**15 + 1
 
 
 def test_export_unknown_sequence(capsys):

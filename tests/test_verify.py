@@ -13,7 +13,8 @@ from euler_refine import bij, bijection_checks, euler_numbers, perm, run_verific
 from euler_refine.cli import main
 from euler_refine.report import report_formats
 
-from helpers import ONE_CPU, TWO_CPUS, maxmin_set, smu_set, whole_degree_bijection_checks
+from helpers import (ONE_CPU, TWO_CPUS, maxmin_set, rendered, smu_set,
+                     whole_degree_bijection_checks)
 
 
 def test_default_scale_run_passes():
@@ -189,7 +190,7 @@ def test_streamed_units_equal_the_whole_degree_path(monkeypatch, cpus):
     streamed = report_formats(bijection_checks(max_n=8))
     whole = report_formats(whole_degree_bijection_checks(8))
     for fmt in ("json", "csv", "table"):
-        assert streamed[fmt]() == whole[fmt](), fmt
+        assert rendered(streamed[fmt]) == rendered(whole[fmt]), fmt
 
 
 def test_a_unit_checks_the_subtree_of_its_first_value():
@@ -198,12 +199,17 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
             r = verify._check_subtree((n, first))
             smu = [p for p in smu_set(n) if p.values[0] == first]
             maxmin = [p for p in maxmin_set(n) if p.values[0] == first and n % 2 == 0]
-            assert (r.smu, r.maxmin, len(r.images)) == (len(smu), len(maxmin), 2 * len(maxmin))
+            assert (r.smu, r.maxmin) == (len(smu), len(maxmin))
             # The doubling map and its image are checked at even degree only,
-            # each value packed in one byte.
-            assert r.images == [bytes(bij.maxmin_to_smu(p, side).values)
-                                for p in maxmin for side in (0, 1)]
-            assert r.smu_values == ([bytes(p.values) for p in smu] if n % 2 == 0 else [])
+            # each permutation packed as n bytes: the images in one blob per
+            # first value of the image, each in the order of its (p, side),
+            # and the second-max-upper permutations in one sorted blob.
+            images = [bij.maxmin_to_smu(p, side).values for p in maxmin for side in (0, 1)]
+            assert {f: [tuple(blob[i:i + n]) for i in range(0, len(blob), n)]
+                    for f, blob in r.images.items()} == {
+                f: [q for q in images if q[0] == f] for f in {q[0] for q in images}}
+            assert r.smu_values == b"".join(bytes(v) for v in sorted(p.values for p in smu)
+                                            if n % 2 == 0)
 
 
 def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
@@ -214,31 +220,79 @@ def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
     assert ran == []
 
 
-@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-def test_a_wrong_image_fails_the_image_set_with_two_renderings(monkeypatch, cpus):
-    # One max-min permutation of degree 8 maps on side 0 to the image of
-    # another, still a second-max-upper permutation: the image loses one
-    # element and gains none.
+def _doubling_failures_at_8(images, smu):
+    """The failing degree-8 entries of the doubling report, each side of
+    the set entry asserted to be rendered as from the lists `images` and
+    `smu` of value tuples: ``str(sorted(set(images)))`` and ``str(sorted(smu))``."""
+    doubling = {r.identity: r for r in bijection_checks(max_n=8)}["doubling map bijectivity"]
+    assert all(e.passed for e in doubling.entries if e.n != 8)
+    failed = {e.label: e for e in doubling.failures()}
+    entry = {e.label: e for e in doubling.entries if e.n == 8}["image = second-max-upper set"]
+    assert (entry.left, entry.right) == (str(sorted(set(images))), str(sorted(smu)))
+    return failed
+
+
+def _collide(monkeypatch, bad, other):
+    """Patch the doubling map so that (bad, 0) maps to the image of (other, 0),
+    still a second-max-upper permutation: the image loses one element and
+    gains none.  Returns every image of degree 8 under the patched map."""
     original = bij.maxmin_to_smu
-    bad, other = maxmin_set(8)[0], maxmin_set(8)[1]
     wrong = original(other, 0)
 
     def broken(p, side):
         return wrong if (p, side) == (bad, 0) else original(p, side)
 
-    _use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(bij, "maxmin_to_smu", broken)
-    doubling = {r.identity: r for r in bijection_checks(max_n=8)}["doubling map bijectivity"]
-    failed = {e.label: e for e in doubling.failures() if e.n == 8}
+    return [broken(p, side).values for p in maxmin_set(8) for side in (0, 1)]
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_a_wrong_image_fails_the_image_set_with_two_renderings(monkeypatch, cpus):
+    _use_cpus(monkeypatch, cpus)
+    images = _collide(monkeypatch, maxmin_set(8)[0], maxmin_set(8)[1])
+    failed = _doubling_failures_at_8(images, [p.values for p in smu_set(8)])
     assert {"image size", "image = second-max-upper set"} <= set(failed)
-    assert all(e.passed for e in doubling.entries if e.n != 8)
-    images = {broken(p, side).values for p in maxmin_set(8) for side in (0, 1)}
     assert (failed["image size"].left, failed["image size"].right) == (
-        len(images), 2 * len(maxmin_set(8)))
-    entry = failed["image = second-max-upper set"]
-    assert entry.left != entry.right
-    assert entry.left == str(sorted(images))
-    assert entry.right == str(sorted(p.values for p in smu_set(8)))
+        len(set(images)), 2 * len(maxmin_set(8)))
+    assert failed["image = second-max-upper set"].left != failed[
+        "image = second-max-upper set"].right
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_two_pairs_from_different_units_with_one_image_fail_the_image_set(monkeypatch, cpus):
+    # The two max-min permutations start with different values, so their
+    # units run in different processes on two CPUs; the image they share is
+    # counted in its first value's bucket only once.
+    bad = maxmin_set(8)[0]
+    other = next(p for p in maxmin_set(8) if p.values[0] != bad.values[0])
+    _use_cpus(monkeypatch, cpus)
+    images = _collide(monkeypatch, bad, other)
+    assert len(images) - len(set(images)) == 1
+    failed = _doubling_failures_at_8(images, [p.values for p in smu_set(8)])
+    assert {"image size", "image = second-max-upper set"} <= set(failed)
+    assert failed["image size"].left == 2 * len(maxmin_set(8)) - 1
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_a_second_max_upper_permutation_seen_twice_fails_the_image_set(monkeypatch, cpus):
+    # A min-max one, so the max-min list and the images stay as they are:
+    # only the second-max-upper list holds one permutation twice.
+    twice = next(p for p in smu_set(8) if perm.classify(p).minmax is perm.MinMaxKind.MIN_MAX)
+    original = perm.enumerate_alternating
+
+    def doubled(n, kind, first=None):
+        for p in original(n, kind, first):
+            yield p
+            if p == twice:
+                yield p
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(perm, "enumerate_alternating", doubled)
+    images = [bij.maxmin_to_smu(p, side).values for p in maxmin_set(8) for side in (0, 1)]
+    smu = [p.values for p in smu_set(8)] + [twice.values]
+    failed = _doubling_failures_at_8(images, smu)
+    assert "image = second-max-upper set" in failed
+    assert "image size" not in failed
 
 
 @pytest.mark.parametrize("raises", [False, True])
