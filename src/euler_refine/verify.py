@@ -245,8 +245,8 @@ def _check_unit(
     """Run every per-permutation check on one unit: a degree n and some
     of its second-max-upper and max-min permutations.
 
-    A map that raises on a permutation records that permutation as a
-    failure, with the exception in its witness.
+    A map that raises on a permutation, or doubles it to another degree,
+    records that permutation as a failure, with the reason in its witness.
     """
     from . import bij, perm
 
@@ -279,6 +279,8 @@ def _check_unit(
         for side in (0, 1):
             try:
                 q = bij.maxmin_to_smu(p, side)
+                if len(q.values) != n:
+                    raise ValueError(f"its image {q.to_text()} has degree {len(q.values)}")
                 r.images.setdefault(q.values[0], bytearray()).extend(q.values)
                 if bij.smu_to_maxmin(q) != (p, side):
                     r.inverse_bad.append(f"{p.to_text()} with side {side}")
@@ -336,20 +338,19 @@ def _list_text(blob: bytes, n: int) -> str:
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     """Exhaustive checks of the involution, the splittings and the doubling map.
 
-    Every count entry compares an observed failure or cardinality
-    against its expected value, degree by degree up to max_n.  A failing
-    failure count names its first bad permutation in the entry's note;
-    a map that raises counts as a failure, and the note carries the
-    exception.
+    Every count entry compares an observed failure or cardinality against its
+    expected value, degree by degree up to max_n.  A failing failure count names
+    its first bad permutation in the entry's note; a map that raises, or doubles
+    to another degree, counts as a failure and the note says why.
 
     The work is cut into units, one per degree and first value, dealt in
     turn to one shard per CPU this process may run on (see
-    :func:`euler_refine.workers.map_dealt`).  Each unit enumerates,
-    classifies and checks its subtree and returns what it found, with the
-    images and the second-max-upper set packed (see :class:`_DegreeResult`);
-    the results are merged in enumeration order, so the reports do not
-    depend on the CPU count.  The images are sorted one first value at a
-    time, and one text serves both sides of the set entry when they agree.
+    :func:`euler_refine.workers.map_dealt`).  Each unit enumerates, classifies
+    and checks its subtree and returns what it found, the values packed (see
+    :class:`_DegreeResult`); the results are merged in enumeration order, so
+    the reports do not depend on the CPU count.  The images are sorted one
+    first value at a time; when they equal the sorted second-max-upper set,
+    one text serves both sides of the set entry.
     """
     from . import workers
 
@@ -381,9 +382,8 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
                           for first in range(1, n + 1))
         smu, r.images, r.smu_values = r.smu_values, {}, b""
         doubling.entries.append(CheckEntry(n, "image size", len(images) // n, 2 * r.maxmin))
-        image_text = _list_text(images, n)
-        # Every passing run: the sorted second-max-upper records are those images.
-        smu_text = image_text if smu == images else str(sorted(map(tuple, _records(smu, n))))
+        image_text = _list_text(images, n)  # every passing run: one text for both sides
+        smu_text = image_text if smu == images else _list_text(smu, n)
         doubling.entries.append(CheckEntry(n, "image = second-max-upper set", image_text, smu_text))
         doubling.entries.append(_failure_count(n, "inverse round-trip failures", r.inverse_bad))
 

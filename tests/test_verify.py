@@ -295,6 +295,30 @@ def test_a_second_max_upper_permutation_seen_twice_fails_the_image_set(monkeypat
     assert "image size" not in failed
 
 
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+@pytest.mark.parametrize("first", [9, 1])
+def test_an_image_of_another_degree_is_named_and_left_out_of_the_set(monkeypatch, cpus, first):
+    # Packed n bytes a record, an image of degree 9 would be dropped (first
+    # value 9) or cut the records after it in its bucket (first value 1).
+    bad = maxmin_set(8)[0]
+    wrong = perm.Permutation([first] + [v for v in range(1, 10) if v != first])
+    original = bij.maxmin_to_smu
+
+    def broken(p, side):
+        return wrong if (p, side) == (bad, 0) else original(p, side)
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, "maxmin_to_smu", broken)
+    images = [original(p, side).values for p in maxmin_set(8) for side in (0, 1)
+              if (p, side) != (bad, 0)]
+    failed = _doubling_failures_at_8(images, [p.values for p in smu_set(8)])
+    assert {"image size", "image = second-max-upper set"} <= set(failed)
+    assert failed["image size"].left == 2 * len(maxmin_set(8)) - 1
+    assert failed["inverse round-trip failures"].note == (
+        f"first bad permutation: {bad.to_text()} with side 0 raised ValueError: "
+        f"its image {wrong.to_text()} has degree 9")
+
+
 @pytest.mark.parametrize("raises", [False, True])
 @pytest.mark.parametrize("enabled", [True, False])
 def test_a_unit_leaves_the_collector_as_it_found_it(monkeypatch, enabled, raises):
