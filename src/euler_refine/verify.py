@@ -13,14 +13,10 @@ command that only evaluates formulas and series never loads them.
 
 from __future__ import annotations
 
-import gc
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import seq, series
 from .report import CheckEntry, VerifyReport
-
-if TYPE_CHECKING:
-    from . import perm
 
 
 def _entry(n: int, label: str, left: Callable[[], object], right: Callable[[], object]) -> CheckEntry:
@@ -239,38 +235,48 @@ class _DegreeResult:
                 setattr(self, name, mine + theirs)
 
 
-def _check_unit(
-    unit: tuple[int, Sequence[perm.Permutation], Sequence[perm.Permutation]],
-) -> _DegreeResult:
-    """Run every per-permutation check on one unit: a degree n and some
-    of its second-max-upper and max-min permutations.
+def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
+    """Enumerate the up-down permutations of degree n that start with one
+    value, given as the unit (n, first), and check each as it comes.
 
-    A map that raises on a permutation, or doubles it to another degree,
-    records that permutation as a failure, with the reason in its witness.
+    A second-max-upper permutation gets the involution check and its
+    split round trip; at even n, a max-min one gets its split round trip
+    and both sides of the doubling map.  Only counts, witnesses and packed
+    values are kept.  A map that raises on a permutation, or doubles it to
+    another degree, records that permutation as a failure, with the reason
+    in its witness.
     """
     from . import bij, perm
 
-    n, smu, maxmin = unit
+    n, first = unit
+    even = n % 2 == 0
     r = _DegreeResult()
-    for p in smu:
-        try:
-            q = bij.swap_top_two(p)
-            if q == p:
-                r.fixed.append(p.to_text())
-            if (bij.swap_top_two(q) != p
-                    or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER):
-                r.involution_bad.append(p.to_text())
-        except Exception as exc:
-            r.involution_bad.append(_raised(p.to_text(), exc))
-        if p.position_of(n - 1) > p.position_of(n):
+    smu_values = []
+    for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
+        c = perm.classify(p)
+        if c.secondmax is perm.SecondMaxKind.UPPER:
+            r.smu += 1
+            if even:
+                smu_values.append(bytes(p.values))
+            try:
+                q = bij.swap_top_two(p)
+                if q == p:
+                    r.fixed.append(p.to_text())
+                if (bij.swap_top_two(q) != p
+                        or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER):
+                    r.involution_bad.append(p.to_text())
+            except Exception as exc:
+                r.involution_bad.append(_raised(p.to_text(), exc))
+            if p.position_of(n - 1) < p.position_of(n):
+                r.lefts += 1
+                try:
+                    if bij.compose_smu(bij.decompose_smu(p), n) != p:
+                        r.smu_bad.append(p.to_text())
+                except Exception as exc:
+                    r.smu_bad.append(_raised(p.to_text(), exc))
+        if not even or c.minmax is not perm.MinMaxKind.MAX_MIN:
             continue
-        r.lefts += 1
-        try:
-            if bij.compose_smu(bij.decompose_smu(p), n) != p:
-                r.smu_bad.append(p.to_text())
-        except Exception as exc:
-            r.smu_bad.append(_raised(p.to_text(), exc))
-    for p in maxmin:
+        r.maxmin += 1
         try:
             if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p:
                 r.maxmin_bad.append(p.to_text())
@@ -286,40 +292,8 @@ def _check_unit(
                     r.inverse_bad.append(f"{p.to_text()} with side {side}")
             except Exception as exc:
                 r.inverse_bad.append(_raised(f"{p.to_text()} with side {side}", exc))
+    r.smu_values = b"".join(sorted(smu_values))
     return r
-
-
-def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
-    """Enumerate, classify and check the up-down permutations of degree n
-    that start with one value, given as the unit (n, first).
-
-    The cyclic garbage collector is paused while the unit runs and left
-    as the caller had it, also when a check raises.  A unit allocates
-    up to hundreds of thousands of objects, none of them in a reference
-    cycle, so each collection that the allocations would set off finds
-    nothing to free; the few cycles a unit does leave, such as its
-    enumerator's, wait for the collector's next run.
-    """
-    from . import perm
-
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        n, first = unit
-        smu, maxmin = [], []
-        for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
-            c = perm.classify(p)
-            if c.secondmax is perm.SecondMaxKind.UPPER:
-                smu.append(p)
-            if n % 2 == 0 and c.minmax is perm.MinMaxKind.MAX_MIN:
-                maxmin.append(p)
-        r = _check_unit((n, smu, maxmin))
-        r.smu, r.maxmin = len(smu), len(maxmin)
-        r.smu_values = b"".join(sorted(bytes(p.values) for p in smu)) if n % 2 == 0 else b""
-        return r
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _records(blob: bytes, n: int) -> list[bytes]:

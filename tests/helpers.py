@@ -20,13 +20,13 @@ from euler_refine import (
     MinMaxKind,
     SecondMaxKind,
     VerifyReport,
+    bij,
     classify,
     Permutation,
     enumerate_alternating,
     is_down_up,
     is_up_down,
     verify,
-    workers,
 )
 
 # CPU sets for the unsharded path and for two shards, one of them forked.
@@ -235,73 +235,82 @@ def reference_count_table(n):
                       dup=dup, ddown=ddown)
 
 
-def _slices(items, count):
-    """`items` cut into `count` contiguous slices of near-equal length."""
-    size = len(items)
-    return [items[i * size // count:(i + 1) * size // count] for i in range(count)]
+def _failed(items, text, passes):
+    """The texts of the items that fail `passes` or make it raise, with the
+    reason of each raise, as the witnesses of ``verify.bijection_checks``."""
+    bad = []
+    for item in items:
+        try:
+            if not passes(item):
+                bad.append(text(item))
+        except Exception as exc:
+            bad.append(f"{text(item)} raised {type(exc).__name__}: {exc}")
+    return bad
+
+
+def _image(p, side, n):
+    """The values of the doubling map's image of (p, side), or None when
+    it raises or has another degree than n."""
+    try:
+        values = bij.maxmin_to_smu(p, side).values
+    except Exception:
+        return None
+    return values if len(values) == n else None
 
 
 def whole_degree_bijection_checks(max_n):
-    """The reports of ``verify.bijection_checks(max_n)``, with every
-    permutation of every degree built and classified in this process
-    first, then checked in contiguous slices, one per CPU.
+    """The reports of ``verify.bijection_checks(max_n)``, degree by degree
+    in this process: every second-max-upper and max-min permutation of a
+    degree is built and classified first, then each check runs the maps of
+    ``bij`` over the whole list.
 
     The path that came before the units of one (degree, first value)
-    subtree, kept as the oracle of the streamed one.
+    subtree, kept as the oracle of the streamed one; it shares no check
+    loop with it.  On a passing run the two agree entry for entry; a map
+    that raises fails every check here that calls it.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    degrees = range(2, max_n + 1)
-    smu_sets = {}
-    maxmin_sets = {}
-    for n in degrees:
+    failure_count = verify._failure_count
+    involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
+    smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")
+    maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
+    doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
+    text = Permutation.to_text
+    for n in range(2, max_n + 1):
         smu, maxmin = [], []
         for p in enumerate_alternating(n, AltKind.UP_DOWN):
             c = classify(p)
             if c.secondmax is SecondMaxKind.UPPER:
                 smu.append(p)
-            if n % 2 == 0 and c.minmax is MinMaxKind.MAX_MIN:
+            if c.minmax is MinMaxKind.MAX_MIN:
                 maxmin.append(p)
-        smu_sets[n], maxmin_sets[n] = smu, maxmin
-
-    count = max(1, min(workers.cpu_count(), len(smu_sets[max_n])))
-    units = [(n, smu, maxmin) for n in degrees
-             for smu, maxmin in zip(_slices(smu_sets[n], count), _slices(maxmin_sets[n], count))]
-    results = {n: verify._DegreeResult() for n in degrees}
-    for (n, _, _), part in zip(units, workers.map_dealt(verify._check_unit, units, count)):
-        results[n].absorb(part)
-
-    failure_count = verify._failure_count
-    involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
-    smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")
-    for n in degrees:
-        r = results[n]
-        involution.entries.append(failure_count(n, "fixed points", r.fixed))
-        involution.entries.append(failure_count(n, "involution violations", r.involution_bad))
-        smu_roundtrip.entries.append(failure_count(n, "round-trip failures", r.smu_bad))
-        smu_roundtrip.entries.append(
-            CheckEntry(n, "left-oriented half", 2 * r.lefts, len(smu_sets[n]))
-        )
-
-    maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
-    doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
-    for n in range(2, max_n + 1, 2):
-        r = results[n]
-        maxmin_roundtrip.entries.append(failure_count(n, "round-trip failures", r.maxmin_bad))
-        # the units pack each image as n bytes, in one blob per first value
-        images = {tuple(blob[i:i + n]) for blob in r.images.values()
-                  for i in range(0, len(blob), n)}
-        doubling.entries.append(CheckEntry(n, "image size", len(images), 2 * len(maxmin_sets[n])))
-        doubling.entries.append(
-            CheckEntry(
-                n,
-                "image = second-max-upper set",
-                str(sorted(images)),
-                str(sorted(p.values for p in smu_sets[n])),
-            )
-        )
-        doubling.entries.append(failure_count(n, "inverse round-trip failures", r.inverse_bad))
-
+        lefts = [p for p in smu if p.position_of(n - 1) < p.position_of(n)]
+        involution.entries += [
+            failure_count(n, "fixed points", _failed(smu, text, lambda p: bij.swap_top_two(p) != p)),
+            failure_count(n, "involution violations", _failed(
+                smu, text, lambda p: bij.swap_top_two(bij.swap_top_two(p)) == p
+                and classify(bij.swap_top_two(p)).secondmax is SecondMaxKind.UPPER)),
+        ]
+        smu_roundtrip.entries += [
+            failure_count(n, "round-trip failures", _failed(
+                lefts, text, lambda p: bij.compose_smu(bij.decompose_smu(p), n) == p)),
+            CheckEntry(n, "left-oriented half", 2 * len(lefts), len(smu)),
+        ]
+        if n % 2:
+            continue
+        maxmin_roundtrip.entries.append(failure_count(n, "round-trip failures", _failed(
+            maxmin, text, lambda p: bij.compose_maxmin(bij.decompose_maxmin(p), n) == p)))
+        pairs = [(p, side) for p in maxmin for side in (0, 1)]
+        images = {_image(p, side, n) for p, side in pairs} - {None}
+        doubling.entries += [
+            CheckEntry(n, "image size", len(images), 2 * len(maxmin)),
+            CheckEntry(n, "image = second-max-upper set",
+                       str(sorted(images)), str(sorted(p.values for p in smu))),
+            failure_count(n, "inverse round-trip failures", _failed(
+                pairs, lambda ps: f"{ps[0].to_text()} with side {ps[1]}",
+                lambda ps: bij.smu_to_maxmin(bij.maxmin_to_smu(*ps)) == ps)),
+        ]
     return [involution, smu_roundtrip, maxmin_roundtrip, doubling]
 
 
