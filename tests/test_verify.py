@@ -211,6 +211,30 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
                                             if n % 2 == 0)
 
 
+
+@pytest.mark.parametrize("unit", [(8, 3), (9, 2)], ids=["8-3", "9-2"])
+def test_a_unit_keeps_no_permutation_it_has_checked(monkeypatch, unit):
+    # The enumerator holds each permutation it yields in `seen`; one that
+    # nothing else refers to any more has a reference count of 2 (`seen`
+    # and the argument of getrefcount).  Besides the loop's current one,
+    # only the two-entry memos of bij's two splits may still hold any.
+    original = perm.enumerate_alternating
+    seen, alive, most = [], set(), []
+
+    def held(n, kind, first=None):
+        for p in original(n, kind, first):
+            seen.append(p)
+            alive.add(len(seen) - 1)
+            del p
+            yield seen[-1]
+            alive.difference_update([i for i in alive if sys.getrefcount(seen[i]) == 2])
+            most.append(len(alive))
+
+    monkeypatch.setattr(perm, "enumerate_alternating", held)
+    verify._check_subtree(unit)
+    assert len(seen) > 100
+    assert max(most) <= 5
+
 def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
     ran = []
     monkeypatch.setattr(verify, "_check_subtree", ran.append)
@@ -292,6 +316,20 @@ def test_a_second_max_upper_permutation_seen_twice_fails_the_image_set(monkeypat
     failed = _doubling_failures_at_8(images, smu)
     assert "image = second-max-upper set" in failed
     assert "image size" not in failed
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_a_subtree_enumerated_in_reverse_gives_the_same_reports(monkeypatch, cpus):
+    # A unit sorts its second-max-upper values itself, so the set entry
+    # does not rest on the enumerator's lexicographic order.
+    _use_cpus(monkeypatch, cpus)
+    expected = _entries(bijection_checks(max_n=8))
+    original = perm.enumerate_alternating
+    monkeypatch.setattr(perm, "enumerate_alternating",
+                        lambda n, kind, first=None: reversed(list(original(n, kind, first))))
+    reports = bijection_checks(max_n=8)
+    assert all(r.passed for r in reports)
+    assert _entries(reports) == expected
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
