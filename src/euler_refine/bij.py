@@ -25,9 +25,7 @@ permutation is classified once, however many maps check it.  The
 splittings, the compositions and the two rewirings between them are
 pure maps of frozen values, each memoised for its last two arguments:
 a round trip and the two sides of the doubling map ask for the same
-one back to back.  The blocks carry few distinct patterns, so each
-pattern is built and checked once and shared, and its complement and
-its zigzag tests are computed once, in tables of bounded size.
+one back to back.
 """
 
 from __future__ import annotations
@@ -40,10 +38,8 @@ from .perm import (
     MinMaxKind,
     Permutation,
     SecondMaxKind,
+    _zigzags,
     classify,
-    complement,
-    is_down_up,
-    is_up_down,
 )
 
 
@@ -51,53 +47,42 @@ class Decomposition(NamedTuple):
     """Three blocks around two landmark values.
 
     ``parts`` are the sorted value sets of the blocks and ``patterns``
-    their standardized forms.  ``sizes`` is derived from the parts; it
-    sums to degree - 2 and puts the landmarks at s1 + 1 and s1 + s2 + 2.
+    their standardized forms, as rank tuples.  ``sizes`` is derived from
+    the parts; it sums to degree - 2 and puts the landmarks at s1 + 1
+    and s1 + s2 + 2.
     """
 
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    patterns: tuple[Permutation, Permutation, Permutation]
+    patterns: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     @property
     def sizes(self) -> tuple[int, int, int]:
         return tuple(map(len, self.parts))
 
 
-# However many permutations the bijection checks split, their blocks
-# carry few patterns: the same 649 distinct ones up to degree 10 and up
-# to degree 11, the checks' default cap (an odd degree's blocks are no
-# longer than those of the even degree below it).  Each table below is
-# keyed by a pattern and bounded by this, so that it holds every pattern
-# up to that cap and no caller that goes higher can grow it without end.
-_PATTERNS = 1024
-
-# One shared, checked Permutation per rank tuple, and the complement and
-# the zigzag tests of each such pattern.
-_pattern = lru_cache(maxsize=_PATTERNS)(Permutation)
-_complement = lru_cache(maxsize=_PATTERNS)(complement)
-_is_up_down = lru_cache(maxsize=_PATTERNS)(is_up_down)
-_is_down_up = lru_cache(maxsize=_PATTERNS)(is_down_up)
-
-
-def standardize(block: Sequence[int]) -> Permutation:
+def standardize(block: Sequence[int]) -> tuple[int, ...]:
     """Order-isomorphic pattern of a block: each value replaced by its rank."""
     return _ranked(block, sorted(block))
 
 
-def _ranked(block: Sequence[int], ordered: Sequence[int]) -> Permutation:
-    """The pattern of `block`, whose values sorted are `ordered`, as the
-    one object shared by every block with that pattern."""
+def _ranked(block: Sequence[int], ordered: Sequence[int]) -> tuple[int, ...]:
+    """The pattern of `block`, whose values sorted are `ordered`."""
     # As in embed, a leading placeholder makes each index a 1-based rank.
-    return _pattern(tuple(map((None, *ordered).index, block)))
+    return tuple(map((None, *ordered).index, block))
 
 
-def embed(pattern: Permutation, values: Sequence[int]) -> tuple[int, ...]:
+def embed(pattern: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
     """Realize a pattern on a value set, inverse of :func:`standardize`."""
     # A leading placeholder lets the 1-based ranks index the sorted values.
     ordered = [None, *sorted(values)]
-    if len(ordered) - 1 != pattern.n:
-        raise ValueError(f"pattern of degree {pattern.n} cannot use {len(ordered) - 1} values")
-    return tuple(map(ordered.__getitem__, pattern.values))
+    k = len(ordered) - 1
+    if len(pattern) != k:
+        raise ValueError(f"pattern of degree {len(pattern)} cannot use {k} values")
+    # k ranks that cover 1..k are exactly a permutation of 1..k; a rank
+    # of 0 or below would index the placeholder or count from the end.
+    if not set(pattern).issuperset(range(1, k + 1)):
+        raise ValueError(f"pattern {pattern} is not a permutation of 1..{k}")
+    return tuple(map(ordered.__getitem__, pattern))
 
 
 def _split(p: Permutation, first: int, second: int) -> Decomposition:
@@ -170,7 +155,7 @@ def compose_smu(d: Decomposition, n: int) -> Permutation:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
     _check_parts(d, range(1, n - 1))
     for pattern in d.patterns:
-        if not _is_up_down(pattern):
+        if not _zigzags(pattern, True):
             raise ValueError(f"block pattern {pattern} is not up-down")
     return Permutation(_join(d, n - 1, n))
 
@@ -203,9 +188,9 @@ def compose_maxmin(d: Decomposition, n: int) -> Permutation:
     if s1 % 2 == 0 or s2 % 2 != 0 or s3 % 2 == 0:
         raise ValueError(f"block sizes must be (odd, even, odd), got {d.sizes}")
     _check_parts(d, range(2, n))
-    if not (_is_up_down(d.patterns[0]) and _is_up_down(d.patterns[1])):
+    if not (_zigzags(d.patterns[0], True) and _zigzags(d.patterns[1], True)):
         raise ValueError("the blocks before 1 must carry up-down patterns")
-    if not _is_down_up(d.patterns[2]):
+    if not _zigzags(d.patterns[2], False):
         raise ValueError("the block after 1 must carry a down-up pattern")
     return Permutation(_join(d, n, 1))
 
@@ -234,7 +219,8 @@ def _smu_split_of(d: Decomposition) -> Decomposition:
     """The max-min split (A, B, C) rewired as maxmin_to_smu says."""
     part_a, part_b, part_c = (tuple(v - 1 for v in part) for part in d.parts)
     pat_a, pat_b, pat_c = d.patterns
-    return Decomposition((part_a, part_c, part_b), (pat_a, _complement(pat_c), pat_b))
+    up_c = tuple(len(pat_c) + 1 - v for v in pat_c)
+    return Decomposition((part_a, part_c, part_b), (pat_a, up_c, pat_b))
 
 
 @lru_cache(maxsize=2)
@@ -242,7 +228,8 @@ def _maxmin_split_of(d: Decomposition) -> Decomposition:
     """The second-max split rewired back, inverse of :func:`_smu_split_of`."""
     part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
     pat_a, pat_c, pat_b = d.patterns
-    return Decomposition((part_a, part_b, part_c), (pat_a, pat_b, _complement(pat_c)))
+    down_c = tuple(len(pat_c) + 1 - v for v in pat_c)
+    return Decomposition((part_a, part_b, part_c), (pat_a, pat_b, down_c))
 
 
 def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:

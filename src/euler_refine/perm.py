@@ -46,15 +46,15 @@ class SecondMaxKind(Enum):
 class Permutation:
     """One-line notation; values[i-1] is the image of i.
 
-    Degree 0 is allowed so that empty blocks of a decomposition can be
-    carried as (vacuously alternating) patterns.  ``values`` may be given
-    as any sequence; it is kept as a tuple, and one that already is a
-    tuple is kept as given.  Every instance is checked on construction,
-    by ``__post_init__``, which ``perfbench/layers.py`` patches on the
-    class to count constructions, and is immutable: assigning to an
-    attribute raises AttributeError.  ``classification`` is filled by
-    :func:`classify` on its first call and is no part of the value: it
-    takes no part in construction, repr, equality, hashing or pickling.
+    Degree 0 is allowed; the empty permutation is vacuously alternating.
+    ``values`` may be given as any sequence; it is kept as a tuple, and
+    one that already is a tuple is kept as given.  Every instance is
+    checked on construction, by ``__post_init__``, which
+    ``perfbench/layers.py`` patches on the class to count constructions,
+    and is immutable: assigning to an attribute raises AttributeError.
+    ``classification`` is filled by :func:`classify` on its first call
+    and is no part of the value: it takes no part in construction, repr,
+    equality, hashing or pickling.
     """
 
     __slots__ = ("values", "classification")

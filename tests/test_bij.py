@@ -1,9 +1,13 @@
 """Involution, splittings and the doubling map, exhaustively at small degree."""
 
+from itertools import islice
+
 import pytest
 
 from euler_refine import (
+    AltKind,
     Decomposition,
+    MinMaxKind,
     Permutation,
     SecondMaxKind,
     classify,
@@ -11,14 +15,15 @@ from euler_refine import (
     compose_smu,
     decompose_maxmin,
     decompose_smu,
+    enumerate_alternating,
     maxmin_to_smu,
     smu_to_maxmin,
     swap_top_two,
 )
-from euler_refine import bij, complement, is_down_up, is_up_down
+from euler_refine import bij
 from euler_refine.bij import embed, standardize
 
-from helpers import downup, maxmin_set, smu_set, updown
+from helpers import maxmin_set, smu_set, updown
 
 P = Permutation.from_text
 
@@ -26,30 +31,19 @@ P = Permutation.from_text
 def test_standardize_and_embed_invert():
     block = (5, 2, 7)
     pattern = standardize(block)
-    assert pattern == P("213")
+    assert pattern == (2, 1, 3)
     assert embed(pattern, sorted(block)) == block
-    assert standardize(()) == Permutation(())
+    assert standardize(()) == ()
 
 
-def test_block_patterns_are_built_once_and_shared():
+def test_block_patterns_are_their_ranks():
     blocks = {p.values[i:j] for n in range(1, 9) for p in updown(n)
               for i in range(n + 1) for j in range(i, n + 1)}
     for block in blocks:
         ordered = sorted(block)
-        fresh = Permutation(tuple(ordered.index(v) + 1 for v in block))
-        pattern = standardize(block)
-        assert pattern == fresh and type(pattern.values) is tuple, block
-        assert standardize(block) is pattern, block
-        assert bij._ranked(block, ordered) is pattern, block
-
-
-def test_pattern_memos_equal_the_plain_maps():
-    patterns = [Permutation(())] + [p for n in range(1, 9) for p in updown(n) + downup(n)]
-    memos = ((bij._complement, complement), (bij._is_up_down, is_up_down),
-             (bij._is_down_up, is_down_up))
-    for p in patterns:
-        for memo, plain in memos:
-            assert memo(p) == memo(p) == plain(p), (p, plain.__name__)
+        fresh = tuple(ordered.index(v) + 1 for v in block)
+        assert standardize(block) == fresh, block
+        assert bij._ranked(block, ordered) == fresh, block
 
 
 def test_swap_example():
@@ -123,22 +117,22 @@ def _malformed(compose):
         d = decompose_smu(P("14253"))
         return [
             (d, 7, "partition"),
-            (Decomposition(((1, 2), (3,), ()), (P("12"), P("1"), P(""))), 5, "odd"),
+            (Decomposition(((1, 2), (3,), ()), ((1, 2), (1,), ())), 5, "odd"),
             (Decomposition(((1,), (1,), (3,)), d.patterns), 5, "partition"),
-            (Decomposition(((1,), (1,), (2, 3)), (P("1"), P("1"), P("12"))), 5, "partition"),
-            (Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2])), 5, "cannot use"),
-            (Decomposition(((1,), (2,), (3, 4, 5)), (P("1"), P("1"), P("321"))), 7,
-             "block pattern 321 is not up-down"),
+            (Decomposition(((1,), (1,), (2, 3)), ((1,), (1,), (1, 2))), 5, "partition"),
+            (Decomposition(d.parts, ((1, 3, 2), d.patterns[1], d.patterns[2])), 5, "cannot use"),
+            (Decomposition(((1,), (2,), (3, 4, 5)), ((1,), (1,), (3, 2, 1))), 7,
+             r"block pattern \(3, 2, 1\) is not up-down"),
         ]
     d = decompose_maxmin(P("3412"))
     return [
-        (Decomposition(((3,), (2, 3), (2,)), (P("1"), P("12"), P("1"))), 4, "partition"),
+        (Decomposition(((3,), (2, 3), (2,)), ((1,), (1, 2), (1,))), 4, "partition"),
         (d, 6, "partition"),
-        (Decomposition(d.parts, (P("132"), d.patterns[1], d.patterns[2])), 4, "cannot use"),
-        (Decomposition(((5,), (4,), (2, 3)), (P("1"), P("1"), P("21"))), 6,
+        (Decomposition(d.parts, ((1, 3, 2), d.patterns[1], d.patterns[2])), 4, "cannot use"),
+        (Decomposition(((5,), (4,), (2, 3)), ((1,), (1,), (2, 1))), 6,
          r"\(odd, even, odd\)"),
-        (Decomposition(((3, 4, 5), (), (2,)), (P("321"), P(""), P("1"))), 6, "up-down patterns"),
-        (Decomposition(((5,), (), (2, 3, 4)), (P("1"), P(""), P("123"))), 6, "down-up pattern"),
+        (Decomposition(((3, 4, 5), (), (2,)), ((3, 2, 1), (), (1,))), 6, "up-down patterns"),
+        (Decomposition(((5,), (), (2, 3, 4)), ((1,), (), (1, 2, 3))), 6, "down-up pattern"),
     ]
 
 
@@ -190,13 +184,35 @@ def test_malformed_splits_raise_alike_memoised_or_not():
             expected = _outcome(compose.__wrapped__, d, n)
             assert expected[0] is ValueError
             assert _outcome(compose, d, n) == _outcome(compose, d, n) == expected
-    # Rank tuples that are no permutation, as a block with a repeated
-    # value would give, are rejected by the pattern table every time.
-    for ranks in ((1, 1), (2,), (0, 1), (1, 3, 2, 5)):
-        expected = _outcome(Permutation, ranks)
-        assert expected[0] is ValueError
-        assert _outcome(bij._pattern, ranks) == _outcome(bij._pattern, ranks) == expected
-    assert _outcome(standardize, (4, 4)) == _outcome(Permutation, (1, 1))
+
+
+def _split_with(compose, ranks):
+    """A split for `compose`, well formed but for one block that carries
+    `ranks` on as many values, and its degree."""
+    k = len(ranks)
+    block = tuple(range(3, k + 3))
+    if compose is compose_smu:
+        return Decomposition(((1,), (2,), block), ((1,), (1,), ranks)), k + 4
+    if k % 2:
+        return Decomposition(((2,), (), block), ((1,), (), ranks)), k + 3
+    return Decomposition(((2,), block, (k + 3,)), ((1,), ranks, (1,))), k + 4
+
+
+def test_patterns_that_are_no_permutation_are_rejected():
+    # Each rank tuple is no permutation of 1..k; a rank of 0 or below
+    # would index the sorted values from the wrong end.  The same block
+    # with a permutation of its length composes.
+    zigzag = {1: (1,), 2: (1, 2), 4: (1, 3, 2, 4)}
+    for ranks in ((1, 1), (2,), (0, 1), (-1,), (1, -1), (1, 3, 2, 5)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            embed(ranks, range(1, len(ranks) + 1))
+        for compose in (compose_smu, compose_maxmin):
+            d, n = _split_with(compose, zigzag[len(ranks)])
+            assert compose(d, n).n == n
+            d, n = _split_with(compose, ranks)
+            expected = _outcome(compose.__wrapped__, d, n)
+            assert expected[0] is ValueError, (compose.__name__, ranks)
+            assert _outcome(compose, d, n) == _outcome(compose, d, n) == expected
 
 
 def test_sizes_place_the_landmarks():
@@ -270,6 +286,29 @@ def test_doubling_map_is_bijective():
                 assert smu_to_maxmin(q) == (p, side)
         assert len(images) == 2 * len(sources)
         assert images == set(smu_set(n))
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_maps_run_above_the_enumeration_cap(n):
+    # In the subtree of first value n - 1 the value n comes second, so
+    # every permutation there is max-min; its first few hundred are
+    # enumerated lazily.
+    sources = list(islice(enumerate_alternating(n, AltKind.UP_DOWN, n - 1), 300))
+    assert len(sources) == 300
+    images = set()
+    for p in sources:
+        assert classify(p).minmax is MinMaxKind.MAX_MIN
+        assert compose_maxmin(decompose_maxmin(p), n) == p
+        for side in (0, 1):
+            q = maxmin_to_smu(p, side)
+            assert classify(q).secondmax is SecondMaxKind.UPPER
+            assert smu_to_maxmin(q) == (p, side)
+            swapped = swap_top_two(q)
+            assert swapped != q and swap_top_two(swapped) == q
+            left = q if q.position_of(n - 1) < q.position_of(n) else swapped
+            assert compose_smu(decompose_smu(left), n) == left
+            images.add(q)
+    assert len(images) == 2 * len(sources)
 
 
 def test_smu_to_maxmin_rejects_odd_degree():
