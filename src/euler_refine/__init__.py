@@ -24,8 +24,7 @@ _EXPORTS = {
     ),
     "perm": (
         "AltKind", "Classification", "MinMaxKind", "Permutation", "SecondMaxKind",
-        "classify", "complement", "count_refinements", "enumerate_alternating",
-        "is_down_up", "is_up_down",
+        "classify", "count_refinements", "enumerate_alternating",
     ),
     "report": ("CheckEntry", "CountTable", "VerifyReport"),
     "seq": (

@@ -20,24 +20,22 @@ Three constructions, all exactly invertible on their stated domains:
   ``smu_to_maxmin``.  Together with the two-sided counting this makes
   the doubling relation between the two refinements literal.
 
-Positions are 1-based throughout.  Every map checks its input; a
-permutation is classified once, however many maps check it.  The
-splittings, the compositions and the two rewirings between them are
-pure maps of frozen values, each memoised for its last two arguments:
-a round trip and the two sides of the doubling map ask for the same
-one back to back.
+Positions are 1-based, and the cores index values from 0.  Each public
+map checks its input once and then runs its core, a function of plain
+value tuples.  The cores assume a checked input, except the
+compositions, which keep every check on the split they are given.
+``verify`` runs the cores on the permutations it enumerates.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .perm import (
     AltKind,
     MinMaxKind,
     Permutation,
-    SecondMaxKind,
+    _text,
     _zigzags,
     classify,
 )
@@ -85,10 +83,9 @@ def embed(pattern: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(ordered.__getitem__, pattern))
 
 
-def _split(p: Permutation, first: int, second: int) -> Decomposition:
-    """Cut ``p`` around the 1-based positions ``first`` < ``second``."""
-    vals = p.values
-    blocks = (vals[: first - 1], vals[first : second - 1], vals[second:])
+def _split(vals: tuple[int, ...], first: int, second: int) -> Decomposition:
+    """Cut `vals` around the 0-based indices ``first`` < ``second``."""
+    blocks = (vals[:first], vals[first + 1:second], vals[second + 1:])
     parts = tuple(tuple(sorted(b)) for b in blocks)
     return Decomposition(parts, tuple(map(_ranked, blocks, parts)))
 
@@ -106,30 +103,34 @@ def _check_parts(d: Decomposition, free_values: range) -> None:
         raise ValueError(f"parts {d.parts} do not partition the non-landmark values")
 
 
+def _require_smu(vals: tuple[int, ...]) -> None:
+    """Reject values that are not up-down with n-1 at a peak (an odd 0-based index)."""
+    if not _zigzags(vals, True):
+        raise ValueError(f"{_text(vals)} is not up-down")
+    if vals.index(len(vals) - 1) % 2 == 0:
+        raise ValueError(f"{_text(vals)} has its second-largest value off the peaks")
+
+
 def _require_updown_smu(p: Permutation) -> None:
-    c = classify(p)
-    if c.kind is not AltKind.UP_DOWN:
-        raise ValueError(f"{p} is not up-down")
-    if c.secondmax is not SecondMaxKind.UPPER:
-        raise ValueError(f"{p} has its second-largest value off the peaks")
+    classify(p)  # rejects a degree below 2 and a permutation that does not alternate
+    _require_smu(p.values)
 
 
 def swap_top_two(p: Permutation) -> Permutation:
     """Exchange the values n-1 and n; involution on the second-max-upper set."""
     _require_updown_smu(p)
-    return _swapped(p)
+    return Permutation(_swapped(p.values))
 
 
-def _swapped(p: Permutation) -> Permutation:
-    """`p` with the values n-1 and n exchanged, for a checked `p`."""
-    n = p.n
-    swapped = list(p.values)
+def _swapped(vals: tuple[int, ...]) -> tuple[int, ...]:
+    """`vals` with the values n-1 and n exchanged."""
+    n = len(vals)
+    swapped = list(vals)
     second, top = swapped.index(n - 1), swapped.index(n)
     swapped[second], swapped[top] = n, n - 1
-    return Permutation(tuple(swapped))
+    return tuple(swapped)
 
 
-@lru_cache(maxsize=2)
 def decompose_smu(p: Permutation) -> Decomposition:
     """Split around n-1 and n (in that order) into three up-down blocks.
 
@@ -139,17 +140,24 @@ def decompose_smu(p: Permutation) -> Decomposition:
     """
     _require_updown_smu(p)
     n = p.n
-    pos_second, pos_top = p.position_of(n - 1), p.position_of(n)
-    if pos_top < pos_second:
+    if p.position_of(n) < p.position_of(n - 1):
         raise ValueError(
             f"{p} carries {n} left of {n - 1}; apply swap_top_two before decomposing"
         )
-    return _split(p, pos_second, pos_top)
+    return _decompose_smu(p.values)
 
 
-@lru_cache(maxsize=2)
+def _decompose_smu(vals: tuple[int, ...]) -> Decomposition:
+    n = len(vals)
+    return _split(vals, vals.index(n - 1), vals.index(n))
+
+
 def compose_smu(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n-1, block2, n, block3 from a second-max-upper split."""
+    return Permutation(_compose_smu(d, n))
+
+
+def _compose_smu(d: Decomposition, n: int) -> tuple[int, ...]:
     s1, s2, _ = d.sizes
     if s1 % 2 == 0 or s2 % 2 == 0:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
@@ -157,10 +165,9 @@ def compose_smu(d: Decomposition, n: int) -> Permutation:
     for pattern in d.patterns:
         if not _zigzags(pattern, True):
             raise ValueError(f"block pattern {pattern} is not up-down")
-    return Permutation(_join(d, n - 1, n))
+    return _join(d, n - 1, n)
 
 
-@lru_cache(maxsize=2)
 def decompose_maxmin(p: Permutation) -> Decomposition:
     """Split an even-degree max-min up-down permutation around n and 1.
 
@@ -176,12 +183,19 @@ def decompose_maxmin(p: Permutation) -> Decomposition:
         raise ValueError("max-min splitting requires even degree")
     if c.minmax is not MinMaxKind.MAX_MIN:
         raise ValueError(f"{p} is min-max; the largest value must precede 1")
-    return _split(p, p.position_of(p.n), p.position_of(1))
+    return _decompose_maxmin(p.values)
 
 
-@lru_cache(maxsize=2)
+def _decompose_maxmin(vals: tuple[int, ...]) -> Decomposition:
+    return _split(vals, vals.index(len(vals)), vals.index(1))
+
+
 def compose_maxmin(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n, block2, 1, block3 from a max-min split."""
+    return Permutation(_compose_maxmin(d, n))
+
+
+def _compose_maxmin(d: Decomposition, n: int) -> tuple[int, ...]:
     if n % 2 != 0:
         raise ValueError("max-min composition requires even degree")
     s1, s2, s3 = d.sizes
@@ -192,7 +206,7 @@ def compose_maxmin(d: Decomposition, n: int) -> Permutation:
         raise ValueError("the blocks before 1 must carry up-down patterns")
     if not _zigzags(d.patterns[2], False):
         raise ValueError("the block after 1 must carry a down-up pattern")
-    return Permutation(_join(d, n, 1))
+    return _join(d, n, 1)
 
 
 def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
@@ -210,11 +224,10 @@ def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
     """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
-    out = compose_smu(_smu_split_of(decompose_maxmin(p)), p.n)
-    return swap_top_two(out) if side else out
+    image = _compose_smu(_smu_split_of(decompose_maxmin(p)), p.n)
+    return Permutation(_swapped(image) if side else image)
 
 
-@lru_cache(maxsize=2)
 def _smu_split_of(d: Decomposition) -> Decomposition:
     """The max-min split (A, B, C) rewired as maxmin_to_smu says."""
     part_a, part_b, part_c = (tuple(v - 1 for v in part) for part in d.parts)
@@ -223,7 +236,6 @@ def _smu_split_of(d: Decomposition) -> Decomposition:
     return Decomposition((part_a, part_c, part_b), (pat_a, up_c, pat_b))
 
 
-@lru_cache(maxsize=2)
 def _maxmin_split_of(d: Decomposition) -> Decomposition:
     """The second-max split rewired back, inverse of :func:`_smu_split_of`."""
     part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
@@ -237,7 +249,12 @@ def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
     if p.n % 2 != 0:
         raise ValueError("the doubling map is defined for even degree")
     _require_updown_smu(p)
-    n = p.n
-    side = 0 if p.position_of(n - 1) < p.position_of(n) else 1
-    d = decompose_smu(_swapped(p) if side else p)
-    return compose_maxmin(_maxmin_split_of(d), n), side
+    source, side = _to_maxmin(p.values)
+    return Permutation(source), side
+
+
+def _to_maxmin(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    n = len(vals)
+    side = 0 if vals.index(n - 1) < vals.index(n) else 1
+    d = _decompose_smu(_swapped(vals) if side else vals)
+    return _compose_maxmin(_maxmin_split_of(d), n), side

@@ -12,8 +12,7 @@ work grows with 2^n rather than with the number of leaves.  The
 :class:`Permutation` generator and :func:`classify` serve the
 bijections and callers that need the permutations themselves; the
 generator can be restricted to one first value, so that the subtrees
-of one degree can be walked apart, and a permutation keeps its
-classification once :func:`classify` has computed it.
+of one degree can be walked apart.
 
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
@@ -52,18 +51,13 @@ class Permutation:
     checked on construction, by ``__post_init__``, which
     ``perfbench/layers.py`` patches on the class to count constructions,
     and is immutable: assigning to an attribute raises AttributeError.
-    ``classification`` is filled by :func:`classify` on its first call
-    and is no part of the value: it takes no part in construction, repr,
-    equality, hashing or pickling.
     """
 
-    __slots__ = ("values", "classification")
+    __slots__ = ("values",)
     values: tuple[int, ...]
-    classification: Optional[Classification]
 
     def __init__(self, values: Sequence[int]) -> None:
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "classification", None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -105,9 +99,7 @@ class Permutation:
         return self.values.index(value) + 1
 
     def to_text(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.values)
-        return ",".join(str(v) for v in self.values)
+        return _text(self.values)
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
@@ -122,22 +114,15 @@ class Permutation:
         return self.to_text()
 
 
+def _text(values: Sequence[int]) -> str:
+    """The text form of a permutation's values: digits up to degree 9, commas above."""
+    return ("" if len(values) <= 9 else ",").join(map(str, values))
+
+
 class Classification(NamedTuple):
     kind: AltKind
     minmax: MinMaxKind
     secondmax: SecondMaxKind
-
-
-# Every classification there is, built once and shared, indexed by
-# [up-down][min-max][second-max-upper].
-_CLASSIFICATIONS = tuple(
-    tuple(
-        tuple(Classification(kind, minmax, secondmax)
-              for secondmax in (SecondMaxKind.LOWER, SecondMaxKind.UPPER))
-        for minmax in (MinMaxKind.MAX_MIN, MinMaxKind.MIN_MAX)
-    )
-    for kind in (AltKind.DOWN_UP, AltKind.UP_DOWN)
-)
 
 
 def _zigzags(values: Sequence[int], first_rises: bool) -> bool:
@@ -149,32 +134,8 @@ def _zigzags(values: Sequence[int], first_rises: bool) -> bool:
     return True
 
 
-def is_up_down(p: Permutation) -> bool:
-    """True when the values strictly zigzag starting with a rise.
-
-    Degrees 0 and 1 count as up-down (the chain is empty).
-    """
-    return _zigzags(p.values, True)
-
-
-def is_down_up(p: Permutation) -> bool:
-    """True when the values strictly zigzag starting with a descent."""
-    return _zigzags(p.values, False)
-
-
-def complement(p: Permutation) -> Permutation:
-    """Replace each value v by n - v + 1; an involution swapping the two kinds."""
-    n = p.n
-    return Permutation(tuple(n - v + 1 for v in p.values))
-
-
 def classify(p: Permutation) -> Classification:
-    """Kind plus the min-max and second-max refinements of an alternating permutation.
-
-    Computed once per permutation and kept in its ``classification``.
-    """
-    if p.classification is not None:
-        return p.classification
+    """Kind plus the min-max and second-max refinements of an alternating permutation."""
     values = p.values
     n = len(values)
     if n < 2:
@@ -188,9 +149,11 @@ def classify(p: Permutation) -> Classification:
     else:
         raise ValueError(f"not an alternating permutation: {p}")
     index = values.index
-    c = _CLASSIFICATIONS[up_down][index(1) < index(n)][index(n - 1) % 2 == up_down]
-    object.__setattr__(p, "classification", c)
-    return c
+    return Classification(
+        AltKind.UP_DOWN if up_down else AltKind.DOWN_UP,
+        MinMaxKind.MIN_MAX if index(1) < index(n) else MinMaxKind.MAX_MIN,
+        SecondMaxKind.UPPER if index(n - 1) % 2 == up_down else SecondMaxKind.LOWER,
+    )
 
 
 def enumerate_alternating(

@@ -241,57 +241,76 @@ def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
 
     A second-max-upper permutation gets the involution check and its
     split round trip; at even n, a max-min one gets its split round trip
-    and both sides of the doubling map.  Only counts, witnesses and packed
-    values are kept.  A map that raises on a permutation, or doubles it to
-    another degree, records that permutation as a failure, with the reason
-    in its witness.
+    and both sides of the doubling map.  The classes are read from the
+    positions of 1, n - 1 and n, and the maps of ``bij`` run as their
+    cores, on value tuples: the doubling image is composed once, and its
+    side-1 form is that image with n - 1 and n swapped.  Each image must be
+    second-max-upper up-down before its inverse runs.  Only counts,
+    witnesses and packed values are kept.  A map that raises on a
+    permutation, or doubles it to another degree, records that permutation
+    as a failure, with the reason in its witness.
     """
     from . import bij, perm
 
     n, first = unit
     even = n % 2 == 0
+    text = perm._text
     r = _DegreeResult()
     smu_values = []
     for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
-        c = perm.classify(p)
-        if c.secondmax is perm.SecondMaxKind.UPPER:
+        v = p.values
+        index = v.index
+        # Up-down: the peaks sit at the odd 0-based indices.
+        if index(n - 1) % 2:
             r.smu += 1
             if even:
-                smu_values.append(bytes(p.values))
+                smu_values.append(bytes(v))
             try:
-                q = bij.swap_top_two(p)
-                if q == p:
-                    r.fixed.append(p.to_text())
-                if (bij.swap_top_two(q) != p
-                        or perm.classify(q).secondmax is not perm.SecondMaxKind.UPPER):
-                    r.involution_bad.append(p.to_text())
+                q = bij._swapped(v)
+                if q == v:
+                    r.fixed.append(text(v))
+                bij._require_smu(q)
+                if bij._swapped(q) != v:
+                    r.involution_bad.append(text(v))
             except Exception as exc:
-                r.involution_bad.append(_raised(p.to_text(), exc))
-            if p.position_of(n - 1) < p.position_of(n):
+                r.involution_bad.append(_raised(text(v), exc))
+            if index(n - 1) < index(n):
                 r.lefts += 1
                 try:
-                    if bij.compose_smu(bij.decompose_smu(p), n) != p:
-                        r.smu_bad.append(p.to_text())
+                    if bij._compose_smu(bij._decompose_smu(v), n) != v:
+                        r.smu_bad.append(text(v))
                 except Exception as exc:
-                    r.smu_bad.append(_raised(p.to_text(), exc))
-        if not even or c.minmax is not perm.MinMaxKind.MAX_MIN:
+                    r.smu_bad.append(_raised(text(v), exc))
+        if not even or index(1) < index(n):
             continue
         r.maxmin += 1
         try:
-            if bij.compose_maxmin(bij.decompose_maxmin(p), n) != p:
-                r.maxmin_bad.append(p.to_text())
+            d = bij._decompose_maxmin(v)
+        except Exception as exc:  # no round trip and no image without the split
+            r.maxmin_bad.append(_raised(text(v), exc))
+            r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
+            continue
+        try:
+            if bij._compose_maxmin(d, n) != v:
+                r.maxmin_bad.append(text(v))
         except Exception as exc:
-            r.maxmin_bad.append(_raised(p.to_text(), exc))
+            r.maxmin_bad.append(_raised(text(v), exc))
+        try:
+            image = bij._compose_smu(bij._smu_split_of(d), n)
+        except Exception as exc:
+            r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
+            continue
         for side in (0, 1):
             try:
-                q = bij.maxmin_to_smu(p, side)
-                if len(q.values) != n:
-                    raise ValueError(f"its image {q.to_text()} has degree {len(q.values)}")
-                r.images.setdefault(q.values[0], bytearray()).extend(q.values)
-                if bij.smu_to_maxmin(q) != (p, side):
-                    r.inverse_bad.append(f"{p.to_text()} with side {side}")
+                q = bij._swapped(image) if side else image
+                if len(q) != n:
+                    raise ValueError(f"its image {text(q)} has degree {len(q)}")
+                r.images.setdefault(q[0], bytearray()).extend(q)
+                bij._require_smu(q)
+                if bij._to_maxmin(q) != (v, side):
+                    r.inverse_bad.append(f"{text(v)} with side {side}")
             except Exception as exc:
-                r.inverse_bad.append(_raised(f"{p.to_text()} with side {side}", exc))
+                r.inverse_bad.append(_raised(f"{text(v)} with side {side}", exc))
     r.smu_values = b"".join(sorted(smu_values))
     return r
 

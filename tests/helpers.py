@@ -24,8 +24,6 @@ from euler_refine import (
     classify,
     Permutation,
     enumerate_alternating,
-    is_down_up,
-    is_up_down,
     verify,
 )
 
@@ -105,11 +103,9 @@ def enumerate_alternating_by_filter(n, kind):
     """Reference generator: filter all n! permutations (small n only)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    check = is_up_down if kind is AltKind.UP_DOWN else is_down_up
     for values in itertools.permutations(range(1, n + 1)):
-        p = Permutation(values)
-        if check(p):
-            yield p
+        if reference_zigzags(values, kind is AltKind.UP_DOWN):
+            yield Permutation(values)
 
 
 def reference_zigzags(values, first_rises):

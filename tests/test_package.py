@@ -26,8 +26,7 @@ EXPORTS = {
     "smu_to_maxmin": "bij", "swap_top_two": "bij",
     "AltKind": "perm", "Classification": "perm", "MinMaxKind": "perm",
     "Permutation": "perm", "SecondMaxKind": "perm", "classify": "perm",
-    "complement": "perm", "count_refinements": "perm", "enumerate_alternating": "perm",
-    "is_down_up": "perm", "is_up_down": "perm",
+    "count_refinements": "perm", "enumerate_alternating": "perm",
     "CheckEntry": "report", "CountTable": "report", "VerifyReport": "report",
     "e_down_recurrence": "seq", "e_ne_formula": "seq",
     "e_ne_nw_pair": "seq", "e_nw_formula": "seq", "e_up_formula": "seq",

@@ -103,13 +103,13 @@ def test_bijection_checks_pass():
 
 
 def test_bijection_failure_names_first_bad_permutation(monkeypatch, capsys):
-    original = bij.compose_smu
+    original = bij._compose_smu
 
     def broken(decomposition, n):
-        p = original(decomposition, n)
-        return bij.swap_top_two(p) if n == 5 else p
+        values = original(decomposition, n)
+        return bij._swapped(values) if n == 5 else values
 
-    monkeypatch.setattr(bij, "compose_smu", broken)
+    monkeypatch.setattr(bij, "_compose_smu", broken)
     first = next(p for p in smu_set(5) if p.position_of(4) < p.position_of(5))
     witness = f"first bad permutation: {first.to_text()}"
     report = {r.identity: r for r in bijection_checks(max_n=6)}["second-max-upper split round trip"]
@@ -144,9 +144,10 @@ def test_shard_count_does_not_change_the_reports(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-@pytest.mark.parametrize("name", ["compose_smu", "smu_to_maxmin"])
+@pytest.mark.parametrize("name", ["_compose_smu", "_to_maxmin"])
 def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, name):
-    # Forked workers inherit the patched map.
+    # The check loop runs the cores of bij's maps; forked workers inherit
+    # the patched one.
     def broken(*args):
         raise ValueError("broken map")
 
@@ -167,15 +168,16 @@ def test_the_first_failure_in_enumeration_order_is_named(monkeypatch):
     # One failure in each of two shards: the first comes from the forked
     # worker, the second from this process.
     bad = maxmin_set(8)[0], maxmin_set(8)[-1]
-    original = bij.decompose_maxmin
+    original = bij._decompose_maxmin
 
-    def broken(p):
+    def broken(values):
+        p = perm.Permutation(values)
         if p in bad:
             raise ValueError(f"cannot split {p}")
-        return original(p)
+        return original(values)
 
     _use_cpus(monkeypatch, TWO_CPUS)
-    monkeypatch.setattr(bij, "decompose_maxmin", broken)
+    monkeypatch.setattr(bij, "_decompose_maxmin", broken)
     report = {r.identity: r for r in bijection_checks(max_n=8)}["max-min split round trip"]
     first = bad[0].to_text()
     assert [(e.n, e.left, e.note) for e in report.failures()] == [
@@ -216,8 +218,8 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
 def test_a_unit_keeps_no_permutation_it_has_checked(monkeypatch, unit):
     # The enumerator holds each permutation it yields in `seen`; one that
     # nothing else refers to any more has a reference count of 2 (`seen`
-    # and the argument of getrefcount).  Besides the loop's current one,
-    # only the two-entry memos of bij's two splits may still hold any.
+    # and the argument of getrefcount).  Only the loop's current one may
+    # still be held.
     original = perm.enumerate_alternating
     seen, alive, most = [], set(), []
 
@@ -233,7 +235,7 @@ def test_a_unit_keeps_no_permutation_it_has_checked(monkeypatch, unit):
     monkeypatch.setattr(perm, "enumerate_alternating", held)
     verify._check_subtree(unit)
     assert len(seen) > 100
-    assert max(most) <= 5
+    assert max(most) <= 1
 
 def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
     ran = []
@@ -256,17 +258,21 @@ def _doubling_failures_at_8(images, smu):
 
 
 def _collide(monkeypatch, bad, other):
-    """Patch the doubling map so that (bad, 0) maps to the image of (other, 0),
+    """Patch the doubling map so that (bad, 1) maps to the image of (other, 1),
     still a second-max-upper permutation: the image loses one element and
-    gains none.  Returns every image of degree 8 under the patched map."""
-    original = bij.maxmin_to_smu
-    wrong = original(other, 0)
+    gains none.  Returns every image of degree 8 under the patched map.
 
-    def broken(p, side):
-        return wrong if (p, side) == (bad, 0) else original(p, side)
+    The side-1 image is the side-0 image with n-1 and n swapped, so the swap
+    is patched on bad's side-0 image; the involution check, which swaps that
+    permutation too, fails as well."""
+    original = bij._swapped
+    source, wrong = bij.maxmin_to_smu(bad, 0).values, bij.maxmin_to_smu(other, 1).values
 
-    monkeypatch.setattr(bij, "maxmin_to_smu", broken)
-    return [broken(p, side).values for p in maxmin_set(8) for side in (0, 1)]
+    def broken(values):
+        return wrong if values == source else original(values)
+
+    monkeypatch.setattr(bij, "_swapped", broken)
+    return [bij.maxmin_to_smu(p, side).values for p in maxmin_set(8) for side in (0, 1)]
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
@@ -337,17 +343,22 @@ def test_a_subtree_enumerated_in_reverse_gives_the_same_reports(monkeypatch, cpu
 def test_an_image_of_another_degree_is_named_and_left_out_of_the_set(monkeypatch, cpus, first):
     # Packed n bytes a record, an image of degree 9 would be dropped (first
     # value 9) or cut the records after it in its bucket (first value 1).
+    # The doubling core composes the degree-9 image for bad's split, which
+    # is also the split of bad's side-0 image, and the swap still gives
+    # bad's side-1 image.
     bad = maxmin_set(8)[0]
     wrong = perm.Permutation([first] + [v for v in range(1, 10) if v != first])
-    original = bij.maxmin_to_smu
-
-    def broken(p, side):
-        return wrong if (p, side) == (bad, 0) else original(p, side)
+    images = [bij.maxmin_to_smu(p, side).values for p in maxmin_set(8) for side in (0, 1)
+              if (p, side) != (bad, 0)]
+    split = bij._smu_split_of(bij._decompose_maxmin(bad.values))
+    right = bij.maxmin_to_smu(bad, 1).values
+    compose, swapped = bij._compose_smu, bij._swapped
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(bij, "maxmin_to_smu", broken)
-    images = [original(p, side).values for p in maxmin_set(8) for side in (0, 1)
-              if (p, side) != (bad, 0)]
+    monkeypatch.setattr(bij, "_compose_smu",
+                        lambda d, n: wrong.values if d == split else compose(d, n))
+    monkeypatch.setattr(bij, "_swapped",
+                        lambda values: right if values == wrong.values else swapped(values))
     failed = _doubling_failures_at_8(images, [p.values for p in smu_set(8)])
     assert {"image size", "image = second-max-upper set"} <= set(failed)
     assert failed["image size"].left == 2 * len(maxmin_set(8)) - 1
@@ -357,21 +368,45 @@ def test_an_image_of_another_degree_is_named_and_left_out_of_the_set(monkeypatch
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+@pytest.mark.parametrize("text", ["78132546", "21436587"], ids=["second-max-lower", "down-up"])
+def test_an_image_that_is_not_second_max_upper_fails_its_inverse(monkeypatch, cpus, text):
+    # The doubling core composes, for bad's split, an image of degree 8 that
+    # is not second-max-upper up-down.  Its inverse does not run, and the
+    # reason is the one smu_to_maxmin gives for it.
+    bad = maxmin_set(8)[0]
+    wrong = perm.Permutation.from_text(text)
+    with pytest.raises(ValueError) as refused:
+        bij.smu_to_maxmin(wrong)
+    split = bij._smu_split_of(bij._decompose_maxmin(bad.values))
+    compose = bij._compose_smu
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, "_compose_smu",
+                        lambda d, n: wrong.values if d == split else compose(d, n))
+    doubling = {r.identity: r for r in bijection_checks(max_n=8)}["doubling map bijectivity"]
+    failed = {e.label: e for e in doubling.failures()}
+    assert (failed["inverse round-trip failures"].left, failed["inverse round-trip failures"].note) == (
+        2, f"first bad permutation: {bad.to_text()} with side 0 raised ValueError: {refused.value}")
+    assert "image = second-max-upper set" in failed
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
 def test_the_first_failure_across_first_value_units_is_named(monkeypatch, cpus):
     # Units are dealt in turn, so on two CPUs the subtrees of first values
     # 2 and 3 at degree 8 are checked in different processes.
     lefts = [p for p in smu_set(8) if p.position_of(7) < p.position_of(8)]
     bad = ([p for p in lefts if p.values[0] == 3][-1],
            next(p for p in lefts if p.values[0] == 2))
-    original = bij.decompose_smu
+    original = bij._decompose_smu
 
-    def broken(p):
+    def broken(values):
+        p = perm.Permutation(values)
         if p in bad:
             raise ValueError(f"cannot split {p}")
-        return original(p)
+        return original(values)
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(bij, "decompose_smu", broken)
+    monkeypatch.setattr(bij, "_decompose_smu", broken)
     reports = {r.identity: r for r in bijection_checks(max_n=8)}
     first = bad[1].to_text()
     assert [(e.n, e.label, e.left, e.note)
