@@ -150,6 +150,77 @@ def test_compose_maxmin_rejects_malformed():
             compose_maxmin(d, n)
 
 
+def _lefts(n):
+    return [p for p in smu_set(n) if p.position_of(n - 1) < p.position_of(n)]
+
+
+def _sources(n):
+    """The max-min up-down permutations of degree n that the max-min split
+    takes: none at odd degree."""
+    return maxmin_set(n) if n % 2 == 0 else ()
+
+
+def _doubled(values):
+    """Both doubling images of a max-min value tuple, as the check loop
+    builds them: side 1 is side 0 with n-1 and n swapped."""
+    split = bij._smu_split_of(bij._decompose_maxmin(values))
+    image = bij._compose_smu(split, len(values))
+    return image, bij._swapped(image)
+
+
+def _source_and_side(p):
+    source, side = smu_to_maxmin(p)
+    return source.values, side
+
+
+# For each public map, (its output, its core's output) on every input of
+# degree n in its domain, outputs as value tuples.
+_MAP_AND_CORE = {
+    "swap_top_two": lambda n: [
+        (swap_top_two(p).values, bij._swapped(p.values)) for p in smu_set(n)],
+    "decompose_smu": lambda n: [
+        (decompose_smu(p), bij._decompose_smu(p.values)) for p in _lefts(n)],
+    "compose_smu": lambda n: [
+        (compose_smu(d, n).values, bij._compose_smu(d, n))
+        for d in map(decompose_smu, _lefts(n))],
+    "decompose_maxmin": lambda n: [
+        (decompose_maxmin(p), bij._decompose_maxmin(p.values)) for p in _sources(n)],
+    "compose_maxmin": lambda n: [
+        (compose_maxmin(d, n).values, bij._compose_maxmin(d, n))
+        for d in map(decompose_maxmin, _sources(n))],
+    "maxmin_to_smu": lambda n: [
+        ((maxmin_to_smu(p, 0).values, maxmin_to_smu(p, 1).values), _doubled(p.values))
+        for p in _sources(n)],
+    "smu_to_maxmin": lambda n: [
+        (_source_and_side(p), bij._to_maxmin(p.values))
+        for p in (smu_set(n) if n % 2 == 0 else ())],
+}
+
+
+@pytest.mark.parametrize("name", list(_MAP_AND_CORE))
+def test_each_core_gives_what_its_public_map_gives(name):
+    checked = 0
+    for n in range(2, 10):
+        for public, core in _MAP_AND_CORE[name](n):
+            assert public == core, (name, n, public)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("compose", [compose_smu, compose_maxmin], ids=lambda f: f.__name__)
+def test_the_compose_cores_keep_every_check(compose):
+    # The check loop calls the cores directly, so they must refuse each
+    # malformed split that the public compositions refuse, for the same reason.
+    core = {compose_smu: bij._compose_smu, compose_maxmin: bij._compose_maxmin}[compose]
+    for d, n, message in _malformed(compose):
+        with pytest.raises(ValueError, match=message):
+            core(d, n)
+    for ranks in ((1, 1), (2,), (0, 1), (-1,), (1, -1), (1, 3, 2, 5)):
+        d, n = _split_with(compose, ranks)
+        with pytest.raises(ValueError):
+            core(d, n)
+
+
 def _split_with(compose, ranks):
     """A split for `compose`, well formed but for one block that carries
     `ranks` on as many values, and its degree."""

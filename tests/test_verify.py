@@ -144,7 +144,8 @@ def test_shard_count_does_not_change_the_reports(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-@pytest.mark.parametrize("name", ["_compose_smu", "_to_maxmin"])
+@pytest.mark.parametrize("name", ["_compose_smu", "_to_maxmin"],
+                         ids=["compose_smu", "smu_to_maxmin"])
 def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, name):
     # The check loop runs the cores of bij's maps; forked workers inherit
     # the patched one.
