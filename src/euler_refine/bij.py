@@ -24,7 +24,14 @@ Positions are 1-based, and the cores index values from 0.  Each public
 map checks its input once and then runs its core, a function of plain
 value tuples.  The cores assume a checked input, except the
 compositions, which keep every check on the split they are given.
-``verify`` runs the cores on the permutations it enumerates.
+After the block-size parities, a composition joins the blocks once and
+accepts the joined values when every pattern is as long as its part,
+every rank is at least 1, and the values are an up-down permutation of
+1..n.  Given the parities, that is exactly when the parts partition the
+free values, each pattern is a permutation of its ranks and each
+zigzags as its block must, since the landmarks are the two extremes.
+Only a rejected split goes through those checks one by one, which name
+the fault.  ``verify`` runs the cores on the permutations it enumerates.
 """
 
 from __future__ import annotations
@@ -85,15 +92,37 @@ def embed(pattern: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
 
 def _split(vals: tuple[int, ...], first: int, second: int) -> Decomposition:
     """Cut `vals` around the 0-based indices ``first`` < ``second``."""
-    blocks = (vals[:first], vals[first + 1:second], vals[second + 1:])
-    parts = tuple(tuple(sorted(b)) for b in blocks)
-    return Decomposition(parts, tuple(map(_ranked, blocks, parts)))
+    a, b, c = vals[:first], vals[first + 1:second], vals[second + 1:]
+    part_a, part_b, part_c = sorted(a), sorted(b), sorted(c)
+    return Decomposition((tuple(part_a), tuple(part_b), tuple(part_c)),
+                         (_ranked(a, part_a), _ranked(b, part_b), _ranked(c, part_c)))
 
 
 def _join(d: Decomposition, first: int, second: int) -> tuple[int, ...]:
     """Values of block 1, ``first``, block 2, ``second``, block 3."""
     (a, b, c), (pat_a, pat_b, pat_c) = d.parts, d.patterns
     return embed(pat_a, a) + (first,) + embed(pat_b, b) + (second,) + embed(pat_c, c)
+
+
+def _joined(d: Decomposition, n: int, first: int, second: int) -> tuple[int, ...] | None:
+    """What :func:`_join` gives, if each pattern holds one rank of at least 1
+    per value of its part and the result is a permutation of 1..n; else None."""
+    try:
+        (a, b, c), (pat_a, pat_b, pat_c) = d
+        if (len(pat_a) != len(a) or len(pat_b) != len(b) or len(pat_c) != len(c)
+                or min(*pat_a, *pat_b, *pat_c, 1) < 1):
+            return None
+        # Rank r reads index r - 1 of the sorted part, so rank 0 would read
+        # its last value: only the check above keeps ranks below 1 out.
+        index = (-1).__add__
+        vals = (*map(sorted(a).__getitem__, map(index, pat_a)), first,
+                *map(sorted(b).__getitem__, map(index, pat_b)), second,
+                *map(sorted(c).__getitem__, map(index, pat_c)))
+        if len(vals) == n and set(vals).issuperset(range(1, n + 1)):
+            return vals
+    except (IndexError, TypeError, ValueError):  # a rank above its part, or no three blocks of ints
+        pass
+    return None
 
 
 def _check_parts(d: Decomposition, free_values: range) -> None:
@@ -161,6 +190,10 @@ def _compose_smu(d: Decomposition, n: int) -> tuple[int, ...]:
     s1, s2, _ = d.sizes
     if s1 % 2 == 0 or s2 % 2 == 0:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
+    vals = _joined(d, n, n - 1, n)
+    if vals is not None and _zigzags(vals, True):
+        return vals
+    # Rejected: the checks one by one, to name what is wrong.
     _check_parts(d, range(1, n - 1))
     for pattern in d.patterns:
         if not _zigzags(pattern, True):
@@ -201,6 +234,10 @@ def _compose_maxmin(d: Decomposition, n: int) -> tuple[int, ...]:
     s1, s2, s3 = d.sizes
     if s1 % 2 == 0 or s2 % 2 != 0 or s3 % 2 == 0:
         raise ValueError(f"block sizes must be (odd, even, odd), got {d.sizes}")
+    vals = _joined(d, n, n, 1)
+    if vals is not None and _zigzags(vals, True):
+        return vals
+    # Rejected: the checks one by one, to name what is wrong.
     _check_parts(d, range(2, n))
     if not (_zigzags(d.patterns[0], True) and _zigzags(d.patterns[1], True)):
         raise ValueError("the blocks before 1 must carry up-down patterns")
@@ -230,18 +267,20 @@ def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
 
 def _smu_split_of(d: Decomposition) -> Decomposition:
     """The max-min split (A, B, C) rewired as maxmin_to_smu says."""
-    part_a, part_b, part_c = (tuple(v - 1 for v in part) for part in d.parts)
-    pat_a, pat_b, pat_c = d.patterns
-    up_c = tuple(len(pat_c) + 1 - v for v in pat_c)
-    return Decomposition((part_a, part_c, part_b), (pat_a, up_c, pat_b))
+    (part_a, part_b, part_c), (pat_a, pat_b, pat_c) = d
+    down = (-1).__add__
+    return Decomposition(
+        (tuple(map(down, part_a)), tuple(map(down, part_c)), tuple(map(down, part_b))),
+        (pat_a, tuple(map((len(pat_c) + 1).__sub__, pat_c)), pat_b))
 
 
 def _maxmin_split_of(d: Decomposition) -> Decomposition:
     """The second-max split rewired back, inverse of :func:`_smu_split_of`."""
-    part_a, part_c, part_b = (tuple(v + 1 for v in part) for part in d.parts)
-    pat_a, pat_c, pat_b = d.patterns
-    down_c = tuple(len(pat_c) + 1 - v for v in pat_c)
-    return Decomposition((part_a, part_b, part_c), (pat_a, pat_b, down_c))
+    (part_a, part_c, part_b), (pat_a, pat_c, pat_b) = d
+    up = (1).__add__
+    return Decomposition(
+        (tuple(map(up, part_a)), tuple(map(up, part_b)), tuple(map(up, part_c))),
+        (pat_a, pat_b, tuple(map((len(pat_c) + 1).__sub__, pat_c))))
 
 
 def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:

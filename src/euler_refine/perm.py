@@ -11,8 +11,9 @@ have the same completions and carries the two class bits along, so the
 work grows with 2^n rather than with the number of leaves.  The
 :class:`Permutation` generator and :func:`classify` serve the
 bijections and callers that need the permutations themselves; the
-generator can be restricted to one first value, so that the subtrees
-of one degree can be walked apart.
+generator wraps a walk that yields plain value tuples, which the
+bijection check reads directly.  Both can be restricted to one first
+value, so that the subtrees of one degree can be walked apart.
 
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
@@ -161,11 +162,23 @@ def enumerate_alternating(
 ) -> Iterator[Permutation]:
     """Yield the alternating permutations of one kind in lexicographic order.
 
+    The permutations of :func:`_walk`, each built as a checked
+    :class:`Permutation`; an invalid degree or first value raises at the
+    first ``next``.  With `first`, only those that start with it: the
+    subtree of that first value, so that the subtrees for 1..n, one after
+    another, yield what the whole enumeration yields.
+    """
+    return map(Permutation, _walk(n, kind, first))
+
+
+def _walk(n: int, kind: AltKind, first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Yield the values of the alternating permutations of one kind, as
+    tuples in lexicographic order; `first` as in :func:`enumerate_alternating`.
+
     Extends one value at a time and abandons any prefix that breaks the
     zigzag chain, depth first, in one generator frame with a stack of
-    candidate iterators.  With `first`, only those that start with it:
-    the subtree of that first value, so that the subtrees for 1..n, one
-    after another, yield what the whole enumeration yields.
+    candidate iterators.  No :class:`Permutation` is built, so a caller
+    that checks each tuple itself pays for no second check.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -190,7 +203,7 @@ def enumerate_alternating(
             continue
         idx = len(partial)
         if idx == last:
-            yield Permutation((*partial, v))
+            yield (*partial, v)
             continue
         used[v] = 1
         partial.append(v)

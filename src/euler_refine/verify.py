@@ -13,6 +13,7 @@ command that only evaluates formulas and series never loads them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import seq, series
@@ -204,7 +205,8 @@ class _DegreeResult:
     `smu` and `maxmin` count the second-max-upper and the max-min permutations
     checked.  At even degree, `images` packs the doubling map's images as n
     bytes each, one per value, in one blob per first value of the image,
-    and `smu_values` the second-max-upper set in one sorted blob.
+    and `smu_values` the second-max-upper set: each permutation's bytes,
+    joined in sorted order once its unit is checked.
     """
 
     __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
@@ -216,11 +218,11 @@ class _DegreeResult:
         self.smu_bad: list[str] = []
         self.lefts = 0
         self.maxmin_bad: list[str] = []
-        self.images: dict[int, bytearray] = {}
+        self.images: defaultdict[int, bytearray] = defaultdict(bytearray)
         self.inverse_bad: list[str] = []
         self.smu = 0
         self.maxmin = 0
-        self.smu_values = b""
+        self.smu_values: list[bytes] = []
 
     def absorb(self, later: _DegreeResult) -> None:
         """Append the results of the subtree that follows this one."""
@@ -230,14 +232,27 @@ class _DegreeResult:
                 mine.extend(theirs)
             elif isinstance(mine, dict):
                 for first, blob in theirs.items():
-                    mine.setdefault(first, bytearray()).extend(blob)
+                    mine[first].extend(blob)
             else:
                 setattr(self, name, mine + theirs)
 
 
 def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
-    """Enumerate the up-down permutations of degree n that start with one
-    value, given as the unit (n, first), and check each as it comes.
+    """Walk the up-down permutations of degree n that start with one value,
+    given as the unit (n, first), as value tuples, and check each as it
+    comes; only counts, witnesses and packed values are kept."""
+    from . import perm
+
+    n, first = unit
+    r = _DegreeResult()
+    for v in perm._walk(n, perm.AltKind.UP_DOWN, first):
+        _check_one(v, n, r)
+    r.smu_values = [b"".join(sorted(r.smu_values))]
+    return r
+
+
+def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
+    """Check the up-down permutation of degree n with values `v` into `r`.
 
     A second-max-upper permutation gets the involution check and its
     split round trip; at even n, a max-min one gets its split round trip
@@ -245,74 +260,66 @@ def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
     positions of 1, n - 1 and n, and the maps of ``bij`` run as their
     cores, on value tuples: the doubling image is composed once, and its
     side-1 form is that image with n - 1 and n swapped.  Each image must be
-    second-max-upper up-down before its inverse runs.  Only counts,
-    witnesses and packed values are kept.  A map that raises on a
-    permutation, or doubles it to another degree, records that permutation
-    as a failure, with the reason in its witness.
+    second-max-upper up-down before its inverse runs.  A map that raises on
+    a permutation, or doubles it to another degree, records that
+    permutation as a failure, with the reason in its witness.
     """
     from . import bij, perm
 
-    n, first = unit
     even = n % 2 == 0
     text = perm._text
-    r = _DegreeResult()
-    smu_values = []
-    for p in perm.enumerate_alternating(n, perm.AltKind.UP_DOWN, first):
-        v = p.values
-        index = v.index
-        # Up-down: the peaks sit at the odd 0-based indices.
-        if index(n - 1) % 2:
-            r.smu += 1
-            if even:
-                smu_values.append(bytes(v))
-            try:
-                q = bij._swapped(v)
-                if q == v:
-                    r.fixed.append(text(v))
-                bij._require_smu(q)
-                if bij._swapped(q) != v:
-                    r.involution_bad.append(text(v))
-            except Exception as exc:
-                r.involution_bad.append(_raised(text(v), exc))
-            if index(n - 1) < index(n):
-                r.lefts += 1
-                try:
-                    if bij._compose_smu(bij._decompose_smu(v), n) != v:
-                        r.smu_bad.append(text(v))
-                except Exception as exc:
-                    r.smu_bad.append(_raised(text(v), exc))
-        if not even or index(1) < index(n):
-            continue
-        r.maxmin += 1
+    index = v.index
+    # Up-down: the peaks sit at the odd 0-based indices.
+    if index(n - 1) % 2:
+        r.smu += 1
+        if even:
+            r.smu_values.append(bytes(v))
         try:
-            d = bij._decompose_maxmin(v)
-        except Exception as exc:  # no round trip and no image without the split
-            r.maxmin_bad.append(_raised(text(v), exc))
-            r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
-            continue
-        try:
-            if bij._compose_maxmin(d, n) != v:
-                r.maxmin_bad.append(text(v))
+            q = bij._swapped(v)
+            if q == v:
+                r.fixed.append(text(v))
+            bij._require_smu(q)
+            if bij._swapped(q) != v:
+                r.involution_bad.append(text(v))
         except Exception as exc:
-            r.maxmin_bad.append(_raised(text(v), exc))
-        try:
-            image = bij._compose_smu(bij._smu_split_of(d), n)
-        except Exception as exc:
-            r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
-            continue
-        for side in (0, 1):
+            r.involution_bad.append(_raised(text(v), exc))
+        if index(n - 1) < index(n):
+            r.lefts += 1
             try:
-                q = bij._swapped(image) if side else image
-                if len(q) != n:
-                    raise ValueError(f"its image {text(q)} has degree {len(q)}")
-                r.images.setdefault(q[0], bytearray()).extend(q)
-                bij._require_smu(q)
-                if bij._to_maxmin(q) != (v, side):
-                    r.inverse_bad.append(f"{text(v)} with side {side}")
+                if bij._compose_smu(bij._decompose_smu(v), n) != v:
+                    r.smu_bad.append(text(v))
             except Exception as exc:
-                r.inverse_bad.append(_raised(f"{text(v)} with side {side}", exc))
-    r.smu_values = b"".join(sorted(smu_values))
-    return r
+                r.smu_bad.append(_raised(text(v), exc))
+    if not even or index(1) < index(n):
+        return
+    r.maxmin += 1
+    try:
+        d = bij._decompose_maxmin(v)
+    except Exception as exc:  # no round trip and no image without the split
+        r.maxmin_bad.append(_raised(text(v), exc))
+        r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
+        return
+    try:
+        if bij._compose_maxmin(d, n) != v:
+            r.maxmin_bad.append(text(v))
+    except Exception as exc:
+        r.maxmin_bad.append(_raised(text(v), exc))
+    try:
+        image = bij._compose_smu(bij._smu_split_of(d), n)
+    except Exception as exc:
+        r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
+        return
+    for side in (0, 1):
+        try:
+            q = bij._swapped(image) if side else image
+            if len(q) != n:
+                raise ValueError(f"its image {text(q)} has degree {len(q)}")
+            r.images[q[0]].extend(q)
+            bij._require_smu(q)
+            if bij._to_maxmin(q) != (v, side):
+                r.inverse_bad.append(f"{text(v)} with side {side}")
+        except Exception as exc:
+            r.inverse_bad.append(_raised(f"{text(v)} with side {side}", exc))
 
 
 def _records(blob: bytes, n: int) -> list[bytes]:
@@ -373,7 +380,7 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
         maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
         images = b"".join(b"".join(sorted(set(_records(bytes(r.images.get(first, b"")), n))))
                           for first in range(1, n + 1))
-        smu, r.images, r.smu_values = r.smu_values, {}, b""
+        smu, r.images, r.smu_values = b"".join(r.smu_values), {}, []
         doubling.entries.append(CheckEntry(n, "image size", len(images) // n, 2 * r.maxmin))
         image_text = _list_text(images, n)  # every passing run: one text for both sides
         smu_text = image_text if smu == images else _list_text(smu, n)

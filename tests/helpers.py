@@ -1,7 +1,7 @@
 """Shared fixtures: CPU sets, cached enumerations, frozen reference rows,
-the enumeration, classification, counting, bijection-check, series,
-convolution and Euler-number oracles, a b-file reader, a writer's text and
-the environment of a new interpreter."""
+the enumeration, classification, counting, bijection-check, composition,
+series, convolution and Euler-number oracles, a b-file reader, a writer's
+text and the environment of a new interpreter."""
 
 import io
 import itertools
@@ -308,6 +308,59 @@ def whole_degree_bijection_checks(max_n):
                 lambda ps: bij.smu_to_maxmin(bij.maxmin_to_smu(*ps)) == ps)),
         ]
     return [involution, smu_roundtrip, maxmin_roundtrip, doubling]
+
+
+def _checked_embed(pattern, values):
+    ordered = [None, *sorted(values)]
+    k = len(ordered) - 1
+    if len(pattern) != k:
+        raise ValueError(f"pattern of degree {len(pattern)} cannot use {k} values")
+    if not set(pattern).issuperset(range(1, k + 1)):
+        raise ValueError(f"pattern {pattern} is not a permutation of 1..{k}")
+    return tuple(map(ordered.__getitem__, pattern))
+
+
+def _checked_join(d, first, second):
+    (a, b, c), (pat_a, pat_b, pat_c) = d.parts, d.patterns
+    return (_checked_embed(pat_a, a) + (first,) + _checked_embed(pat_b, b) + (second,)
+            + _checked_embed(pat_c, c))
+
+
+def _check_parts(d, free_values):
+    values = [v for part in d.parts for v in part]
+    if len(values) != len(free_values) or set(values) != set(free_values):
+        raise ValueError(f"parts {d.parts} do not partition the non-landmark values")
+
+
+def checked_compose_smu(d, n):
+    """``bij._compose_smu`` as it was before it joined the blocks first:
+    every check on the split in turn, then the join, which checks each
+    pattern against its part.  Kept as the oracle of the core, which must
+    give the same values or raise the same exception with the same message."""
+    s1, s2, _ = d.sizes
+    if s1 % 2 == 0 or s2 % 2 == 0:
+        raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
+    _check_parts(d, range(1, n - 1))
+    for pattern in d.patterns:
+        if not reference_zigzags(pattern, True):
+            raise ValueError(f"block pattern {pattern} is not up-down")
+    return _checked_join(d, n - 1, n)
+
+
+def checked_compose_maxmin(d, n):
+    """``bij._compose_maxmin`` as it was before it joined the blocks first;
+    the oracle of the core, as :func:`checked_compose_smu` is."""
+    if n % 2 != 0:
+        raise ValueError("max-min composition requires even degree")
+    s1, s2, s3 = d.sizes
+    if s1 % 2 == 0 or s2 % 2 != 0 or s3 % 2 == 0:
+        raise ValueError(f"block sizes must be (odd, even, odd), got {d.sizes}")
+    _check_parts(d, range(2, n))
+    if not (reference_zigzags(d.patterns[0], True) and reference_zigzags(d.patterns[1], True)):
+        raise ValueError("the blocks before 1 must carry up-down patterns")
+    if not reference_zigzags(d.patterns[2], False):
+        raise ValueError("the block after 1 must carry a down-up pattern")
+    return _checked_join(d, n, 1)
 
 
 def cauchy_mul(fc, gc):

@@ -1,5 +1,9 @@
 """Involution, splittings and the doubling map, exhaustively at small degree."""
 
+import random
+import re
+from collections import Counter
+from functools import lru_cache
 from itertools import islice
 
 import pytest
@@ -23,7 +27,8 @@ from euler_refine import (
 from euler_refine import bij
 from euler_refine.bij import embed, standardize
 
-from helpers import maxmin_set, smu_set, updown
+from helpers import (checked_compose_maxmin, checked_compose_smu, maxmin_set, smu_set,
+                     updown)
 
 P = Permutation.from_text
 
@@ -150,8 +155,9 @@ def test_compose_maxmin_rejects_malformed():
             compose_maxmin(d, n)
 
 
+@lru_cache(maxsize=None)
 def _lefts(n):
-    return [p for p in smu_set(n) if p.position_of(n - 1) < p.position_of(n)]
+    return tuple(p for p in smu_set(n) if p.position_of(n - 1) < p.position_of(n))
 
 
 def _sources(n):
@@ -231,6 +237,92 @@ def _split_with(compose, ranks):
     if k % 2:
         return Decomposition(((2,), (), block), ((1,), (), ranks)), k + 3
     return Decomposition(((2,), block, (k + 3,)), ((1,), ranks, (1,))), k + 4
+
+
+def _reference_split(values, first, second):
+    """The split of `values` around the 0-based indices `first` < `second`,
+    as lists: the sorted parts and the ranks of each block."""
+    blocks = (values[:first], values[first + 1:second], values[second + 1:])
+    parts = [sorted(block) for block in blocks]
+    return parts, [[part.index(v) + 1 for v in block] for block, part in zip(blocks, parts)]
+
+
+def _random_split(rng):
+    """A random split of degree at most 9, and its degree.
+
+    It starts as the split of a left-oriented second-max-upper permutation
+    or of a max-min one; three times in four it then takes one to three
+    faults: a rank from -k-2 to k+2, two ranks swapped, a shuffled pattern,
+    a pattern one rank longer or shorter, a value of a part replaced, a
+    value moved to another part, a shuffled part, or another degree.
+    """
+    n = rng.randrange(4, 10)
+    if rng.random() < 0.5:
+        p = rng.choice(_lefts(n))
+        parts, patterns = _reference_split(p.values, p.position_of(n - 1) - 1,
+                                           p.position_of(n) - 1)
+    else:
+        n -= n % 2
+        p = rng.choice(maxmin_set(n))
+        parts, patterns = _reference_split(p.values, p.position_of(n) - 1, p.position_of(1) - 1)
+    for _ in range(rng.randint(1, 3) if rng.random() < 0.75 else 0):
+        i, j = rng.sample(range(3), 2)
+        pattern, part = patterns[i], parts[i]
+        fault = rng.randrange(8)
+        if fault == 0 and pattern:
+            k = len(pattern)
+            pattern[rng.randrange(k)] = rng.randint(-k - 2, k + 2)
+        elif fault == 1 and len(pattern) > 1:
+            a, b = rng.sample(range(len(pattern)), 2)
+            pattern[a], pattern[b] = pattern[b], pattern[a]
+        elif fault == 2:
+            patterns[i] = rng.sample(range(1, len(pattern) + 1), len(pattern))
+        elif fault == 3:
+            if pattern and rng.random() < 0.5:
+                pattern.pop()
+            else:
+                pattern.append(rng.randint(1, len(pattern) + 1))
+        elif fault == 4 and part:
+            part[rng.randrange(len(part))] = rng.randint(0, n + 1)
+        elif fault == 5 and part:
+            parts[j].append(part.pop(rng.randrange(len(part))))
+        elif fault == 6:
+            rng.shuffle(part)
+        elif fault == 7:
+            n += rng.choice((-2, -1, 1, 2))
+    return Decomposition(tuple(map(tuple, parts)), tuple(map(tuple, patterns))), n
+
+
+def _outcome(compose, d, n):
+    """("values", what `compose` returns) or ("raised", the type and the
+    message of what it raises)."""
+    try:
+        return "values", compose(d, n)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def test_the_compose_cores_agree_with_their_checked_forms():
+    # Each core joins the blocks once and checks the joined values; the
+    # oracles run every check on the split in turn.  Both cores see every
+    # split, so each sees the other's valid splits as malformed ones too.
+    rng = random.Random(20191)
+    tally = Counter()
+    for _ in range(50_000):
+        d, n = _random_split(rng)
+        for core, oracle in ((bij._compose_smu, checked_compose_smu),
+                             (bij._compose_maxmin, checked_compose_maxmin)):
+            outcome = _outcome(core, d, n)
+            assert outcome == _outcome(oracle, d, n), (core.__name__, d, n)
+            # The reason of a rejection, without the values it names.
+            reason = re.sub(r"\(.*\)|-?\d+", "", outcome[-1]) if outcome[0] == "raised" else ""
+            tally[core.__name__, reason] += 1
+    # Each core accepted thousands of splits and refused some for each reason
+    # it can give: five for the smu split, seven for the max-min one.
+    for core, kinds in (("_compose_smu", 5), ("_compose_maxmin", 7)):
+        reasons = {reason: count for (name, reason), count in tally.items() if name == core}
+        assert reasons.pop("") > 5_000, core
+        assert len(reasons) == kinds and min(reasons.values()) > 100, (core, reasons)
 
 
 def test_patterns_that_are_no_permutation_are_rejected():

@@ -210,33 +210,48 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
             assert {f: [tuple(blob[i:i + n]) for i in range(0, len(blob), n)]
                     for f, blob in r.images.items()} == {
                 f: [q for q in images if q[0] == f] for f in {q[0] for q in images}}
-            assert r.smu_values == b"".join(bytes(v) for v in sorted(p.values for p in smu)
-                                            if n % 2 == 0)
+            assert r.smu_values == [b"".join(bytes(v) for v in sorted(p.values for p in smu)
+                                             if n % 2 == 0)]
 
 
 
 @pytest.mark.parametrize("unit", [(8, 3), (9, 2)], ids=["8-3", "9-2"])
 def test_a_unit_keeps_no_permutation_it_has_checked(monkeypatch, unit):
-    # The enumerator holds each permutation it yields in `seen`; one that
-    # nothing else refers to any more has a reference count of 2 (`seen`
-    # and the argument of getrefcount).  Only the loop's current one may
-    # still be held.
-    original = perm.enumerate_alternating
+    # The walk holds each value tuple it yields in `seen`; one that nothing
+    # else refers to any more has a reference count of 2 (`seen` and the
+    # argument of getrefcount).  Only the loop's current one may still be
+    # held.
+    original = perm._walk
     seen, alive, most = [], set(), []
 
     def held(n, kind, first=None):
-        for p in original(n, kind, first):
-            seen.append(p)
+        for v in original(n, kind, first):
+            seen.append(v)
             alive.add(len(seen) - 1)
-            del p
+            del v
             yield seen[-1]
             alive.difference_update([i for i in alive if sys.getrefcount(seen[i]) == 2])
             most.append(len(alive))
 
-    monkeypatch.setattr(perm, "enumerate_alternating", held)
+    monkeypatch.setattr(perm, "_walk", held)
     verify._check_subtree(unit)
     assert len(seen) > 100
     assert max(most) <= 1
+
+
+def test_a_unit_builds_no_permutation(monkeypatch):
+    # The unit walks value tuples.  Constructions are counted through
+    # Permutation.__post_init__, the hook the benchmark's tracer patches;
+    # the one built at the end shows that the hook counts.
+    built, init = [], perm.Permutation.__post_init__
+    monkeypatch.setattr(perm.Permutation, "__post_init__",
+                        lambda p: (built.append(p), init(p))[1])
+    r = verify._check_subtree((9, 2))
+    assert r.smu > 100
+    assert built == []
+    perm.Permutation((2, 1))
+    assert len(built) == 1
+
 
 def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
     ran = []
@@ -308,16 +323,16 @@ def test_a_second_max_upper_permutation_seen_twice_fails_the_image_set(monkeypat
     # A min-max one, so the max-min list and the images stay as they are:
     # only the second-max-upper list holds one permutation twice.
     twice = next(p for p in smu_set(8) if perm.classify(p).minmax is perm.MinMaxKind.MIN_MAX)
-    original = perm.enumerate_alternating
+    original = perm._walk
 
     def doubled(n, kind, first=None):
-        for p in original(n, kind, first):
-            yield p
-            if p == twice:
-                yield p
+        for v in original(n, kind, first):
+            yield v
+            if v == twice.values:
+                yield v
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(perm, "enumerate_alternating", doubled)
+    monkeypatch.setattr(perm, "_walk", doubled)
     images = [bij.maxmin_to_smu(p, side).values for p in maxmin_set(8) for side in (0, 1)]
     smu = [p.values for p in smu_set(8)] + [twice.values]
     failed = _doubling_failures_at_8(images, smu)
@@ -328,11 +343,11 @@ def test_a_second_max_upper_permutation_seen_twice_fails_the_image_set(monkeypat
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
 def test_a_subtree_enumerated_in_reverse_gives_the_same_reports(monkeypatch, cpus):
     # A unit sorts its second-max-upper values itself, so the set entry
-    # does not rest on the enumerator's lexicographic order.
+    # does not rest on the walk's lexicographic order.
     _use_cpus(monkeypatch, cpus)
     expected = _entries(bijection_checks(max_n=8))
-    original = perm.enumerate_alternating
-    monkeypatch.setattr(perm, "enumerate_alternating",
+    original = perm._walk
+    monkeypatch.setattr(perm, "_walk",
                         lambda n, kind, first=None: reversed(list(original(n, kind, first))))
     reports = bijection_checks(max_n=8)
     assert all(r.passed for r in reports)
