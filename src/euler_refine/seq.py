@@ -13,9 +13,9 @@ two-term recurrence.  At even degree ``ene`` and ``enw`` each have their
 own three-block convolution; at odd degree each is E_n / 2.  All are
 exact integer computations here.  Every function accepts an optional
 precomputed Euler-number prefix so a shared prefix can be computed once
-and reused.  The inner pair convolution of the three-block sums depends
-only on the prefix, so it is tabulated once per prefix value: evaluating
-every degree over a prefix of length N costs O(N^2) terms, not O(N^3).
+and reused.  The three-block sums depend only on the prefix, so one pass
+over Pascal's triangle tabulates them for every degree and parity once
+per prefix value: a prefix of length N costs O(N^2) terms, not O(N^3).
 """
 
 from __future__ import annotations
@@ -81,37 +81,39 @@ def e_up_terms(
 
 
 @lru_cache(maxsize=4)
-def _pair_sums(prefix: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair convolutions P(m) = sum_{s2} C(m, s2) E_{s2} E_{m-s2} over the prefix.
+def _block_sums(prefix: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The three-block sums T[a][b][m] over the prefix, in one pass over Pascal's triangle.
 
-    Returns (even, odd): the sums over even s2 and over odd s2, for every
-    m with E_0..E_m in the prefix, in one pass over Pascal's triangle.
-    Cached by the prefix's values, so a corrupted or mutated prefix gets
-    its own table.
+    T[a][b][m] = sum C(m, s1) C(m-s1, s2) E_{s1} E_{s2} E_{m-s1-s2} over
+    s1 = a and s2 = b mod 2, for every m with E_0..E_m in the prefix.  Row m
+    weighs each C(m, s) E_s once; the pair sums P_b(m) = sum over s = b of
+    weighted[s] E_{m-s} follow, and T[a][b][m] = sum over s1 = a of
+    weighted[s1] P_b(m-s1).  Swapping the first two blocks gives
+    T[0][1] = T[1][0].  Cached by the prefix's values, so a corrupted or
+    mutated prefix gets its own table.
     """
-    even, odd = [], []
+    pair = ([], [])
+    even_even, odd_even, odd_odd = [], [], []
     row = [1]
     for m in range(len(prefix)):
         if m:
             row = [1, *map(add, row, row[1:]), 1]
-        head, tail = prefix[:m + 1], prefix[m::-1]  # tail[s2] is E_{m-s2}
-        even.append(sum(map(mul, map(mul, row[0::2], head[0::2]), tail[0::2])))
-        odd.append(sum(map(mul, map(mul, row[1::2], head[1::2]), tail[1::2])))
-    return tuple(even), tuple(odd)
+        weighted = list(map(mul, row, prefix))
+        tail = prefix[m::-1]  # tail[s] is E_{m-s}
+        for b in (0, 1):
+            pair[b].append(sum(map(mul, weighted[b::2], tail[b::2])))
+        even_even.append(sum(map(mul, weighted[0::2], pair[0][m::-2])))
+        odd_even.append(sum(map(mul, weighted[1::2], pair[0][m - 1::-2])))
+        odd_odd.append(sum(map(mul, weighted[1::2], pair[1][m - 1::-2])))
+    odd_even = tuple(odd_even)
+    return (tuple(even_even), odd_even), (odd_even, tuple(odd_odd))
 
 
 def _three_block(total: int, ee: Sequence[int], s1_start: int, s2_start: int) -> int:
     """Sum of C(total, s1) C(total-s1, s2) E_{s1} E_{s2} E_{s3} over s1 + s2 + s3 = total,
-    s1 of the parity of s1_start and s2 of the parity of s2_start (each 0 or 1).
-
-    Factored as an outer sum over s1 of C(total, s1) E_{s1} times the
-    pair convolution P(total - s1), read from the one table
-    :func:`_pair_sums` builds per prefix.  Each degree costs O(total)
-    terms; the table costs O(N^2) once for a prefix of length N.
-    """
-    pair = _pair_sums(tuple(ee))[s2_start]
-    return sum(comb(total, s1) * ee[s1] * pair[total - s1]
-               for s1 in range(s1_start, total + 1, 2))
+    s1 of the parity of s1_start and s2 of the parity of s2_start (each 0 or 1),
+    read from the table :func:`_block_sums` builds once per prefix."""
+    return _block_sums(tuple(ee))[s1_start][s2_start][total]
 
 
 def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
@@ -121,8 +123,9 @@ def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    ee = _euler_prefix(n - 2, euler) if n > 2 else []
-    return 2 * _three_block(n - 2, ee, 1, 1)
+    if n == 2:  # two odd blocks do not fit in n - 2 = 0 values
+        return 0
+    return 2 * _three_block(n - 2, _euler_prefix(n - 2, euler), 1, 1)
 
 
 def e_down_recurrence(n: int, euler: Optional[Sequence[int]] = None) -> int:

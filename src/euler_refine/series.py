@@ -9,13 +9,15 @@ power-series coefficients c_n = a_n/n! remain available as the
 read-only view ``coeffs``.
 
 Everything here is exact: equality of series means equality of the
-count vectors, with no tolerance anywhere.
+count vectors, with no tolerance anywhere.  Products and reciprocals read
+their binomials from one Pascal triangle, kept for the process and grown
+to the largest order asked for.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Iterable
 
@@ -23,13 +25,15 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _pascal_rows(n: int) -> Iterable[list[int]]:
-    """Rows 0..n of Pascal's triangle, each [C(m, 0), ..., C(m, m)]."""
-    row = [1]
-    yield row
-    for _ in range(n):
-        row = [1, *map(int.__add__, row, row[1:]), 1]
-        yield row
+_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
+def _pascal_rows(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n of Pascal's triangle, each (C(m, 0), ..., C(m, m)), from the shared triangle."""
+    for _ in range(len(_ROWS), n + 1):
+        row = _ROWS[-1]
+        _ROWS.append((1, *map(int.__add__, row, row[1:]), 1))
+    return _ROWS[:n + 1]
 
 
 class TruncatedEGF:
@@ -117,17 +121,15 @@ def egf_mul(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} != {g.order}")
     fa, ga = f.counts, g.counts
-    out = []
-    for m, row in enumerate(_pascal_rows(f.order)):
-        out.append(sum(map(mul, map(mul, row, fa), ga[m::-1])))
-    return TruncatedEGF(out)
+    return TruncatedEGF(sum(map(mul, map(mul, fa, ga[m::-1]), row))
+                        for m, row in enumerate(_pascal_rows(f.order)))
 
 
 def egf_reciprocal(f: TruncatedEGF) -> TruncatedEGF:
     """Multiplicative inverse up to the truncation order.
 
     Uses the triangular recurrence g_0 = 1/f_0,
-    g_m = -(sum_{i=1..m} C(m, i) f_i g_{m-i}) / f_0.  Dividing by f_0
+    g_m = -(sum_{j=0..m-1} C(m, j) g_j f_{m-j}) / f_0.  Dividing by f_0
     is multiplying by it, because f_0 must be 1 or -1.
     """
     fa = f.counts
@@ -135,10 +137,9 @@ def egf_reciprocal(f: TruncatedEGF) -> TruncatedEGF:
     if f0 not in (1, -1):
         raise ValueError(f"only a series with constant term 1 or -1 has an integral "
                          f"reciprocal, got constant term {f0}")
-    tail = fa[1:]
     inv = [f0]
-    for row in islice(_pascal_rows(f.order), 1, None):
-        inv.append(-f0 * sum(map(mul, map(mul, row[1:], tail), reversed(inv))))
+    for m, row in enumerate(_pascal_rows(f.order)[1:], 1):
+        inv.append(-f0 * sum(map(mul, map(mul, inv, fa[m:0:-1]), row)))
     return TruncatedEGF(inv)
 
 

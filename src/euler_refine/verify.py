@@ -240,8 +240,10 @@ class _DegreeResult:
 def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
     """Walk the up-down permutations of degree n that start with one value,
     given as the unit (n, first), as value tuples, and check each as it
-    comes; only counts, witnesses and packed values are kept."""
-    from . import perm
+    comes; only counts, witnesses and packed values are kept.  Binds ``bij``
+    and ``perm`` in this module, once per unit, for :func:`_check_one`."""
+    global bij, perm
+    from . import bij, perm
 
     n, first = unit
     r = _DegreeResult()
@@ -262,10 +264,9 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
     side-1 form is that image with n - 1 and n swapped.  Each image must be
     second-max-upper up-down before its inverse runs.  A map that raises on
     a permutation, or doubles it to another degree, records that
-    permutation as a failure, with the reason in its witness.
+    permutation as a failure, with the reason in its witness.  Its caller
+    binds ``bij`` and ``perm`` first, as :func:`_check_subtree` does.
     """
-    from . import bij, perm
-
     even = n % 2 == 0
     text = perm._text
     index = v.index

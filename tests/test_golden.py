@@ -1,13 +1,25 @@
-"""CLI output byte for byte against the golden file written by make_golden.py."""
+"""CLI output byte for byte against the golden file written by make_golden.py,
+and at the formula cap against the benchmark's reference outputs."""
 
 import gzip
 import json
+from pathlib import Path
 
 import pytest
 
 from make_golden import CASES, GOLDEN, run
 
 EXPECTED = json.loads(gzip.decompress(GOLDEN.read_bytes()).decode("utf-8"))
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+
+# The benchmark's formula-cap commands, each with the reference file it writes
+# (perfbench/make_refs.py); the golden file stops at degree 30.
+FORMULA_CAP_CASES = {
+    "verify-n6-egf198": ["verify", "--max-n", "6", "--egf-order", "198", "--format", "json"],
+    "table-egf-n200": ["table", "--method", "egf", "--max-n", "200"],
+    "ratios-n200": ["ratios", "--max-n", "200"],
+    "export-eup-n200": ["export", "--sequence", "Eup", "--max-n", "200"],
+}
 
 
 def test_golden_file_covers_every_case():
@@ -17,3 +29,11 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_equals_the_golden_file(argv):
     assert run(argv) == EXPECTED[" ".join(argv)]
+
+
+@pytest.mark.parametrize("key", FORMULA_CAP_CASES)
+def test_formula_cap_output_equals_the_benchmark_reference(key):
+    expected = gzip.decompress((REFS / f"{key}.out.gz").read_bytes())
+    result = run(FORMULA_CAP_CASES[key])
+    assert (result["exit"], result["stderr"]) == (0, "")
+    assert result["stdout"].encode("utf-8") == expected

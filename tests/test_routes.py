@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import euler_refine
+from euler_refine import series
+from euler_refine.verify import run_verification
 
 PACKAGE = Path(euler_refine.__file__).resolve().parent
 
@@ -71,3 +73,35 @@ def test_the_scan_sees_nested_and_absolute_imports_but_not_type_checking_ones():
     )
     assert package_imports(tree) == [
         ("report", "CountTable"), ("verify", "*"), ("series", "*"), ("perm", "*")]
+
+
+@pytest.fixture
+def fresh_sec_and_tan():
+    """sec and tan are cached per order; build them anew, and drop what was built."""
+    series.sec_egf.cache_clear()
+    series.tan_egf.cache_clear()
+    yield
+    series.sec_egf.cache_clear()
+    series.tan_egf.cache_clear()
+
+
+def test_a_wrong_series_binomial_fails_only_the_series_reports(monkeypatch, fresh_sec_and_tan):
+    """The series route keeps its own Pascal triangle: one wrong entry in it,
+    C(4, 2), which sec's reciprocal reads, must fail every formula vs egf report.
+    The formulas to degree 6 read row 4 of their own triangle, so the enumeration
+    vs formula reports and the theorem chain must still pass."""
+    rows = list(series._pascal_rows(40))
+    rows[4] = (1, 4, 7, 4, 1)
+    monkeypatch.setattr(series, "_ROWS", rows)
+    reports = run_verification(6, 40)
+    series_reports = [r for r in reports if (r.left_method, r.right_method) == ("formula", "egf")]
+    enum_reports = [r for r in reports if (r.left_method, r.right_method) == ("enumeration", "formula")]
+    chain = [r for r in reports if r.identity == "even-degree theorem chain"]
+    assert len(series_reports) == 5 and all(r.failures() for r in series_reports)
+    assert len(enum_reports) == 5 and not any(r.failures() for r in enum_reports)
+    assert len(chain) == 1 and not chain[0].failures()
+
+
+def test_seq_imports_nothing_from_series():
+    imports = package_imports(ast.parse((PACKAGE / "seq.py").read_text(encoding="utf-8")))
+    assert [imp for imp in imports if imp[0] == "series"] == []

@@ -25,6 +25,7 @@ from euler_refine import (
     eup_egf,
     extract_counts,
     sec_egf,
+    seq,
     tan_egf,
     theorem_check,
 )
@@ -99,6 +100,7 @@ def test_e_up_formula_is_twice_the_term_sum():
 
 def test_e_up_small_degrees_are_zero():
     assert e_up_formula(2) == 0
+    assert e_up_formula(2, []) == 0  # degree 2 reads no prefix
     assert e_up_formula(3) == 0
     with pytest.raises(ValueError):
         e_up_formula(1)
@@ -160,6 +162,23 @@ def test_three_block_formulas_follow_a_prefix_mutated_in_place():
     ee[37] += 2
     assert_three_block_formulas_equal_the_oracle(ee)
     assert [(e_up_formula(n, ee), e_ne_nw_pair(n, ee)) for n in range(2, 201)] != before
+
+
+@pytest.mark.parametrize("euler", [None, [1], euler_numbers(5)], ids=["default", "[1]", "E_0..E_5"])
+def test_block_table_at_degree_2(euler):
+    """Degree 2 leaves three empty blocks: only the all-even triple fits."""
+    assert e_up_formula(2, euler) == 0
+    assert (e_ne_formula(2, euler), e_nw_formula(2, euler)) == (1, 0)
+
+
+def test_block_table_equals_the_oracle_for_every_parity_pair():
+    ee = euler_numbers(60)
+    for s1_start in (0, 1):
+        for s2_start in (0, 1):
+            for total in range(61):
+                assert (seq._three_block(total, ee, s1_start, s2_start)
+                        == per_degree_three_block(total, ee, s1_start, s2_start)), (
+                    s1_start, s2_start, total)
 
 
 def test_e_nw_formula_at_odd_degree_is_half_of_e_n():
@@ -282,6 +301,12 @@ def test_theorem_check_reports_a_short_prefix_as_one_failed_entry():
 def test_euler_prefix_validation():
     with pytest.raises(ValueError, match="too short"):
         e_up_formula(12, euler_numbers(4))
+    for formula, n, prefix in ((e_up_formula, 4, [1, 1]), (e_ne_formula, 4, [1, 1]),
+                               (e_nw_formula, 6, [1, 1, 1]), (e_ne_formula, 2, [])):
+        need, have = n - 2, len(prefix) - 1
+        with pytest.raises(ValueError) as info:
+            formula(n, prefix)
+        assert str(info.value) == f"euler prefix too short: need index {need}, have {have}"
 
 
 def test_count_table_invariants():

@@ -22,6 +22,7 @@ from euler_refine import (
     extract_counts,
     one_egf,
     sec_egf,
+    series,
     sin_egf,
     tan_egf,
 )
@@ -99,6 +100,24 @@ def test_series_equal_the_cauchy_oracle_at_every_order():
     for name, build in builders.items():
         for order in range(41):
             assert build(order).coeffs == oracle[name][:order + 1], (name, order)
+
+
+@pytest.mark.parametrize("built", [0, 5])
+def test_the_shared_triangle_serves_every_order_in_any_order(monkeypatch, built):
+    """Products and reciprocals read one triangle kept for the process.  From a
+    triangle holding rows 0..built, each visit must read exactly its own rows,
+    as tuples, also after a larger order was built, and grow them from a
+    smaller one."""
+    monkeypatch.setattr(series, "_ROWS", [(1,)])
+    series._pascal_rows(built)
+    for order in (198, 0, 5, 40, 198):
+        f = TruncatedEGF((-1) ** m * (m + 1) for m in range(order + 1))
+        g = TruncatedEGF(3 * m - 7 for m in range(order + 1))
+        assert egf_mul(f, g).coeffs == cauchy_mul(f.coeffs, g.coeffs), order
+        assert egf_reciprocal(f).coeffs == cauchy_reciprocal(f.coeffs), order
+        for k in (0, order // 2, order):
+            assert series._pascal_rows(k) == [tuple(comb(m, i) for i in range(m + 1))
+                                              for m in range(k + 1)], (order, k)
 
 
 def test_add_requires_equal_orders():
