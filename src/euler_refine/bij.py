@@ -31,7 +31,12 @@ every rank is at least 1, and the values are an up-down permutation of
 free values, each pattern is a permutation of its ranks and each
 zigzags as its block must, since the landmarks are the two extremes.
 Only a rejected split goes through those checks one by one, which name
-the fault.  ``verify`` runs the cores on the permutations it enumerates.
+the fault.  The core of ``smu_to_maxmin`` is ``_oriented``, which puts
+n-1 left of n and reads the bit, then the second-max split, its rewiring
+and the max-min composition.  ``verify`` runs the cores on the
+permutations it enumerates, the inverse in those pieces; as each core is a
+pure function, what a core has returned serves again for an equal input,
+in place of a second run.
 """
 
 from __future__ import annotations
@@ -293,7 +298,13 @@ def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
 
 
 def _to_maxmin(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    left, side = _oriented(vals)
+    return _compose_maxmin(_maxmin_split_of(_decompose_smu(left)), len(vals)), side
+
+
+def _oriented(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """`vals` with n-1 left of n, and the side: 1 if n-1 and n were swapped for it."""
     n = len(vals)
-    side = 0 if vals.index(n - 1) < vals.index(n) else 1
-    d = _decompose_smu(_swapped(vals) if side else vals)
-    return _compose_maxmin(_maxmin_split_of(d), n), side
+    if vals.index(n - 1) < vals.index(n):
+        return vals, 0
+    return _swapped(vals), 1

@@ -20,7 +20,6 @@ per prefix value: a prefix of length N costs O(N^2) terms, not O(N^3).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from operator import add, mul
 from typing import Optional, Sequence
@@ -80,8 +79,7 @@ def e_up_terms(
     return terms
 
 
-@lru_cache(maxsize=4)
-def _block_sums(prefix: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _block_sums(prefix: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The three-block sums T[a][b][m] over the prefix, in one pass over Pascal's triangle.
 
     T[a][b][m] = sum C(m, s1) C(m-s1, s2) E_{s1} E_{s2} E_{m-s1-s2} over
@@ -89,8 +87,7 @@ def _block_sums(prefix: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], .
     weighs each C(m, s) E_s once; the pair sums P_b(m) = sum over s = b of
     weighted[s] E_{m-s} follow, and T[a][b][m] = sum over s1 = a of
     weighted[s1] P_b(m-s1).  Swapping the first two blocks gives
-    T[0][1] = T[1][0].  Cached by the prefix's values, so a corrupted or
-    mutated prefix gets its own table.
+    T[0][1] = T[1][0].
     """
     pair = ([], [])
     even_even, odd_even, odd_odd = [], [], []
@@ -109,11 +106,30 @@ def _block_sums(prefix: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], .
     return (tuple(even_even), odd_even), (odd_even, tuple(odd_odd))
 
 
+# The last four prefixes tabulated, each a list of its values with its table,
+# the latest first.
+_TABLES: list[tuple[list[int], tuple[tuple[tuple[int, ...], ...], ...]]] = []
+
+
 def _three_block(total: int, ee: Sequence[int], s1_start: int, s2_start: int) -> int:
     """Sum of C(total, s1) C(total-s1, s2) E_{s1} E_{s2} E_{s3} over s1 + s2 + s3 = total,
     s1 of the parity of s1_start and s2 of the parity of s2_start (each 0 or 1),
-    read from the table :func:`_block_sums` builds once per prefix."""
-    return _block_sums(tuple(ee))[s1_start][s2_start][total]
+    read from the table :func:`_block_sums` builds once per prefix.
+
+    The table is found by comparing the prefix's values with those of each
+    prefix kept, so a corrupted or mutated prefix gets its own; a list
+    comparison takes an element that is the same object as equal, and no
+    big integer is hashed.
+    """
+    values = ee if type(ee) is list else list(ee)
+    for prefix, table in _TABLES:
+        if prefix == values:
+            break
+    else:
+        table = _block_sums(values)
+        # A copy of the values, which a mutation of ee in place does not reach.
+        _TABLES[:] = [(list(values), table), *_TABLES[:3]]
+    return table[s1_start][s2_start][total]
 
 
 def e_up_formula(n: int, euler: Optional[Sequence[int]] = None) -> int:

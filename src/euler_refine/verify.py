@@ -262,10 +262,16 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
     positions of 1, n - 1 and n, and the maps of ``bij`` run as their
     cores, on value tuples: the doubling image is composed once, and its
     side-1 form is that image with n - 1 and n swapped.  Each image must be
-    second-max-upper up-down before its inverse runs.  A map that raises on
-    a permutation, or doubles it to another degree, records that
-    permutation as a failure, with the reason in its witness.  Its caller
-    binds ``bij`` and ``perm`` first, as :func:`_check_subtree` does.
+    second-max-upper up-down before its inverse runs.  The inverse runs the
+    pieces of ``bij._to_maxmin`` (see :func:`_inverse`), and a core is not
+    run again on an input equal to one it returned for in this call: the
+    round trip's composition serves an image whose max-min split is the
+    permutation's own, and side 0's source serves side 1 when both images
+    have the same form with n - 1 left of n.  A core that raised runs again.
+    A map that raises on a permutation, or doubles it to another degree,
+    records that permutation as a failure, with the reason in its witness.
+    Its caller binds ``bij`` and ``perm`` first, as :func:`_check_subtree`
+    does.
     """
     even = n % 2 == 0
     text = perm._text
@@ -300,8 +306,10 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
         r.maxmin_bad.append(_raised(text(v), exc))
         r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
         return
+    back = None  # what _compose_maxmin gave for d, if it did not raise
     try:
-        if bij._compose_maxmin(d, n) != v:
+        back = bij._compose_maxmin(d, n)
+        if back != v:
             r.maxmin_bad.append(text(v))
     except Exception as exc:
         r.maxmin_bad.append(_raised(text(v), exc))
@@ -310,6 +318,7 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
     except Exception as exc:
         r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
         return
+    last = None
     for side in (0, 1):
         try:
             q = bij._swapped(image) if side else image
@@ -317,10 +326,30 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
                 raise ValueError(f"its image {text(q)} has degree {len(q)}")
             r.images[q[0]].extend(q)
             bij._require_smu(q)
-            if bij._to_maxmin(q) != (v, side):
+            found, last = _inverse(q, n, d, back, last)
+            if found != (v, side):
                 r.inverse_bad.append(f"{text(v)} with side {side}")
         except Exception as exc:
             r.inverse_bad.append(_raised(f"{text(v)} with side {side}", exc))
+
+
+def _inverse(q: tuple[int, ...], n: int, d: bij.Decomposition,
+             back: Optional[tuple[int, ...]], last: Optional[tuple]) -> tuple[tuple, tuple]:
+    """What ``bij._to_maxmin(q)`` gives for the image q of the max-min split d,
+    and the pair (left form, source) to pass as `last` for the next image.
+
+    It runs the pieces of ``_to_maxmin``, but takes what a core returned for
+    an equal input when it is in hand: the source in `last`, from the image
+    inverted before, when q has the same left form, and `back`, what
+    ``bij._compose_maxmin(d, n)`` returned (None if it raised), when q's
+    max-min split is d.
+    """
+    left, side = bij._oriented(q)
+    if last is not None and last[0] == left:
+        return (last[1], side), last
+    split = bij._maxmin_split_of(bij._decompose_smu(left))
+    source = back if back is not None and split == d else bij._compose_maxmin(split, n)
+    return (source, side), (left, source)
 
 
 def _records(blob: bytes, n: int) -> list[bytes]:

@@ -200,7 +200,16 @@ _MAP_AND_CORE = {
     "smu_to_maxmin": lambda n: [
         (_source_and_side(p), bij._to_maxmin(p.values))
         for p in (smu_set(n) if n % 2 == 0 else ())],
+    # The first piece of smu_to_maxmin: the input with n-1 left of n, and the bit.
+    "_oriented": lambda n: [
+        (_left_and_side(p), bij._oriented(p.values))
+        for p in (smu_set(n) if n % 2 == 0 else ())],
 }
+
+
+def _left_and_side(p):
+    side = smu_to_maxmin(p)[1]
+    return (swap_top_two(p) if side else p).values, side
 
 
 @pytest.mark.parametrize("name", list(_MAP_AND_CORE))

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import euler_refine
-from euler_refine import bij, bijection_checks, euler_numbers, perm, run_verification, verify
+from euler_refine import (bij, bijection_checks, e_nw_formula, euler_numbers, perm,
+                          run_verification, verify)
 from euler_refine.cli import main
 from euler_refine.report import report_formats
 
@@ -144,11 +145,11 @@ def test_shard_count_does_not_change_the_reports(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-@pytest.mark.parametrize("name", ["_compose_smu", "_to_maxmin"],
+@pytest.mark.parametrize("name", ["_compose_smu", "_oriented"],
                          ids=["compose_smu", "smu_to_maxmin"])
 def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, name):
     # The check loop runs the cores of bij's maps; forked workers inherit
-    # the patched one.
+    # the patched one.  The inverse smu_to_maxmin starts with _oriented.
     def broken(*args):
         raise ValueError("broken map")
 
@@ -163,6 +164,61 @@ def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, na
     out, err = capfd.readouterr()
     assert "FAIL" in out and "raised ValueError: broken map" in out
     assert "Traceback" not in out + err
+
+
+def test_the_loop_inverts_each_image_as_to_maxmin_does(monkeypatch):
+    # The loop takes a result of a core only for an input equal to one it
+    # has run: for both images q of every max-min permutation of even degree
+    # up to 10, the source and side it compares are what bij._to_maxmin(q)
+    # gives, and side 1 gets the source of side 0.
+    seen, inverse = [], verify._inverse
+
+    def recorded(q, *args):
+        found, last = inverse(q, *args)
+        seen.append((q, found))
+        return found, last
+
+    monkeypatch.setattr(verify, "_inverse", recorded)
+    for n in range(2, 11, 2):
+        seen.clear()
+        for first in range(1, n + 1):
+            verify._check_subtree((n, first))
+        assert len(seen) == 2 * e_nw_formula(n)
+        assert all(found == bij._to_maxmin(q) for q, found in seen)
+        assert [side for _, (_, side) in seen] == [0, 1] * e_nw_formula(n)
+        assert [source for _, (source, _) in seen[0::2]] == [
+            source for _, (source, _) in seen[1::2]]
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_a_wrong_inverse_split_fails_the_inverse(monkeypatch, cpus):
+    # The inverse rewires bad's side-0 image into the split of other, so it
+    # must compose other: the round trip's composition of bad's own split
+    # stands in only for an equal split.
+    bad, other = maxmin_set(8)[0], maxmin_set(8)[1]
+    image_split = bij._decompose_smu(bij.maxmin_to_smu(bad, 0).values)
+    wrong, original = bij._decompose_maxmin(other.values), bij._maxmin_split_of
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, "_maxmin_split_of",
+                        lambda d: wrong if d == image_split else original(d))
+    reports = bijection_checks(max_n=8)
+    assert [(r.identity, e.n, e.label, e.left, e.note) for r in reports for e in r.failures()] == [
+        ("doubling map bijectivity", 8, "inverse round-trip failures", 2,
+         f"first bad permutation: {bad.to_text()} with side 0")]
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_a_side_1_image_of_another_left_form_is_inverted_afresh(monkeypatch, cpus):
+    # bad's side-1 image becomes other's, whose form with n-1 left of n is
+    # other's side-0 image, not bad's: side 0's source must not stand in.
+    bad, other = maxmin_set(8)[0], maxmin_set(8)[1]
+    _use_cpus(monkeypatch, cpus)
+    _collide(monkeypatch, bad, other)
+    doubling = {r.identity: r for r in bijection_checks(max_n=8)}["doubling map bijectivity"]
+    failed = {e.label: e for e in doubling.failures()}
+    assert (failed["inverse round-trip failures"].left, failed["inverse round-trip failures"].note) == (
+        1, f"first bad permutation: {bad.to_text()} with side 1")
 
 
 def test_the_first_failure_in_enumeration_order_is_named(monkeypatch):
