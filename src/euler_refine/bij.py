@@ -33,16 +33,17 @@ zigzags as its block must, since the landmarks are the two extremes.
 Only a rejected split goes through those checks one by one, which name
 the fault.  The core of ``smu_to_maxmin`` is ``_oriented``, which puts
 n-1 left of n and reads the bit, then the second-max split, its rewiring
-and the max-min composition.  ``verify`` runs the cores on the
-permutations it enumerates, the inverse in those pieces; as each core is a
-pure function, what a core has returned serves again for an equal input,
-in place of a second run.
+and the max-min composition.  :func:`_check_subtree` runs every core on
+the up-down permutations of one degree and first value, for
+``verify.bijection_checks``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import defaultdict
+from typing import NamedTuple, Optional, Sequence
 
+from . import perm  # for perm._walk, looked up when a unit runs
 from .perm import (
     AltKind,
     MinMaxKind,
@@ -308,3 +309,147 @@ def _oriented(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     if vals.index(n - 1) < vals.index(n):
         return vals, 0
     return _swapped(vals), 1
+
+
+def _raised(witness: str, exc: Exception) -> str:
+    return f"{witness} raised {type(exc).__name__}: {exc}"
+
+
+class _DegreeResult:
+    """What one subtree of one degree found; witnesses in enumeration order.
+
+    `smu` and `maxmin` count the second-max-upper and the max-min permutations
+    checked.  At even degree, `images` packs the doubling map's images as n
+    bytes each, one per value, in one blob per first value of the image,
+    and `smu_values` the second-max-upper set: each permutation's bytes,
+    joined in sorted order once its unit is checked.
+    """
+
+    __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
+                 "inverse_bad", "smu", "maxmin", "smu_values")
+
+    def __init__(self) -> None:
+        self.fixed: list[str] = []
+        self.involution_bad: list[str] = []
+        self.smu_bad: list[str] = []
+        self.lefts = 0
+        self.maxmin_bad: list[str] = []
+        self.images: defaultdict[int, bytearray] = defaultdict(bytearray)
+        self.inverse_bad: list[str] = []
+        self.smu = 0
+        self.maxmin = 0
+        self.smu_values: list[bytes] = []
+
+    def absorb(self, later: _DegreeResult) -> None:
+        """Append the results of the subtree that follows this one."""
+        for name in self.__slots__:
+            mine, theirs = getattr(self, name), getattr(later, name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for first, blob in theirs.items():
+                    mine[first].extend(blob)
+            else:
+                setattr(self, name, mine + theirs)
+
+
+def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
+    """Walk the up-down permutations of degree n that start with one value,
+    given as the unit (n, first), as value tuples, and check each as it
+    comes; only counts, witnesses and packed values are kept."""
+    n, first = unit
+    r = _DegreeResult()
+    for v in perm._walk(n, AltKind.UP_DOWN, first):
+        _check_one(v, n, r)
+    r.smu_values = [b"".join(sorted(r.smu_values))]
+    return r
+
+
+def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
+    """Check the up-down permutation of degree n with values `v` into `r`.
+
+    A second-max-upper permutation gets the involution check and its
+    split round trip; at even n, a max-min one gets its split round trip
+    and both sides of the doubling map.  The classes are read from the
+    positions of 1, n - 1 and n, and the maps run as their cores, on value
+    tuples: the doubling image is composed once, and its side-1 form is
+    that image with n - 1 and n swapped.  Each image must be second-max-upper
+    up-down before its inverse, the pieces of :func:`_to_maxmin`, runs.
+    As each core is a pure function, a core is not run again on an input
+    equal to one it returned for in this call: the round trip's composition
+    serves an image whose max-min split is the permutation's own, and side
+    0's source serves side 1 when both images have the same form with n - 1
+    left of n.  A core that raised runs again.  A map that raises on a
+    permutation, or doubles it to another degree, records that permutation
+    as a failure, with the reason in its witness.
+    """
+    even = n % 2 == 0
+    index = v.index
+    # Up-down: the peaks sit at the odd 0-based indices.
+    if index(n - 1) % 2:
+        r.smu += 1
+        if even:
+            r.smu_values.append(bytes(v))
+        try:
+            q = _swapped(v)
+            if q == v:
+                r.fixed.append(_text(v))
+            _require_smu(q)
+            if _swapped(q) != v:
+                r.involution_bad.append(_text(v))
+        except Exception as exc:
+            r.involution_bad.append(_raised(_text(v), exc))
+        if index(n - 1) < index(n):
+            r.lefts += 1
+            try:
+                if _compose_smu(_decompose_smu(v), n) != v:
+                    r.smu_bad.append(_text(v))
+            except Exception as exc:
+                r.smu_bad.append(_raised(_text(v), exc))
+    if not even or index(1) < index(n):
+        return
+    r.maxmin += 1
+    try:
+        d = _decompose_maxmin(v)
+    except Exception as exc:  # no round trip and no image without the split
+        r.maxmin_bad.append(_raised(_text(v), exc))
+        r.inverse_bad += [_raised(f"{_text(v)} with side {side}", exc) for side in (0, 1)]
+        return
+    back = None  # what _compose_maxmin gave for d, if it did not raise
+    try:
+        back = _compose_maxmin(d, n)
+        if back != v:
+            r.maxmin_bad.append(_text(v))
+    except Exception as exc:
+        r.maxmin_bad.append(_raised(_text(v), exc))
+    try:
+        image = _compose_smu(_smu_split_of(d), n)
+    except Exception as exc:
+        r.inverse_bad += [_raised(f"{_text(v)} with side {side}", exc) for side in (0, 1)]
+        return
+    last = None
+    for side in (0, 1):
+        try:
+            q = _swapped(image) if side else image
+            if len(q) != n:
+                raise ValueError(f"its image {_text(q)} has degree {len(q)}")
+            r.images[q[0]].extend(q)
+            _require_smu(q)
+            found, last = _inverse(q, n, d, back, last)
+            if found != (v, side):
+                r.inverse_bad.append(f"{_text(v)} with side {side}")
+        except Exception as exc:
+            r.inverse_bad.append(_raised(f"{_text(v)} with side {side}", exc))
+
+
+def _inverse(q: tuple[int, ...], n: int, d: Decomposition,
+             back: Optional[tuple[int, ...]], last: Optional[tuple]) -> tuple[tuple, tuple]:
+    """What ``_to_maxmin(q)`` gives for the image q of the max-min split d,
+    and the pair (left form, source) to pass as `last` for the next image;
+    `back` is what ``_compose_maxmin(d, n)`` returned, or None if it raised.
+    """
+    left, side = _oriented(q)
+    if last is None or last[0] != left:
+        split = _maxmin_split_of(_decompose_smu(left))
+        last = left, (back if back is not None and split == d else _compose_maxmin(split, n))
+    return (last[1], side), last

@@ -66,6 +66,8 @@ class Permutation:
         if type(values) is not tuple:
             values = tuple(values)
             object.__setattr__(self, "values", values)
+        if set(map(type, values)) - {int}:  # a bool or a float may equal an int
+            raise ValueError(f"values must be ints: {values}")
         n = len(values)
         # n values that cover 1..n are exactly a permutation of 1..n.
         if not set(values).issuperset(range(1, n + 1)):

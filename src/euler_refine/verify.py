@@ -13,7 +13,6 @@ command that only evaluates formulas and series never loads them.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import seq, series
@@ -195,163 +194,6 @@ def _failure_count(n: int, label: str, witnesses: Sequence[str]) -> CheckEntry:
     return CheckEntry(n, label, len(witnesses), 0, note)
 
 
-def _raised(witness: str, exc: Exception) -> str:
-    return f"{witness} raised {type(exc).__name__}: {exc}"
-
-
-class _DegreeResult:
-    """What one subtree of one degree found; witnesses in enumeration order.
-
-    `smu` and `maxmin` count the second-max-upper and the max-min permutations
-    checked.  At even degree, `images` packs the doubling map's images as n
-    bytes each, one per value, in one blob per first value of the image,
-    and `smu_values` the second-max-upper set: each permutation's bytes,
-    joined in sorted order once its unit is checked.
-    """
-
-    __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
-                 "inverse_bad", "smu", "maxmin", "smu_values")
-
-    def __init__(self) -> None:
-        self.fixed: list[str] = []
-        self.involution_bad: list[str] = []
-        self.smu_bad: list[str] = []
-        self.lefts = 0
-        self.maxmin_bad: list[str] = []
-        self.images: defaultdict[int, bytearray] = defaultdict(bytearray)
-        self.inverse_bad: list[str] = []
-        self.smu = 0
-        self.maxmin = 0
-        self.smu_values: list[bytes] = []
-
-    def absorb(self, later: _DegreeResult) -> None:
-        """Append the results of the subtree that follows this one."""
-        for name in self.__slots__:
-            mine, theirs = getattr(self, name), getattr(later, name)
-            if isinstance(mine, list):
-                mine.extend(theirs)
-            elif isinstance(mine, dict):
-                for first, blob in theirs.items():
-                    mine[first].extend(blob)
-            else:
-                setattr(self, name, mine + theirs)
-
-
-def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
-    """Walk the up-down permutations of degree n that start with one value,
-    given as the unit (n, first), as value tuples, and check each as it
-    comes; only counts, witnesses and packed values are kept.  Binds ``bij``
-    and ``perm`` in this module, once per unit, for :func:`_check_one`."""
-    global bij, perm
-    from . import bij, perm
-
-    n, first = unit
-    r = _DegreeResult()
-    for v in perm._walk(n, perm.AltKind.UP_DOWN, first):
-        _check_one(v, n, r)
-    r.smu_values = [b"".join(sorted(r.smu_values))]
-    return r
-
-
-def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
-    """Check the up-down permutation of degree n with values `v` into `r`.
-
-    A second-max-upper permutation gets the involution check and its
-    split round trip; at even n, a max-min one gets its split round trip
-    and both sides of the doubling map.  The classes are read from the
-    positions of 1, n - 1 and n, and the maps of ``bij`` run as their
-    cores, on value tuples: the doubling image is composed once, and its
-    side-1 form is that image with n - 1 and n swapped.  Each image must be
-    second-max-upper up-down before its inverse runs.  The inverse runs the
-    pieces of ``bij._to_maxmin`` (see :func:`_inverse`), and a core is not
-    run again on an input equal to one it returned for in this call: the
-    round trip's composition serves an image whose max-min split is the
-    permutation's own, and side 0's source serves side 1 when both images
-    have the same form with n - 1 left of n.  A core that raised runs again.
-    A map that raises on a permutation, or doubles it to another degree,
-    records that permutation as a failure, with the reason in its witness.
-    Its caller binds ``bij`` and ``perm`` first, as :func:`_check_subtree`
-    does.
-    """
-    even = n % 2 == 0
-    text = perm._text
-    index = v.index
-    # Up-down: the peaks sit at the odd 0-based indices.
-    if index(n - 1) % 2:
-        r.smu += 1
-        if even:
-            r.smu_values.append(bytes(v))
-        try:
-            q = bij._swapped(v)
-            if q == v:
-                r.fixed.append(text(v))
-            bij._require_smu(q)
-            if bij._swapped(q) != v:
-                r.involution_bad.append(text(v))
-        except Exception as exc:
-            r.involution_bad.append(_raised(text(v), exc))
-        if index(n - 1) < index(n):
-            r.lefts += 1
-            try:
-                if bij._compose_smu(bij._decompose_smu(v), n) != v:
-                    r.smu_bad.append(text(v))
-            except Exception as exc:
-                r.smu_bad.append(_raised(text(v), exc))
-    if not even or index(1) < index(n):
-        return
-    r.maxmin += 1
-    try:
-        d = bij._decompose_maxmin(v)
-    except Exception as exc:  # no round trip and no image without the split
-        r.maxmin_bad.append(_raised(text(v), exc))
-        r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
-        return
-    back = None  # what _compose_maxmin gave for d, if it did not raise
-    try:
-        back = bij._compose_maxmin(d, n)
-        if back != v:
-            r.maxmin_bad.append(text(v))
-    except Exception as exc:
-        r.maxmin_bad.append(_raised(text(v), exc))
-    try:
-        image = bij._compose_smu(bij._smu_split_of(d), n)
-    except Exception as exc:
-        r.inverse_bad += [_raised(f"{text(v)} with side {side}", exc) for side in (0, 1)]
-        return
-    last = None
-    for side in (0, 1):
-        try:
-            q = bij._swapped(image) if side else image
-            if len(q) != n:
-                raise ValueError(f"its image {text(q)} has degree {len(q)}")
-            r.images[q[0]].extend(q)
-            bij._require_smu(q)
-            found, last = _inverse(q, n, d, back, last)
-            if found != (v, side):
-                r.inverse_bad.append(f"{text(v)} with side {side}")
-        except Exception as exc:
-            r.inverse_bad.append(_raised(f"{text(v)} with side {side}", exc))
-
-
-def _inverse(q: tuple[int, ...], n: int, d: bij.Decomposition,
-             back: Optional[tuple[int, ...]], last: Optional[tuple]) -> tuple[tuple, tuple]:
-    """What ``bij._to_maxmin(q)`` gives for the image q of the max-min split d,
-    and the pair (left form, source) to pass as `last` for the next image.
-
-    It runs the pieces of ``_to_maxmin``, but takes what a core returned for
-    an equal input when it is in hand: the source in `last`, from the image
-    inverted before, when q has the same left form, and `back`, what
-    ``bij._compose_maxmin(d, n)`` returned (None if it raised), when q's
-    max-min split is d.
-    """
-    left, side = bij._oriented(q)
-    if last is not None and last[0] == left:
-        return (last[1], side), last
-    split = bij._maxmin_split_of(bij._decompose_smu(left))
-    source = back if back is not None and split == d else bij._compose_maxmin(split, n)
-    return (source, side), (left, source)
-
-
 def _records(blob: bytes, n: int) -> list[bytes]:
     return [blob[i:i + n] for i in range(0, len(blob), n)]
 
@@ -376,13 +218,13 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     The work is cut into units, one per degree and first value, dealt in
     turn to one shard per CPU this process may run on (see
     :func:`euler_refine.workers.map_dealt`).  Each unit enumerates, classifies
-    and checks its subtree and returns what it found, the values packed (see
-    :class:`_DegreeResult`); the results are merged in enumeration order, so
-    the reports do not depend on the CPU count.  The images are sorted one
-    first value at a time; when they equal the sorted second-max-upper set,
-    one text serves both sides of the set entry.
+    and checks its subtree in :func:`euler_refine.bij._check_subtree` and
+    returns what it found, the values packed; the results are merged in
+    enumeration order, so the reports do not depend on the CPU count.  The
+    images are sorted one first value at a time; when they equal the sorted
+    second-max-upper set, one text serves both sides of the set entry.
     """
-    from . import workers
+    from . import bij, workers
 
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
@@ -390,8 +232,8 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
         raise ValueError("max_n must be at most 255, as each value is packed in one byte")
     degrees = range(2, max_n + 1)
     units = [(n, first) for n in degrees for first in range(1, n + 1)]
-    results = {n: _DegreeResult() for n in degrees}
-    for (n, _), part in zip(units, workers.map_dealt(_check_subtree, units, workers.cpu_count())):
+    results = {n: bij._DegreeResult() for n in degrees}
+    for (n, _), part in zip(units, workers.map_dealt(bij._check_subtree, units, workers.cpu_count())):
         results[n].absorb(part)
 
     involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")

@@ -1,5 +1,5 @@
 """CLI output byte for byte against the golden file written by make_golden.py,
-and at the formula cap against the benchmark's reference outputs."""
+and against the benchmark's reference outputs."""
 
 import gzip
 import json
@@ -12,13 +12,15 @@ from make_golden import CASES, GOLDEN, run
 EXPECTED = json.loads(gzip.decompress(GOLDEN.read_bytes()).decode("utf-8"))
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
-# The benchmark's formula-cap commands, each with the reference file it writes
+# The benchmark's commands, each with the reference file it writes
 # (perfbench/make_refs.py); the golden file stops at degree 30.
 FORMULA_CAP_CASES = {
     "verify-n6-egf198": ["verify", "--max-n", "6", "--egf-order", "198", "--format", "json"],
     "table-egf-n200": ["table", "--method", "egf", "--max-n", "200"],
     "ratios-n200": ["ratios", "--max-n", "200"],
     "export-eup-n200": ["export", "--sequence", "Eup", "--max-n", "200"],
+    "verify-n11-egf20": ["verify", "--max-n", "11", "--egf-order", "20", "--format", "json"],
+    "bijection-check-n10": ["bijection-check", "--max-n", "10", "--format", "json"],
 }
 
 

@@ -71,6 +71,10 @@ def test_permutation_validation():
         Permutation((1, 2, 2))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+    # Equal to 1 but not ints: accepted, they would render as 1.032 and True32.
+    for first in (1.0, True):
+        with pytest.raises(ValueError, match="values must be ints"):
+            Permutation((first, 3, 2))
     assert Permutation(()).n == 0
 
 

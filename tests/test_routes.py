@@ -105,3 +105,17 @@ def test_a_wrong_series_binomial_fails_only_the_series_reports(monkeypatch, fres
 def test_seq_imports_nothing_from_series():
     imports = package_imports(ast.parse((PACKAGE / "seq.py").read_text(encoding="utf-8")))
     assert [imp for imp in imports if imp[0] == "series"] == []
+
+
+def test_verify_runs_the_bijection_check_of_bij_and_no_module_binds_globals():
+    """``verify`` reads of ``bij`` only the unit check it deals out and that
+    check's record, no core, and no module rebinds a global name."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "bij"}
+    assert read <= {"_check_subtree", "_DegreeResult"}, read
+    assert [imp for imp in package_imports(tree) if imp[0] == "bij"] == [("bij", "*")]
+    bound = {path.name for path in PACKAGE.glob("*.py")
+             if any(isinstance(node, ast.Global)
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert bound == set()

@@ -9,7 +9,7 @@ import pytest
 
 import euler_refine
 from euler_refine import (bij, bijection_checks, e_nw_formula, euler_numbers, perm,
-                          run_verification, verify)
+                          run_verification)
 from euler_refine.cli import main
 from euler_refine.report import report_formats
 
@@ -171,18 +171,18 @@ def test_the_loop_inverts_each_image_as_to_maxmin_does(monkeypatch):
     # has run: for both images q of every max-min permutation of even degree
     # up to 10, the source and side it compares are what bij._to_maxmin(q)
     # gives, and side 1 gets the source of side 0.
-    seen, inverse = [], verify._inverse
+    seen, inverse = [], bij._inverse
 
     def recorded(q, *args):
         found, last = inverse(q, *args)
         seen.append((q, found))
         return found, last
 
-    monkeypatch.setattr(verify, "_inverse", recorded)
+    monkeypatch.setattr(bij, "_inverse", recorded)
     for n in range(2, 11, 2):
         seen.clear()
         for first in range(1, n + 1):
-            verify._check_subtree((n, first))
+            bij._check_subtree((n, first))
         assert len(seen) == 2 * e_nw_formula(n)
         assert all(found == bij._to_maxmin(q) for q, found in seen)
         assert [side for _, (_, side) in seen] == [0, 1] * e_nw_formula(n)
@@ -254,7 +254,7 @@ def test_streamed_units_equal_the_whole_degree_path(monkeypatch, cpus):
 def test_a_unit_checks_the_subtree_of_its_first_value():
     for n in (7, 8):
         for first in range(1, n + 1):
-            r = verify._check_subtree((n, first))
+            r = bij._check_subtree((n, first))
             smu = [p for p in smu_set(n) if p.values[0] == first]
             maxmin = [p for p in maxmin_set(n) if p.values[0] == first and n % 2 == 0]
             assert (r.smu, r.maxmin) == (len(smu), len(maxmin))
@@ -269,6 +269,31 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
             assert r.smu_values == [b"".join(bytes(v) for v in sorted(p.values for p in smu)
                                              if n % 2 == 0)]
 
+
+
+def test_the_check_of_one_permutation_runs_with_only_bij_imported():
+    # Of the five up-down permutations of degree 4, all but 3412 have 3 at
+    # a peak, 1324 and 2314 with 3 left of 4; 2413 and 3412 are max-min, and
+    # their images 2314, 1324 and their swaps are every second-max-upper one.
+    src = str(Path(euler_refine.__file__).resolve().parent.parent)
+    code = """if True:
+        import sys
+        from euler_refine import bij
+        r = bij._DegreeResult()
+        for v in [(1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2)]:
+            bij._check_one(v, 4, r)
+        print((r.smu, r.lefts, r.maxmin), sorted(r.smu_values),
+              sorted(bytes(blob) for blob in r.images.values()),
+              r.fixed + r.involution_bad + r.smu_bad + r.maxmin_bad + r.inverse_bad,
+              sorted(name for name in sys.modules if name.startswith('euler_refine.')))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    smu = [bytes(v) for v in [(1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3)]]
+    images = [smu[0] + smu[1], smu[2] + smu[3]]  # 1324 1423 from 2413, 2314 2413 from 3412
+    assert proc.stdout.strip() == " ".join(map(str, [
+        (4, 2, 2), smu, images, [], ["euler_refine.bij", "euler_refine.perm", "euler_refine.report"]]))
 
 
 @pytest.mark.parametrize("unit", [(8, 3), (9, 2)], ids=["8-3", "9-2"])
@@ -290,7 +315,7 @@ def test_a_unit_keeps_no_permutation_it_has_checked(monkeypatch, unit):
             most.append(len(alive))
 
     monkeypatch.setattr(perm, "_walk", held)
-    verify._check_subtree(unit)
+    bij._check_subtree(unit)
     assert len(seen) > 100
     assert max(most) <= 1
 
@@ -302,7 +327,7 @@ def test_a_unit_builds_no_permutation(monkeypatch):
     built, init = [], perm.Permutation.__post_init__
     monkeypatch.setattr(perm.Permutation, "__post_init__",
                         lambda p: (built.append(p), init(p))[1])
-    r = verify._check_subtree((9, 2))
+    r = bij._check_subtree((9, 2))
     assert r.smu > 100
     assert built == []
     perm.Permutation((2, 1))
@@ -311,7 +336,7 @@ def test_a_unit_builds_no_permutation(monkeypatch):
 
 def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
     ran = []
-    monkeypatch.setattr(verify, "_check_subtree", ran.append)
+    monkeypatch.setattr(bij, "_check_subtree", ran.append)
     with pytest.raises(ValueError, match="max_n must be at most 255, as each value is packed"):
         bijection_checks(max_n=256)
     assert ran == []
@@ -522,8 +547,8 @@ def test_a_lost_bijection_worker_is_checked_again_here(monkeypatch, capfd, fmt, 
     expected = _cold_run(monkeypatch, capfd, ONE_CPU, args)
     assert expected[0] == 0 and expected[2] == ""
     here = []
-    monkeypatch.setattr(verify, "_check_subtree",
-                        _lost_in_a_worker(how, verify._check_subtree, here))
+    monkeypatch.setattr(bij, "_check_subtree",
+                        _lost_in_a_worker(how, bij._check_subtree, here))
     assert _cold_run(monkeypatch, capfd, TWO_CPUS, args) == expected
     # This process ran the forked shard's units as well as its own: every
     # (degree, first value) unit, once.
