@@ -31,11 +31,10 @@ every rank is at least 1, and the values are an up-down permutation of
 free values, each pattern is a permutation of its ranks and each
 zigzags as its block must, since the landmarks are the two extremes.
 Only a rejected split goes through those checks one by one, which name
-the fault.  The core of ``smu_to_maxmin`` is ``_oriented``, which puts
-n-1 left of n and reads the bit, then the second-max split, its rewiring
-and the max-min composition.  :func:`_check_subtree` runs every core on
-the up-down permutations of one degree and first value, for
-``verify.bijection_checks``.
+the fault.  The core of ``smu_to_maxmin`` is :func:`_inverse`.
+:func:`_check_subtree` runs every core on the up-down permutations of
+one degree and first value, for ``verify.bijection_checks``, and packs
+what it finds in a :class:`_DegreeResult`, which also reads it.
 """
 
 from __future__ import annotations
@@ -294,13 +293,26 @@ def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
     if p.n % 2 != 0:
         raise ValueError("the doubling map is defined for even degree")
     _require_updown_smu(p)
-    source, side = _to_maxmin(p.values)
+    (source, side), _ = _inverse(p.values)
     return Permutation(source), side
 
 
-def _to_maxmin(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    left, side = _oriented(vals)
-    return _compose_maxmin(_maxmin_split_of(_decompose_smu(left)), len(vals)), side
+def _inverse(q: tuple[int, ...], d: Optional[Decomposition] = None,
+             back: Optional[tuple] = None, last: Optional[tuple] = None) -> tuple[tuple, tuple]:
+    """The max-min source and the side of the second-max-upper image q, and the
+    pair (left form, source) to pass as `last` for the next image.
+
+    The left form of q has n-1 left of n (:func:`_oriented`); its second-max
+    split, rewired, composes to the source.  As the cores are pure, `back`, what
+    ``_compose_maxmin(d, n)`` gave for the max-min split d, serves a rewired
+    split equal to d, and `last` an equal left form; a core that raised gives
+    neither, so it runs again.
+    """
+    left, side = _oriented(q)
+    if last is None or last[0] != left:
+        split = _maxmin_split_of(_decompose_smu(left))
+        last = left, (back if back is not None and split == d else _compose_maxmin(split, len(q)))
+    return (last[1], side), last
 
 
 def _oriented(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -322,7 +334,7 @@ class _DegreeResult:
     checked.  At even degree, `images` packs the doubling map's images as n
     bytes each, one per value, in one blob per first value of the image,
     and `smu_values` the second-max-upper set: each permutation's bytes,
-    joined in sorted order once its unit is checked.
+    joined in sorted order once its unit is checked.  :meth:`read` reads both.
     """
 
     __slots__ = ("fixed", "involution_bad", "smu_bad", "lefts", "maxmin_bad", "images",
@@ -352,6 +364,30 @@ class _DegreeResult:
             else:
                 setattr(self, name, mine + theirs)
 
+    def read(self, n: int) -> tuple[int, str, str]:
+        """The number of distinct images of the merged even degree n, the text of
+        their list sorted one first value at a time, and that of the sorted
+        second-max-upper list, one text when the lists are equal, as in every
+        passing run.  The packed values are released."""
+        images = b"".join(b"".join(sorted(set(_records(bytes(self.images.get(first, b"")), n))))
+                          for first in range(1, n + 1))
+        smu, self.images, self.smu_values = b"".join(self.smu_values), {}, []
+        image_text = _list_text(images, n)
+        return len(images) // n, image_text, image_text if smu == images else _list_text(smu, n)
+
+
+def _records(blob: bytes, n: int) -> list[bytes]:
+    return [blob[i:i + n] for i in range(0, len(blob), n)]
+
+
+def _list_text(blob: bytes, n: int) -> str:
+    """The text of the list of records as tuples, 1,024 rendered at a time, joined once."""
+    parts = ["["]
+    for i in range(0, len(blob), 1024 * n):
+        chunk = map(tuple, _records(blob[i:i + 1024 * n], n))
+        parts += [", " * bool(i), ", ".join(map(repr, chunk))]
+    return "".join(parts + ["]"])
+
 
 def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
     """Walk the up-down permutations of degree n that start with one value,
@@ -374,14 +410,10 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
     positions of 1, n - 1 and n, and the maps run as their cores, on value
     tuples: the doubling image is composed once, and its side-1 form is
     that image with n - 1 and n swapped.  Each image must be second-max-upper
-    up-down before its inverse, the pieces of :func:`_to_maxmin`, runs.
-    As each core is a pure function, a core is not run again on an input
-    equal to one it returned for in this call: the round trip's composition
-    serves an image whose max-min split is the permutation's own, and side
-    0's source serves side 1 when both images have the same form with n - 1
-    left of n.  A core that raised runs again.  A map that raises on a
-    permutation, or doubles it to another degree, records that permutation
-    as a failure, with the reason in its witness.
+    up-down before :func:`_inverse` runs on it, given what this call has
+    composed already.  A map that raises on a permutation, or doubles it to
+    another degree, records that permutation as a failure, with the reason
+    in its witness.
     """
     even = n % 2 == 0
     index = v.index
@@ -435,21 +467,9 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
                 raise ValueError(f"its image {_text(q)} has degree {len(q)}")
             r.images[q[0]].extend(q)
             _require_smu(q)
-            found, last = _inverse(q, n, d, back, last)
+            found, last = _inverse(q, d, back, last)
             if found != (v, side):
                 r.inverse_bad.append(f"{_text(v)} with side {side}")
         except Exception as exc:
             r.inverse_bad.append(_raised(f"{_text(v)} with side {side}", exc))
 
-
-def _inverse(q: tuple[int, ...], n: int, d: Decomposition,
-             back: Optional[tuple[int, ...]], last: Optional[tuple]) -> tuple[tuple, tuple]:
-    """What ``_to_maxmin(q)`` gives for the image q of the max-min split d,
-    and the pair (left form, source) to pass as `last` for the next image;
-    `back` is what ``_compose_maxmin(d, n)`` returned, or None if it raised.
-    """
-    left, side = _oriented(q)
-    if last is None or last[0] != left:
-        split = _maxmin_split_of(_decompose_smu(left))
-        last = left, (back if back is not None and split == d else _compose_maxmin(split, n))
-    return (last[1], side), last

@@ -109,27 +109,24 @@ def cmd_table(args: argparse.Namespace) -> int:
             2 - s.offset:],
         "enum": lambda s: [getattr(t, s.field) for t in tables],
     }
+    label, route = ("enum=formula=egf", "formula") if args.method == "all" else (args.method,) * 2
     columns: dict[str, list[int]] = {}
-    methods: dict[str, str] = {}
     for name in names:
         spec = SEQUENCES[name]
-        if args.method != "all":
-            columns[name], methods[name] = routes[args.method](spec), args.method
-        else:  # all three routes must agree
-            by_formula, by_egf, by_enum = (routes[r](spec) for r in ("formula", "egf", "enum"))
-            for n, f, g, e in zip(ns, by_formula, by_egf, by_enum):
+        columns[name] = routes[route](spec)
+        if args.method == "all":  # all three routes must agree
+            for n, f, g, e in zip(ns, columns[name], routes["egf"](spec), routes["enum"](spec)):
                 if not f == g == e:
                     print(f"error: route disagreement for {name} at n={n}: "
                           f"formula {f}, egf {g}, enum {e}", file=sys.stderr)
                     return 1
-            columns[name], methods[name] = by_formula, "enum=formula=egf"
 
-    headers = ["n"] + [f"{name}({methods[name]})" for name in names]
+    headers = ["n"] + [f"{name}({label})" for name in names]
     rows = [[str(n)] + [str(columns[name][i]) for name in names] for i, n in enumerate(ns)]
     _emit(
         args,
         json=lambda fh: render_json({
-            "methods": methods,
+            "methods": dict.fromkeys(names, label),
             "rows": [{"n": n, **{name: str(columns[name][i]) for name in names}}
                      for i, n in enumerate(ns)],
         }, fh),
@@ -327,6 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "cap", 0) < 0:  # ratios and export take no cap
         parser.error(f"--cap must be non-negative, got {args.cap}")
     try:
+        if not args.out and sys.stdout is None:  # started with its standard output closed
+            raise CliError("standard output is closed; write to a file with --out")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

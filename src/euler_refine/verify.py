@@ -194,19 +194,6 @@ def _failure_count(n: int, label: str, witnesses: Sequence[str]) -> CheckEntry:
     return CheckEntry(n, label, len(witnesses), 0, note)
 
 
-def _records(blob: bytes, n: int) -> list[bytes]:
-    return [blob[i:i + n] for i in range(0, len(blob), n)]
-
-
-def _list_text(blob: bytes, n: int) -> str:
-    """The text of the list of records as tuples, 1,024 rendered at a time, joined once."""
-    parts = ["["]
-    for i in range(0, len(blob), 1024 * n):
-        chunk = map(tuple, _records(blob[i:i + 1024 * n], n))
-        parts += [", " * bool(i), ", ".join(map(repr, chunk))]
-    return "".join(parts + ["]"])
-
-
 def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     """Exhaustive checks of the involution, the splittings and the doubling map.
 
@@ -220,9 +207,7 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     :func:`euler_refine.workers.map_dealt`).  Each unit enumerates, classifies
     and checks its subtree in :func:`euler_refine.bij._check_subtree` and
     returns what it found, the values packed; the results are merged in
-    enumeration order, so the reports do not depend on the CPU count.  The
-    images are sorted one first value at a time; when they equal the sorted
-    second-max-upper set, one text serves both sides of the set entry.
+    enumeration order, so the reports do not depend on the CPU count.
     """
     from . import bij, workers
 
@@ -236,27 +221,22 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
     for (n, _), part in zip(units, workers.map_dealt(bij._check_subtree, units, workers.cpu_count())):
         results[n].absorb(part)
 
-    involution = VerifyReport("swap_top_two involution", "enumeration", "enumeration")
-    smu_roundtrip = VerifyReport("second-max-upper split round trip", "enumeration", "enumeration")
-    for n in degrees:
+    reports = involution, smu_roundtrip, maxmin_roundtrip, doubling = [
+        VerifyReport(identity, "enumeration", "enumeration")
+        for identity in ("swap_top_two involution", "second-max-upper split round trip",
+                         "max-min split round trip", "doubling map bijectivity")]
+    for n, r in results.items():
+        involution.entries += [_failure_count(n, "fixed points", r.fixed),
+                               _failure_count(n, "involution violations", r.involution_bad)]
+        smu_roundtrip.entries += [_failure_count(n, "round-trip failures", r.smu_bad),
+                                  CheckEntry(n, "left-oriented half", 2 * r.lefts, r.smu)]
+        if n % 2 == 0:
+            maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
+    # The records are read last: an entry made after a read can keep the memory it freed.
+    for n in degrees[::2]:
         r = results[n]
-        involution.entries.append(_failure_count(n, "fixed points", r.fixed))
-        involution.entries.append(_failure_count(n, "involution violations", r.involution_bad))
-        smu_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.smu_bad))
-        smu_roundtrip.entries.append(CheckEntry(n, "left-oriented half", 2 * r.lefts, r.smu))
-
-    maxmin_roundtrip = VerifyReport("max-min split round trip", "enumeration", "enumeration")
-    doubling = VerifyReport("doubling map bijectivity", "enumeration", "enumeration")
-    for n in range(2, max_n + 1, 2):
-        r = results[n]
-        maxmin_roundtrip.entries.append(_failure_count(n, "round-trip failures", r.maxmin_bad))
-        images = b"".join(b"".join(sorted(set(_records(bytes(r.images.get(first, b"")), n))))
-                          for first in range(1, n + 1))
-        smu, r.images, r.smu_values = b"".join(r.smu_values), {}, []
-        doubling.entries.append(CheckEntry(n, "image size", len(images) // n, 2 * r.maxmin))
-        image_text = _list_text(images, n)  # every passing run: one text for both sides
-        smu_text = image_text if smu == images else _list_text(smu, n)
-        doubling.entries.append(CheckEntry(n, "image = second-max-upper set", image_text, smu_text))
-        doubling.entries.append(_failure_count(n, "inverse round-trip failures", r.inverse_bad))
-
-    return [involution, smu_roundtrip, maxmin_roundtrip, doubling]
+        size, image_text, smu_text = r.read(n)
+        doubling.entries += [CheckEntry(n, "image size", size, 2 * r.maxmin),
+                             CheckEntry(n, "image = second-max-upper set", image_text, smu_text),
+                             _failure_count(n, "inverse round-trip failures", r.inverse_bad)]
+    return reports

@@ -198,7 +198,7 @@ _MAP_AND_CORE = {
         ((maxmin_to_smu(p, 0).values, maxmin_to_smu(p, 1).values), _doubled(p.values))
         for p in _sources(n)],
     "smu_to_maxmin": lambda n: [
-        (_source_and_side(p), bij._to_maxmin(p.values))
+        (_source_and_side(p), bij._inverse(p.values)[0])
         for p in (smu_set(n) if n % 2 == 0 else ())],
     # The first piece of smu_to_maxmin: the input with n-1 left of n, and the bit.
     "_oriented": lambda n: [
@@ -444,6 +444,16 @@ def test_maps_run_above_the_enumeration_cap(n):
             assert compose_smu(decompose_smu(left), n) == left
             images.add(q)
     assert len(images) == 2 * len(sources)
+
+
+def test_smu_to_maxmin_and_the_check_run_one_inverse(monkeypatch):
+    # 2413 is max-min, and its images 1324 and 1423 each get one inverse.
+    calls, inverse = [], bij._inverse
+    monkeypatch.setattr(bij, "_inverse", lambda q, *args: calls.append(q) or inverse(q, *args))
+    assert smu_to_maxmin(P("1423")) == (P("2413"), 1)
+    bij._check_one((2, 4, 1, 3), 4, bij._DegreeResult())
+    assert calls == [(1, 4, 2, 3), (1, 3, 2, 4), (1, 4, 2, 3)]
+    assert not hasattr(bij, "_to_maxmin")
 
 
 def test_smu_to_maxmin_rejects_odd_degree():

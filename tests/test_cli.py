@@ -522,6 +522,34 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, expected):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-n", "5"], ["verify", "--max-n", "5", "--egf-order", "6"],
+    ["ratios", "--max-n", "5"], ["export", "--sequence", "E", "--max-n", "5"],
+    ["bijection-check", "--max-n", "6"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_an_io_error_unless_out_names_a_file(tmp_path, capsysbinary, argv):
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "euler_refine.cli", *argv]
+    proc = subprocess.run(closed, capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output is closed; write to a file with --out\n"
+    out = tmp_path / "out"
+    proc = subprocess.run([*closed, "--out", str(out)], capture_output=True, env=fresh_env(),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(argv) == 0
+    assert out.read_bytes() == capsysbinary.readouterr().out
+
+
+def test_a_closed_stdout_is_refused_before_any_work(capsys, monkeypatch):
+    def work(max_n):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(cli, "bijection_checks", work)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["bijection-check", "--max-n", "6"]) == 2
+    assert capsys.readouterr().err.startswith("error: standard output is closed")
+
+
 # A new interpreter runs the code after `bare = set(sys.modules)` and then
 # prints, as the last line of stderr, the modules it loaded that a bare
 # interpreter had not.

@@ -119,3 +119,16 @@ def test_verify_runs_the_bijection_check_of_bij_and_no_module_binds_globals():
              if any(isinstance(node, ast.Global)
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
     assert bound == set()
+
+
+def test_verify_handles_no_packed_record():
+    """``bij`` both packs the unit record and reads it: ``verify`` defines no
+    reader, makes no bytes and reads no packed field."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    assert not {node.name for node in nodes if isinstance(node, ast.FunctionDef)} & {
+        "_records", "_list_text"}
+    assert not [node for node in nodes if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "bytes"]
+    assert not {node.attr for node in nodes if isinstance(node, ast.Attribute)} & {
+        "images", "smu_values"}

@@ -169,8 +169,8 @@ def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, na
 def test_the_loop_inverts_each_image_as_to_maxmin_does(monkeypatch):
     # The loop takes a result of a core only for an input equal to one it
     # has run: for both images q of every max-min permutation of even degree
-    # up to 10, the source and side it compares are what bij._to_maxmin(q)
-    # gives, and side 1 gets the source of side 0.
+    # up to 10, the source and side it compares are what bij._inverse(q)
+    # gives without reuse arguments, and side 1 gets the source of side 0.
     seen, inverse = [], bij._inverse
 
     def recorded(q, *args):
@@ -184,7 +184,7 @@ def test_the_loop_inverts_each_image_as_to_maxmin_does(monkeypatch):
         for first in range(1, n + 1):
             bij._check_subtree((n, first))
         assert len(seen) == 2 * e_nw_formula(n)
-        assert all(found == bij._to_maxmin(q) for q, found in seen)
+        assert all(found == inverse(q)[0] for q, found in seen)
         assert [side for _, (_, side) in seen] == [0, 1] * e_nw_formula(n)
         assert [source for _, (source, _) in seen[0::2]] == [
             source for _, (source, _) in seen[1::2]]
@@ -269,6 +269,58 @@ def test_a_unit_checks_the_subtree_of_its_first_value():
             assert r.smu_values == [b"".join(bytes(v) for v in sorted(p.values for p in smu)
                                              if n % 2 == 0)]
 
+
+def test_a_merged_degree_reads_as_its_images_and_its_second_max_upper_set():
+    for n in (2, 4, 6, 8):
+        r = bij._DegreeResult()
+        for first in range(1, n + 1):
+            r.absorb(bij._check_subtree((n, first)))
+        images = [bij.maxmin_to_smu(p, side).values for p in maxmin_set(n) for side in (0, 1)]
+        smu = [p.values for p in smu_set(n)]
+        size, image_text, smu_text = r.read(n)
+        assert (size, image_text, smu_text) == (
+            len(set(images)), str(sorted(set(images))), str(sorted(smu)))
+        assert smu_text is image_text
+        assert not r.images and not r.smu_values
+
+
+def test_only_the_second_max_upper_text_keeps_a_repeat():
+    # One image lands in the bucket of its first value from two units, and
+    # one second-max-upper record is packed twice.
+    image, other = (1, 3, 2, 4), (2, 3, 1, 4)
+    r, later = bij._DegreeResult(), bij._DegreeResult()
+    r.images[1].extend(image)
+    later.images[1].extend(image)
+    later.images[2].extend(other)
+    r.smu_values, later.smu_values = [bytes(image) * 2], [bytes(other)]
+    r.absorb(later)
+    assert r.read(4) == (2, str([image, other]), str([image, image, other]))
+
+
+@pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
+def test_the_inverse_composes_again_after_the_round_trip_raised(monkeypatch, tmp_path, cpus):
+    # The round trip's composition of p's split raises and leaves nothing to
+    # reuse, so the inverse of each side composes that split afresh.
+    p, original, calls = maxmin_set(8)[0], bij._compose_maxmin, tmp_path / "calls"
+    split = bij._decompose_maxmin(p.values)
+
+    def broken(d, n):
+        if d == split:
+            with open(calls, "a", encoding="utf-8") as fh:  # seen from a forked worker too
+                fh.write("call\n")
+            raise ValueError("cannot compose")
+        return original(d, n)
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(bij, "_compose_maxmin", broken)
+    reports = bijection_checks(max_n=8)
+    text = p.to_text()
+    assert [(r.identity, e.n, e.label, e.left, e.note) for r in reports for e in r.failures()] == [
+        ("max-min split round trip", 8, "round-trip failures", 1,
+         f"first bad permutation: {text} raised ValueError: cannot compose"),
+        ("doubling map bijectivity", 8, "inverse round-trip failures", 2,
+         f"first bad permutation: {text} with side 0 raised ValueError: cannot compose")]
+    assert calls.read_text(encoding="utf-8") == "call\n" * 3
 
 
 def test_the_check_of_one_permutation_runs_with_only_bij_imported():
