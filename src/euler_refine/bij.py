@@ -381,11 +381,13 @@ def _records(blob: bytes, n: int) -> list[bytes]:
 
 
 def _list_text(blob: bytes, n: int) -> str:
-    """The text of the list of records as tuples, 1,024 rendered at a time, joined once."""
+    """The text of the list of records of n >= 2 values as tuples: each 1,024
+    records rendered by one % format over their values, the chunks joined once."""
+    record = "(" + ", ".join(["%d"] * n) + ")"
     parts = ["["]
     for i in range(0, len(blob), 1024 * n):
-        chunk = map(tuple, _records(blob[i:i + 1024 * n], n))
-        parts += [", " * bool(i), ", ".join(map(repr, chunk))]
+        chunk = blob[i:i + 1024 * n]
+        parts += [", " * bool(i), ", ".join([record] * (len(chunk) // n)) % tuple(chunk)]
     return "".join(parts + ["]"])
 
 

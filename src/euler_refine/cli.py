@@ -25,9 +25,10 @@ if TYPE_CHECKING:
 
     from .report import CountTable
 
-# verify and table count by merged prefix states; bijection-check lists
-# every permutation, and E_12 is 2.7 million of them.
-DEFAULT_ENUM_CAP = 14
+# verify and table count by merged prefix rows, one sweep per set of used
+# values (2^n of them, not E_n leaves); bijection-check lists every
+# permutation, and E_12 is 2.7 million of them.
+DEFAULT_ENUM_CAP = 15
 BIJECTION_ENUM_CAP = 11
 FORMULA_CAP = 200
 

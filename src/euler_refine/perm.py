@@ -6,14 +6,15 @@ checked against.  Permutations are kept in one-line notation with
 zigzag starting with a rise, down-up when starting with a descent.
 
 The counts cover every permutation of the pruned search tree without
-materialising any: one forward pass per kind merges the prefixes that
-have the same completions and carries the two class bits along, so the
-work grows with 2^n rather than with the number of leaves.  The
-:class:`Permutation` generator and :func:`classify` serve the
-bijections and callers that need the permutations themselves; the
-generator wraps a walk that yields plain value tuples, which the
-bijection check reads directly.  Both can be restricted to one first
-value, so that the subtrees of one degree can be walked apart.
+materialising any: one forward pass per kind merges the prefixes with
+the same completions and class bits into rows by last value, and sweeps
+each row with a running sum to the next values, so the work grows with
+2^n rather than with the number of leaves.  The :class:`Permutation`
+generator and :func:`classify` serve the bijections and callers that
+need the permutations themselves; the generator wraps a walk that
+yields plain value tuples, which the bijection check reads directly.
+Both can be restricted to one first value, so that the subtrees of one
+degree can be walked apart.
 
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
@@ -21,6 +22,7 @@ for degree <= 9 and comma-separated values above that.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -216,44 +218,42 @@ def _count_kind(n: int, kind: AltKind) -> list[int]:
     """Count by class the alternating permutations of degree n of one kind.
 
     A forward pass over the pruned tree of :func:`enumerate_alternating`,
-    one position at a time, in which prefixes with the same completions
-    are merged: a prefix is kept only as its set of used values, its last
-    value and two class bits, with the number of prefixes that share
-    them.  Bit 0 says that 1 was placed while n was unused (min-max), and
-    bit 1 that n - 1 was placed at a peak (second-max upper); the four
-    joint class counts are returned indexed by those bits.  This is the
-    subset dynamic programme of Held and Karp, "A dynamic programming
-    approach to sequencing problems" (1962), and still an exhaustive
-    count of the same tree: it holds O(2^n n) states, not O(E_n) leaves.
+    one position at a time, that merges the prefixes with the same
+    completions: those that share a used set and two class bits form one
+    row, which counts them by last value.  Bit 0 says that 1 was placed
+    while n was unused (min-max), and bit 1 that n - 1 was placed at a
+    peak (second-max upper); the four joint class counts are returned
+    indexed by those bits.  A rise reaches v from every last value below
+    it and a fall from every one above, so one ascending or descending
+    sweep with a running sum over a row gives each unused v its count.
+    This is the subset programme of Held and Karp (1962), and still an
+    exhaustive count of the same tree: O(2^n n) counts, not O(E_n) leaves.
     """
     # Peaks, where the chain rises into a position, sit at the odd indices
-    # for up-down and the even ones for down-up.  Index 0 rises above a
-    # last value of 0 or falls below one of n + 1, so that any value may
-    # come first.
+    # for up-down and the even ones for down-up.  Index 0 rises above the
+    # virtual start row[0] or falls below row[n + 1], so any value may come first.
     peak_parity = 1 if kind is AltKind.UP_DOWN else 0
     top = 1 << n
-    layer = {(0, n + 1 if peak_parity else 0, 0): 1}  # (used, last, bits) -> prefixes
+    layer = {(0, 0): [0] * (n + 2)}  # (used, bits) -> row; row[last] counts the prefixes
+    layer[0, 0][n + 1 if peak_parity else 0] = 1
     for idx in range(n):
         at_peak = idx % 2 == peak_parity
-        following: dict[tuple[int, int, int], int] = {}
-        get = following.get
-        for (used, last, bits), count in layer.items():
-            for v in range(last + 1, n + 1) if at_peak else range(1, last):
-                value = 1 << v
-                if used & value:
-                    continue
-                placed = bits
-                if v == 1 and not used & top:
-                    placed |= 1
-                if v == n - 1 and at_peak:
-                    placed |= 2
-                key = (used | value, v, placed)
-                following[key] = get(key, 0) + count
+        sweep, seed = (range(1, n + 1), 0) if at_peak else (range(n, 0, -1), n + 1)
+        following: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * (n + 2))
+        for (used, bits), row in layer.items():
+            run = row[seed]  # the prefixes that v, the next in the sweep, can follow
+            for v in sweep:
+                if run and not used & 1 << v:
+                    placed = bits
+                    if v == 1 and not used & top:
+                        placed |= 1
+                    if v == n - 1 and at_peak:
+                        placed |= 2
+                    following[used | 1 << v, placed][v] += run
+                run += row[v]
         layer = following
-    by_bits = [0] * 4
-    for (_, _, bits), count in layer.items():
-        by_bits[bits] += count
-    return by_bits
+    # Every prefix is now a whole permutation: at most four groups remain, one per class.
+    return [sum(sum(row) for (_, b), row in layer.items() if b == bits) for bits in range(4)]
 
 
 @lru_cache(maxsize=None)

@@ -221,6 +221,40 @@ def per_leaf_tally_walk(n, kind, first):
     return total, minmax, maxmin, upper, lower
 
 
+def state_by_state_count_kind(n, kind):
+    """The four joint class counts of the alternating permutations of one
+    kind, indexed by the min-max bit plus twice the upper bit.
+
+    The merged-prefix pass that ``perm._count_kind`` ran before it swept
+    each row of last values with a running sum, kept as its oracle: a state
+    is (used, last, bits), and each state steps to each of its candidates.
+    """
+    peak_parity = 1 if kind is AltKind.UP_DOWN else 0
+    top = 1 << n
+    layer = {(0, n + 1 if peak_parity else 0, 0): 1}  # (used, last, bits) -> prefixes
+    for idx in range(n):
+        at_peak = idx % 2 == peak_parity
+        following = {}
+        get = following.get
+        for (used, last, bits), count in layer.items():
+            for v in range(last + 1, n + 1) if at_peak else range(1, last):
+                value = 1 << v
+                if used & value:
+                    continue
+                placed = bits
+                if v == 1 and not used & top:
+                    placed |= 1
+                if v == n - 1 and at_peak:
+                    placed |= 2
+                key = (used | value, v, placed)
+                following[key] = get(key, 0) + count
+        layer = following
+    by_bits = [0] * 4
+    for (_, _, bits), count in layer.items():
+        by_bits[bits] += count
+    return by_bits
+
+
 def reference_count_table(n):
     """The CountTable the classify-over-generator path builds for degree n."""
     e, ene, enw, eup, edown = reference_tally(n, AltKind.UP_DOWN)

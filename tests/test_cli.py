@@ -160,9 +160,9 @@ def test_a_population_mismatch_is_one_error_line(capsys, monkeypatch, argv):
 
 
 def test_table_enumeration_cap(capsys):
-    rc, _, err = run_cli(capsys, "table", "--max-n", "15", "--method", "enum")
+    rc, _, err = run_cli(capsys, "table", "--max-n", "16", "--method", "enum")
     assert rc == 2
-    assert "cap 14" in err
+    assert "cap 15" in err
 
 
 def test_cap_flag(capsys):
@@ -205,7 +205,7 @@ def test_removed_commands_and_options_are_usage_errors(capsys, argv):
 
 
 def test_verify_passes_above_the_enumeration_cap_when_it_is_raised(capsys):
-    rc, out, _ = run_cli(capsys, "verify", "--max-n", "15", "--cap", "15")
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "16", "--cap", "16")
     assert rc == 0
     assert "overall: PASS" in out
 
@@ -500,8 +500,8 @@ BAD_INPUT = [
     (["table", "--max-n", "5", "--cap", "-3"], "error: --cap must be non-negative, got -3\n"),
     (["verify", "--max-n", "3", "--egf-order", "199"],
      "error: --egf-order 199 exceeds 198: its series checks reach degree 201"),
-    (["verify", "--max-n", "15"],
-     "error: --max-n 15 exceeds the enumeration cap 14; raise it with --cap\n"),
+    (["verify", "--max-n", "16"],
+     "error: --max-n 16 exceeds the enumeration cap 15; raise it with --cap\n"),
     (["bijection-check", "--max-n", "12"],
      "error: --max-n 12 exceeds the enumeration cap 11; raise it with --cap\n"),
 ]

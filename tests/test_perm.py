@@ -47,6 +47,7 @@ from helpers import (
     reference_count_table,
     reference_tally,
     reference_zigzags,
+    state_by_state_count_kind,
     updown,
     upper_row,
 )
@@ -341,6 +342,13 @@ def test_count_kind_equals_the_per_leaf_oracle():
             assert marginals(_count_kind(n, kind)) == tuple(map(sum, zip(*leaves))), (n, kind)
 
 
+@pytest.mark.parametrize("kind", list(AltKind))
+def test_count_kind_equals_the_state_by_state_oracle(kind):
+    # All four joint classes, to degrees whose leaves no oracle visits in a test's time.
+    for n in range(2, 14):
+        assert _count_kind(n, kind) == state_by_state_count_kind(n, kind), n
+
+
 def test_count_refinements_equals_classify_oracle():
     for n in range(2, 10):
         assert count_refinements(n) == reference_count_table(n), n
@@ -375,8 +383,8 @@ def test_count_refinements_rejects_passes_whose_totals_differ(monkeypatch):
         count_refinements.cache_clear()
 
 
-@pytest.mark.parametrize("n", [12, 13, 14])
-def test_count_refinements_equals_the_formulas_at_degrees_12_to_14(n):
+@pytest.mark.parametrize("n", [12, 13, 14, 15])
+def test_count_refinements_equals_the_formulas_at_degrees_12_to_15(n):
     # Past the degrees whose leaves an oracle can visit in a test's time.
     ee = euler_numbers(n)
     t = count_refinements(n)
