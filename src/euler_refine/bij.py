@@ -15,8 +15,11 @@ Three constructions, all exactly invertible on their stated domains:
   ``compose_*`` invert them.
 
 * ``maxmin_to_smu`` turns a max-min up-down permutation of even degree
-  plus one free bit into a second-max-upper one of the same degree, by
-  rewiring the two splittings slot by slot.  Its inverse is
+  plus one free bit into a second-max-upper one of the same degree.  It
+  rewires the max-min splitting into the second-max one slot by slot,
+  which comes down to relabelling the values: cut at n and 1 into A, B
+  and C, the image is A-1, n-1, flip(C)-1, n, B-1, where flip sends the
+  k-th smallest value of C to the k-th largest.  Its inverse is
   ``smu_to_maxmin``.  Together with the two-sided counting this makes
   the doubling relation between the two refinements literal.
 
@@ -31,16 +34,20 @@ every rank is at least 1, and the values are an up-down permutation of
 free values, each pattern is a permutation of its ranks and each
 zigzags as its block must, since the landmarks are the two extremes.
 Only a rejected split goes through those checks one by one, which name
-the fault.  The core of ``smu_to_maxmin`` is :func:`_inverse`.
-:func:`_check_subtree` runs every core on the up-down permutations of
-one degree and first value, for ``verify.bijection_checks``, and packs
-what it finds in a :class:`_DegreeResult`, which also reads it.
+the fault.  The cores of the doubling map, :func:`_doubled` and
+:func:`_halved`, relabel values and build no split: the splits they
+would pass between are the max-min splits and the second-max splits of
+the left-oriented second-max-upper permutations, which the two split
+round trips compose already.  :func:`_check_subtree` runs every core on
+the up-down permutations of one degree and first value, for
+``verify.bijection_checks``, and packs what it finds in a
+:class:`_DegreeResult`, which also reads it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import perm  # for perm._walk, looked up when a unit runs
 from .perm import (
@@ -214,6 +221,12 @@ def decompose_maxmin(p: Permutation) -> Decomposition:
     read as up-down and down-up patterns respectively, the middle one
     as up-down.
     """
+    _require_maxmin(p)
+    return _decompose_maxmin(p.values)
+
+
+def _require_maxmin(p: Permutation) -> None:
+    """Reject what is not a max-min up-down permutation of even degree."""
     c = classify(p)
     if c.kind is not AltKind.UP_DOWN:
         raise ValueError(f"{p} is not up-down")
@@ -221,7 +234,6 @@ def decompose_maxmin(p: Permutation) -> Decomposition:
         raise ValueError("max-min splitting requires even degree")
     if c.minmax is not MinMaxKind.MAX_MIN:
         raise ValueError(f"{p} is min-max; the largest value must precede 1")
-    return _decompose_maxmin(p.values)
 
 
 def _decompose_maxmin(vals: tuple[int, ...]) -> Decomposition:
@@ -254,65 +266,60 @@ def _compose_maxmin(d: Decomposition, n: int) -> tuple[int, ...]:
 def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
     """Send (max-min up-down of even degree, bit) to a second-max-upper one.
 
-    The max-min split (A, B, C) with sizes (odd, even, odd) is rewired
-    into the second-max split with sizes (odd, odd, even): A keeps the
-    first slot, C moves to the second with its down-up pattern
-    complemented into an up-down one, B moves to the third.  Value sets
-    shift from {2..n-1} onto {1..n-2} order-preservingly.  The bit then
-    selects one of the two landmark arrangements via swap_top_two.
+    With n at index i and 1 at index j (0-based), the blocks are
+    A = v[:i], B = v[i+1:j] and C = v[j+1:], of sizes (odd, even, odd).
+    The side-0 image is A-1, n-1, flip(C)-1, n, B-1, where flip sends
+    the k-th smallest value of C to the k-th largest (:func:`_doubled`).
+    This is the max-min split (A, B, C) rewired slot by slot into a
+    second-max split of sizes (odd, odd, even): A keeps the first slot,
+    C moves to the second with its down-up pattern complemented into an
+    up-down one, B moves to the third, and the value sets shift from
+    {2..n-1} onto {1..n-2} order-preservingly; the relabelling builds
+    neither split.  The bit then selects one of the two landmark
+    arrangements via swap_top_two.
 
     Over both bit values this is a bijection onto the second-max-upper
     up-down permutations of the same degree.
     """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
-    image = _compose_smu(_smu_split_of(decompose_maxmin(p)), p.n)
+    _require_maxmin(p)
+    image = _doubled(p.values)
     return Permutation(_swapped(image) if side else image)
 
 
-def _smu_split_of(d: Decomposition) -> Decomposition:
-    """The max-min split (A, B, C) rewired as maxmin_to_smu says."""
-    (part_a, part_b, part_c), (pat_a, pat_b, pat_c) = d
-    down = (-1).__add__
-    return Decomposition(
-        (tuple(map(down, part_a)), tuple(map(down, part_c)), tuple(map(down, part_b))),
-        (pat_a, tuple(map((len(pat_c) + 1).__sub__, pat_c)), pat_b))
+def _doubled(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The side-0 image of the max-min values v: A-1, n-1, flip(C)-1, n, B-1."""
+    n = len(v)
+    i, j = v.index(n), v.index(1)
+    return tuple([x - 1 for x in (*v[:i], n, *_flipped(v[j + 1:]), n + 1, *v[i + 1:j])])
 
 
-def _maxmin_split_of(d: Decomposition) -> Decomposition:
-    """The second-max split rewired back, inverse of :func:`_smu_split_of`."""
-    (part_a, part_c, part_b), (pat_a, pat_c, pat_b) = d
-    up = (1).__add__
-    return Decomposition(
-        (tuple(map(up, part_a)), tuple(map(up, part_b)), tuple(map(up, part_c))),
-        (pat_a, pat_b, tuple(map((len(pat_c) + 1).__sub__, pat_c))))
+def _flipped(block: tuple[int, ...]) -> Iterator[int]:
+    """The values of `block`, the k-th smallest replaced by the k-th largest."""
+    ordered = sorted(block)
+    return map(dict(zip(ordered, reversed(ordered))).__getitem__, block)
 
 
 def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
-    """Inverse of :func:`maxmin_to_smu`: recover the max-min source and the bit."""
+    """Inverse of :func:`maxmin_to_smu`: recover the max-min source and the bit.
+
+    The input is oriented with n-1 left of n, the bit saying whether
+    that took a swap, and cut at n-1 and n into A', C' and B'; the
+    source is A'+1, n, B'+1, 1, flip(C')+1 (:func:`_halved`).
+    """
     if p.n % 2 != 0:
         raise ValueError("the doubling map is defined for even degree")
     _require_updown_smu(p)
-    (source, side), _ = _inverse(p.values)
-    return Permutation(source), side
+    left, side = _oriented(p.values)
+    return Permutation(_halved(left)), side
 
 
-def _inverse(q: tuple[int, ...], d: Optional[Decomposition] = None,
-             back: Optional[tuple] = None, last: Optional[tuple] = None) -> tuple[tuple, tuple]:
-    """The max-min source and the side of the second-max-upper image q, and the
-    pair (left form, source) to pass as `last` for the next image.
-
-    The left form of q has n-1 left of n (:func:`_oriented`); its second-max
-    split, rewired, composes to the source.  As the cores are pure, `back`, what
-    ``_compose_maxmin(d, n)`` gave for the max-min split d, serves a rewired
-    split equal to d, and `last` an equal left form; a core that raised gives
-    neither, so it runs again.
-    """
-    left, side = _oriented(q)
-    if last is None or last[0] != left:
-        split = _maxmin_split_of(_decompose_smu(left))
-        last = left, (back if back is not None and split == d else _compose_maxmin(split, len(q)))
-    return (last[1], side), last
+def _halved(left: tuple[int, ...]) -> tuple[int, ...]:
+    """The max-min source of the side-0 image `left`: A'+1, n, B'+1, 1, flip(C')+1."""
+    n = len(left)
+    i, j = left.index(n - 1), left.index(n)
+    return tuple([x + 1 for x in (*left[:i], n - 1, *left[j + 1:], 0, *_flipped(left[i + 1:j]))])
 
 
 def _oriented(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -410,12 +417,16 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
     split round trip; at even n, a max-min one gets its split round trip
     and both sides of the doubling map.  The classes are read from the
     positions of 1, n - 1 and n, and the maps run as their cores, on value
-    tuples: the doubling image is composed once, and its side-1 form is
+    tuples: the doubling image is relabelled once, and its side-1 form is
     that image with n - 1 and n swapped.  Each image must be second-max-upper
-    up-down before :func:`_inverse` runs on it, given what this call has
-    composed already.  A map that raises on a permutation, or doubles it to
-    another degree, records that permutation as a failure, with the reason
-    in its witness.
+    up-down before its form with n - 1 left of n is inverted by
+    :func:`_halved`; side 1 takes the source of side 0 when that form is
+    side 0's, as it is unless a map is at fault.  No split is built for the
+    doubling map: the splits it passes between are the max-min splits and
+    the second-max splits of the left-oriented second-max-upper
+    permutations, and the two round trips compose each of those.  A map
+    that raises on a permutation, or doubles it to another degree, records
+    that permutation as a failure, with the reason in its witness.
     """
     even = n % 2 == 0
     index = v.index
@@ -444,24 +455,16 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
         return
     r.maxmin += 1
     try:
-        d = _decompose_maxmin(v)
-    except Exception as exc:  # no round trip and no image without the split
-        r.maxmin_bad.append(_raised(_text(v), exc))
-        r.inverse_bad += [_raised(f"{_text(v)} with side {side}", exc) for side in (0, 1)]
-        return
-    back = None  # what _compose_maxmin gave for d, if it did not raise
-    try:
-        back = _compose_maxmin(d, n)
-        if back != v:
+        if _compose_maxmin(_decompose_maxmin(v), n) != v:
             r.maxmin_bad.append(_text(v))
     except Exception as exc:
         r.maxmin_bad.append(_raised(_text(v), exc))
     try:
-        image = _compose_smu(_smu_split_of(d), n)
+        image = _doubled(v)
     except Exception as exc:
         r.inverse_bad += [_raised(f"{_text(v)} with side {side}", exc) for side in (0, 1)]
         return
-    last = None
+    left = source = None  # the last left form inverted, and its source
     for side in (0, 1):
         try:
             q = _swapped(image) if side else image
@@ -469,9 +472,10 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
                 raise ValueError(f"its image {_text(q)} has degree {len(q)}")
             r.images[q[0]].extend(q)
             _require_smu(q)
-            found, last = _inverse(q, d, back, last)
-            if found != (v, side):
+            oriented, found = _oriented(q)
+            if oriented != left:
+                left, source = oriented, _halved(oriented)
+            if (source, found) != (v, side):
                 r.inverse_bad.append(f"{_text(v)} with side {side}")
         except Exception as exc:
             r.inverse_bad.append(_raised(f"{_text(v)} with side {side}", exc))
-

@@ -11,10 +11,11 @@ the same completions and class bits into rows by last value, and sweeps
 each row with a running sum to the next values, so the work grows with
 2^n rather than with the number of leaves.  The :class:`Permutation`
 generator and :func:`classify` serve the bijections and callers that
-need the permutations themselves; the generator wraps a walk that
-yields plain value tuples, which the bijection check reads directly.
-Both can be restricted to one first value, so that the subtrees of one
-degree can be walked apart.
+need the permutations themselves; the generator wraps a depth-first
+walk that yields plain value tuples, which the bijection check reads
+directly, and places the last two values of each in one step.  Both can
+be restricted to one first value, so that the subtrees of one degree can
+be walked apart.
 
 The text form used by the CLI and golden files is plain digit strings
 for degree <= 9 and comma-separated values above that.
@@ -167,8 +168,9 @@ def enumerate_alternating(
     """Yield the alternating permutations of one kind in lexicographic order.
 
     The permutations of :func:`_walk`, each built as a checked
-    :class:`Permutation`; an invalid degree or first value raises at the
-    first ``next``.  With `first`, only those that start with it: the
+    :class:`Permutation`; a kind that is no :class:`AltKind`, or a degree
+    or first value that is no int or out of range, raises ValueError at
+    the first ``next``.  With `first`, only those that start with it: the
     subtree of that first value, so that the subtrees for 1..n, one after
     another, yield what the whole enumeration yields.
     """
@@ -181,18 +183,33 @@ def _walk(n: int, kind: AltKind, first: Optional[int] = None) -> Iterator[tuple[
 
     Extends one value at a time and abandons any prefix that breaks the
     zigzag chain, depth first, in one generator frame with a stack of
-    candidate iterators.  No :class:`Permutation` is built, so a caller
-    that checks each tuple itself pays for no second check.
+    candidate iterators.  Once n - 2 values are placed, the two left,
+    a < b, end the chain in one step: after a rise into index n - 2 only
+    (b, a) zigzags, after a fall only (a, b), and each needs only its first
+    value on the right side of the last one placed.  No
+    :class:`Permutation` is built, so a caller that checks each tuple
+    itself pays for no second check.
     """
+    if type(n) is not int:  # a bool or a float may equal an int
+        raise ValueError(f"degree must be an int, got {n!r}")
+    if not isinstance(kind, AltKind):
+        raise ValueError(f"kind must be an AltKind, got {kind!r}")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if first is not None and not 1 <= first <= n:
-        raise ValueError(f"first value must be in 1..{n}, got {first}")
+    if first is not None and (type(first) is not int or not 1 <= first <= n):
+        raise ValueError(f"first value must be in 1..{n}, got {first!r}")
     # Position idx (0-based) must rise from its predecessor on odd idx
     # for up-down and on even idx for down-up.
     rise_parity = 1 if kind is AltKind.UP_DOWN else 0
-    last = n - 1
+    if n < 3:  # one permutation, with no value before the last two
+        values = (1,) if n == 1 else (1, 2) if rise_parity else (2, 1)
+        if first in (None, values[0]):
+            yield values
+        return
+    rises = (n - 2) % 2 == rise_parity  # into index n - 2
+    last = n - 3
     used = bytearray(n + 1)
+    used[0] = 1  # so that find(0) finds only the unused values
     partial: list[int] = []  # the values at positions 0..len(partial) - 1
     # stack[idx] iterates the candidates for position idx, in increasing order.
     stack: list[Iterator[int]] = [iter(range(1, n + 1) if first is None else (first,))]
@@ -207,7 +224,15 @@ def _walk(n: int, kind: AltKind, first: Optional[int] = None) -> Iterator[tuple[
             continue
         idx = len(partial)
         if idx == last:
-            yield (*partial, v)
+            used[v] = 1
+            a = used.find(0)
+            b = used.find(0, a + 1)
+            used[v] = 0
+            if rises:
+                if b > v:
+                    yield (*partial, v, b, a)
+            elif a < v:
+                yield (*partial, v, a, b)
             continue
         used[v] = 1
         partial.append(v)

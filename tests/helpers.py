@@ -1,7 +1,7 @@
 """Shared fixtures: CPU sets, cached enumerations, frozen reference rows,
 the enumeration, classification, counting, bijection-check, composition,
-series, convolution and Euler-number oracles, a b-file reader, a writer's
-text and the environment of a new interpreter."""
+doubling-map, series, convolution and Euler-number oracles, a b-file
+reader, a writer's text and the environment of a new interpreter."""
 
 import io
 import itertools
@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from pathlib import Path
+from typing import NamedTuple
 
 import euler_refine
 from euler_refine import (
@@ -395,6 +396,72 @@ def checked_compose_maxmin(d, n):
     if not reference_zigzags(d.patterns[2], False):
         raise ValueError("the block after 1 must carry a down-up pattern")
     return _checked_join(d, n, 1)
+
+
+class _Split(NamedTuple):
+    """Three blocks around two landmarks, as ``bij.Decomposition`` holds them."""
+
+    parts: tuple
+    patterns: tuple
+
+    @property
+    def sizes(self):
+        return tuple(map(len, self.parts))
+
+
+def _reference_split(values, first, second):
+    """The split of `values` around the 0-based indices `first` < `second`:
+    the sorted parts and the 1-based ranks of each block."""
+    blocks = (values[:first], values[first + 1:second], values[second + 1:])
+    parts = tuple(tuple(sorted(block)) for block in blocks)
+    return _Split(parts, tuple(tuple(part.index(v) + 1 for v in block)
+                               for block, part in zip(blocks, parts)))
+
+
+def _complemented(pattern):
+    return tuple(len(pattern) + 1 - rank for rank in pattern)
+
+
+def _shifted(part, by):
+    return tuple(v + by for v in part)
+
+
+def _top_two_swapped(values):
+    n = len(values)
+    return tuple({n - 1: n, n: n - 1}.get(v, v) for v in values)
+
+
+def split_doubling(values, side):
+    """The doubling image of (max-min up-down `values` of even degree, side)
+    by split, rewiring and composition: the max-min split (A, B, C) becomes
+    the second-max split (A, C, B), C's down-up pattern complemented and
+    every part shifted down by one, which composes to the side-0 image; side 1
+    swaps n - 1 and n in it.
+
+    The map ``bij.maxmin_to_smu`` ran before it became a relabelling of the
+    values, kept as the oracle of ``bij._doubled``."""
+    n = len(values)
+    (part_a, part_b, part_c), (pat_a, pat_b, pat_c) = _reference_split(
+        values, values.index(n), values.index(1))
+    image = checked_compose_smu(
+        _Split((_shifted(part_a, -1), _shifted(part_c, -1), _shifted(part_b, -1)),
+               (pat_a, _complemented(pat_c), pat_b)), n)
+    return _top_two_swapped(image) if side else image
+
+
+def split_halving(values):
+    """The max-min source and the side of the second-max-upper up-down
+    `values` of even degree: :func:`split_doubling` run backwards, from the
+    form with n - 1 left of n.  The oracle of ``bij._halved``."""
+    n = len(values)
+    side = int(values.index(n) < values.index(n - 1))
+    left = _top_two_swapped(values) if side else values
+    (part_a, part_c, part_b), (pat_a, pat_c, pat_b) = _reference_split(
+        left, left.index(n - 1), left.index(n))
+    source = checked_compose_maxmin(
+        _Split((_shifted(part_a, 1), _shifted(part_b, 1), _shifted(part_c, 1)),
+               (pat_a, pat_b, _complemented(pat_c))), n)
+    return source, side
 
 
 def cauchy_mul(fc, gc):

@@ -1,8 +1,10 @@
 """The package namespace: every public name resolves on first access, and
 importing the package alone loads none of its modules.  The console script
 that pyproject.toml declares is `cli.main`, and the command lines that CI runs
-through the installed script run here through `python -m euler_refine.cli`."""
+through the installed script run here through `python -m euler_refine.cli`,
+each output that CI pins by its sha256 with that hash."""
 
+import hashlib
 import importlib
 import re
 import shlex
@@ -93,24 +95,37 @@ def test_the_console_script_is_cli_main():
         '"euler_refine.cli:main"']
 
 
-def installed_script_lines() -> list[list[str]]:
-    """The argv of each CI line that runs the script, without a redirect of its stdout."""
+def installed_script_runs() -> list[tuple[list[str], str]]:
+    """Each CI line that runs the script: its argv, and the name of the file
+    its stdout is redirected to, or "" without a redirect."""
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     lines = [shlex.split(line)
              for line in re.findall(r"^ +(euler-refine\b.*)$", workflow, re.MULTILINE)]
-    return [argv[:argv.index(">")] if ">" in argv else argv for argv in lines]
+    return [(argv[:argv.index(">")], Path(argv[argv.index(">") + 1]).name) if ">" in argv
+            else (argv, "") for argv in lines]
+
+
+# The sha256 of each output that CI checks with sha256sum -c, by file name.
+PINNED = dict(reversed(line.split()) for line in (
+    ROOT / "tests" / "bijection-check-n11.sha256").read_text(encoding="utf-8").splitlines())
 
 
 def test_ci_runs_the_installed_script():
-    lines = installed_script_lines()
+    lines = [argv for argv, _ in installed_script_runs()]
     assert [argv[1] for argv in lines] == ["--help", "table", "table", "bijection-check",
+                                           "bijection-check", "bijection-check",
                                            "bijection-check", "ratios", "verify"]
     assert any("--cap" in argv for argv in lines)  # an enumeration above its default cap
+    # Every pinned output is written by one line.
+    assert sorted(name for _, name in installed_script_runs() if name in PINNED) == sorted(PINNED)
 
 
-@pytest.mark.parametrize("argv", installed_script_lines(), ids=" ".join)
-def test_each_installed_script_line_of_ci_exits_0(argv):
+@pytest.mark.parametrize("argv, target", installed_script_runs(),
+                         ids=[" ".join(argv) for argv, _ in installed_script_runs()])
+def test_each_installed_script_line_of_ci_exits_0(argv, target):
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "euler_refine.cli", *argv[1:]],
                           capture_output=True, text=True, env=fresh_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout
+    if target in PINNED:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED[target]

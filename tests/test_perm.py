@@ -255,6 +255,30 @@ def test_enumerate_checks_its_arguments_at_the_first_item():
         next(items)
 
 
+def test_enumerate_refuses_a_kind_that_is_not_an_alt_kind():
+    # The value of AltKind.UP_DOWN is no kind: it once ran as down-up.
+    items = enumerate_alternating(3, "up-down")
+    with pytest.raises(ValueError, match="kind must be an AltKind, got 'up-down'"):
+        next(items)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3"])
+def test_enumerate_refuses_a_degree_that_is_not_an_int(n):
+    # True once ran as degree 1, and 2.0 raised a bare TypeError.
+    items = enumerate_alternating(n, AltKind.UP_DOWN)
+    with pytest.raises(ValueError, match=f"degree must be an int, got {n!r}"):
+        next(items)
+
+
+@pytest.mark.parametrize("first", [True, 1.0, "1"])
+def test_enumerate_refuses_a_first_value_that_is_not_an_int(first):
+    # True once came out as the first value of (True, 3, 2).
+    for items in (enumerate_alternating(3, AltKind.UP_DOWN, first),
+                  perm._walk(3, AltKind.UP_DOWN, first)):
+        with pytest.raises(ValueError, match="first value must be in 1..3, got"):
+            next(items)
+
+
 @pytest.mark.parametrize("kind", list(AltKind))
 def test_enumerate_by_first_value_concatenates_to_the_whole(kind):
     for n in range(1, 9):

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 import euler_refine
-from euler_refine import (bij, bijection_checks, e_nw_formula, euler_numbers, perm,
-                          run_verification)
+from euler_refine import bij, bijection_checks, euler_numbers, perm, run_verification
 from euler_refine.cli import main
 from euler_refine.report import report_formats
 
@@ -145,11 +144,11 @@ def test_shard_count_does_not_change_the_reports(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-@pytest.mark.parametrize("name", ["_compose_smu", "_oriented"],
-                         ids=["compose_smu", "smu_to_maxmin"])
+@pytest.mark.parametrize("name", ["_compose_smu", "_doubled", "_halved"],
+                         ids=["compose_smu", "maxmin_to_smu", "smu_to_maxmin"])
 def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, name):
     # The check loop runs the cores of bij's maps; forked workers inherit
-    # the patched one.  The inverse smu_to_maxmin starts with _oriented.
+    # the patched one.
     def broken(*args):
         raise ValueError("broken map")
 
@@ -166,42 +165,32 @@ def test_a_raising_map_fails_the_run_with_a_witness(monkeypatch, capfd, cpus, na
     assert "Traceback" not in out + err
 
 
-def test_the_loop_inverts_each_image_as_to_maxmin_does(monkeypatch):
-    # The loop takes a result of a core only for an input equal to one it
-    # has run: for both images q of every max-min permutation of even degree
-    # up to 10, the source and side it compares are what bij._inverse(q)
-    # gives without reuse arguments, and side 1 gets the source of side 0.
-    seen, inverse = [], bij._inverse
-
-    def recorded(q, *args):
-        found, last = inverse(q, *args)
-        seen.append((q, found))
-        return found, last
-
-    monkeypatch.setattr(bij, "_inverse", recorded)
+def test_the_loop_inverts_each_left_form_once(monkeypatch):
+    # The loop takes a source for an input equal to one it has inverted: for
+    # every max-min permutation of even degree up to 10 it inverts one form,
+    # the side-0 image, which is the form with n-1 left of n of both images,
+    # and gets the permutation back.
+    seen, halved = [], bij._halved
+    monkeypatch.setattr(bij, "_halved", lambda left: seen.append(left) or halved(left))
     for n in range(2, 11, 2):
         seen.clear()
         for first in range(1, n + 1):
             bij._check_subtree((n, first))
-        assert len(seen) == 2 * e_nw_formula(n)
-        assert all(found == inverse(q)[0] for q, found in seen)
-        assert [side for _, (_, side) in seen] == [0, 1] * e_nw_formula(n)
-        assert [source for _, (source, _) in seen[0::2]] == [
-            source for _, (source, _) in seen[1::2]]
+        sources = [v for v in perm._walk(n, perm.AltKind.UP_DOWN) if v.index(n) < v.index(1)]
+        assert seen == [bij._doubled(v) for v in sources]
+        assert [halved(left) for left in seen] == sources
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-def test_a_wrong_inverse_split_fails_the_inverse(monkeypatch, cpus):
-    # The inverse rewires bad's side-0 image into the split of other, so it
-    # must compose other: the round trip's composition of bad's own split
-    # stands in only for an equal split.
+def test_an_inverse_that_returns_another_source_fails_the_inverse(monkeypatch, cpus):
+    # The inverse of bad's side-0 image, which is also the form with n-1
+    # left of n of its side-1 image, gives other as the source.
     bad, other = maxmin_set(8)[0], maxmin_set(8)[1]
-    image_split = bij._decompose_smu(bij.maxmin_to_smu(bad, 0).values)
-    wrong, original = bij._decompose_maxmin(other.values), bij._maxmin_split_of
+    image, original = bij.maxmin_to_smu(bad, 0).values, bij._halved
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(bij, "_maxmin_split_of",
-                        lambda d: wrong if d == image_split else original(d))
+    monkeypatch.setattr(bij, "_halved",
+                        lambda left: other.values if left == image else original(left))
     reports = bijection_checks(max_n=8)
     assert [(r.identity, e.n, e.label, e.left, e.note) for r in reports for e in r.failures()] == [
         ("doubling map bijectivity", 8, "inverse round-trip failures", 2,
@@ -298,9 +287,9 @@ def test_only_the_second_max_upper_text_keeps_a_repeat():
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
-def test_the_inverse_composes_again_after_the_round_trip_raised(monkeypatch, tmp_path, cpus):
-    # The round trip's composition of p's split raises and leaves nothing to
-    # reuse, so the inverse of each side composes that split afresh.
+def test_a_raising_maxmin_composition_fails_only_its_round_trip(monkeypatch, tmp_path, cpus):
+    # The composition of p's split raises, once, in its round trip; the
+    # doubling map relabels p's values without it, so that report passes.
     p, original, calls = maxmin_set(8)[0], bij._compose_maxmin, tmp_path / "calls"
     split = bij._decompose_maxmin(p.values)
 
@@ -313,14 +302,13 @@ def test_the_inverse_composes_again_after_the_round_trip_raised(monkeypatch, tmp
 
     _use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(bij, "_compose_maxmin", broken)
-    reports = bijection_checks(max_n=8)
-    text = p.to_text()
-    assert [(r.identity, e.n, e.label, e.left, e.note) for r in reports for e in r.failures()] == [
+    reports = {r.identity: r for r in bijection_checks(max_n=8)}
+    assert [(r.identity, e.n, e.label, e.left, e.note)
+            for r in reports.values() for e in r.failures()] == [
         ("max-min split round trip", 8, "round-trip failures", 1,
-         f"first bad permutation: {text} raised ValueError: cannot compose"),
-        ("doubling map bijectivity", 8, "inverse round-trip failures", 2,
-         f"first bad permutation: {text} with side 0 raised ValueError: cannot compose")]
-    assert calls.read_text(encoding="utf-8") == "call\n" * 3
+         f"first bad permutation: {p.to_text()} raised ValueError: cannot compose")]
+    assert reports["doubling map bijectivity"].passed
+    assert calls.read_text(encoding="utf-8") == "call\n"
 
 
 def test_the_check_of_one_permutation_runs_with_only_bij_imported():
@@ -492,20 +480,18 @@ def test_a_subtree_enumerated_in_reverse_gives_the_same_reports(monkeypatch, cpu
 def test_an_image_of_another_degree_is_named_and_left_out_of_the_set(monkeypatch, cpus, first):
     # Packed n bytes a record, an image of degree 9 would be dropped (first
     # value 9) or cut the records after it in its bucket (first value 1).
-    # The doubling core composes the degree-9 image for bad's split, which
-    # is also the split of bad's side-0 image, and the swap still gives
-    # bad's side-1 image.
+    # The doubling core relabels bad into the degree-9 image, and the swap
+    # still gives bad's side-1 image.
     bad = maxmin_set(8)[0]
     wrong = perm.Permutation([first] + [v for v in range(1, 10) if v != first])
     images = [bij.maxmin_to_smu(p, side).values for p in maxmin_set(8) for side in (0, 1)
               if (p, side) != (bad, 0)]
-    split = bij._smu_split_of(bij._decompose_maxmin(bad.values))
     right = bij.maxmin_to_smu(bad, 1).values
-    compose, swapped = bij._compose_smu, bij._swapped
+    doubled, swapped = bij._doubled, bij._swapped
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(bij, "_compose_smu",
-                        lambda d, n: wrong.values if d == split else compose(d, n))
+    monkeypatch.setattr(bij, "_doubled",
+                        lambda v: wrong.values if v == bad.values else doubled(v))
     monkeypatch.setattr(bij, "_swapped",
                         lambda values: right if values == wrong.values else swapped(values))
     failed = _doubling_failures_at_8(images, [p.values for p in smu_set(8)])
@@ -519,19 +505,17 @@ def test_an_image_of_another_degree_is_named_and_left_out_of_the_set(monkeypatch
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS])
 @pytest.mark.parametrize("text", ["78132546", "21436587"], ids=["second-max-lower", "down-up"])
 def test_an_image_that_is_not_second_max_upper_fails_its_inverse(monkeypatch, cpus, text):
-    # The doubling core composes, for bad's split, an image of degree 8 that
-    # is not second-max-upper up-down.  Its inverse does not run, and the
-    # reason is the one smu_to_maxmin gives for it.
+    # The doubling core relabels bad into an image of degree 8 that is not
+    # second-max-upper up-down.  Its inverse does not run, and the reason is
+    # the one smu_to_maxmin gives for it.
     bad = maxmin_set(8)[0]
     wrong = perm.Permutation.from_text(text)
     with pytest.raises(ValueError) as refused:
         bij.smu_to_maxmin(wrong)
-    split = bij._smu_split_of(bij._decompose_maxmin(bad.values))
-    compose = bij._compose_smu
+    doubled = bij._doubled
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(bij, "_compose_smu",
-                        lambda d, n: wrong.values if d == split else compose(d, n))
+    monkeypatch.setattr(bij, "_doubled", lambda v: wrong.values if v == bad.values else doubled(v))
     doubling = {r.identity: r for r in bijection_checks(max_n=8)}["doubling map bijectivity"]
     failed = {e.label: e for e in doubling.failures()}
     assert (failed["inverse round-trip failures"].left, failed["inverse round-trip failures"].note) == (
