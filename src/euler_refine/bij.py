@@ -23,18 +23,22 @@ Three constructions, all exactly invertible on their stated domains:
   ``smu_to_maxmin``.  Together with the two-sided counting this makes
   the doubling relation between the two refinements literal.
 
-Positions are 1-based, and the cores index values from 0.  Each public
-map checks its input once and then runs its core, a function of plain
-value tuples.  The cores assume a checked input, except the
-compositions, which keep every check on the split they are given.
+Positions are 1-based, and the cores index values from 0.  The cores
+work on byte strings, one byte per value, and each relabelling is one
+``bytes.translate`` through a table of 256 bytes.  Each public map checks
+its input, packs it with ``bytes``, which limits the degree to 255, runs
+its core and gives tuples back.  The cores assume a checked input, except
+the compositions, which keep every check on the split they are given.
 After the block-size parities, a composition joins the blocks once and
-accepts the joined values when every pattern is as long as its part,
-every rank is at least 1, and the values are an up-down permutation of
-1..n.  Given the parities, that is exactly when the parts partition the
-free values, each pattern is a permutation of its ranks and each
+accepts the joined values when every pattern is as long as its part and
+the values are an up-down permutation of 1..n; as ``translate`` passes a
+byte missing from its table through, the tables send every rank outside
+1..k to 0.  Given the parities, that is exactly when the parts partition
+the free values, each pattern is a permutation of its ranks and each
 zigzags as its block must, since the landmarks are the two extremes.
-Only a rejected split goes through those checks one by one, which name
-the fault.  The cores of the doubling map, :func:`_doubled` and
+Only a rejected split goes through those checks one by one, on the split
+as it was given, which name the fault, and so does a split that does not
+pack.  The cores of the doubling map, :func:`_doubled` and
 :func:`_halved`, relabel values and build no split: the splits they
 would pass between are the max-min splits and the second-max splits of
 the left-oriented second-max-upper permutations, which the two split
@@ -47,7 +51,7 @@ the up-down permutations of one degree and first value, for
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import perm  # for perm._walk, looked up when a unit runs
 from .perm import (
@@ -64,9 +68,9 @@ class Decomposition(NamedTuple):
     """Three blocks around two landmark values.
 
     ``parts`` are the sorted value sets of the blocks and ``patterns``
-    their standardized forms, as rank tuples.  ``sizes`` is derived from
-    the parts; it sums to degree - 2 and puts the landmarks at s1 + 1
-    and s1 + s2 + 2.
+    their standardized forms, as rank tuples; the cores hold each block
+    as bytes instead.  ``sizes`` is derived from the parts; it sums to
+    degree - 2 and puts the landmarks at s1 + 1 and s1 + s2 + 2.
     """
 
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -79,13 +83,8 @@ class Decomposition(NamedTuple):
 
 def standardize(block: Sequence[int]) -> tuple[int, ...]:
     """Order-isomorphic pattern of a block: each value replaced by its rank."""
-    return _ranked(block, sorted(block))
-
-
-def _ranked(block: Sequence[int], ordered: Sequence[int]) -> tuple[int, ...]:
-    """The pattern of `block`, whose values sorted are `ordered`."""
-    # As in embed, a leading placeholder makes each index a 1-based rank.
-    return tuple(map((None, *ordered).index, block))
+    # A leading placeholder makes each index a 1-based rank.
+    return tuple(map((None, *sorted(block)).index, block))
 
 
 def embed(pattern: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
@@ -102,39 +101,82 @@ def embed(pattern: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(ordered.__getitem__, pattern))
 
 
-def _split(vals: tuple[int, ...], first: int, second: int) -> Decomposition:
-    """Cut `vals` around the 0-based indices ``first`` < ``second``."""
+# The byte tables of the cores: _RANKS[k] holds 1..k, _DOWN and _UP take
+# each value one down and one up, and _SWAPS[n] exchanges n - 1 and n.
+_RANKS = tuple(bytes(range(1, k + 1)) for k in range(256))
+_DOWN = bytes((0, *range(255)))
+_UP = bytes((*range(1, 256), 255))
+_SWAPS = (bytes(range(256)),
+          *(bytes.maketrans(bytes((n - 1, n)), bytes((n, n - 1))) for n in range(1, 256)))
+
+
+def _require_one_byte(n: int) -> None:
+    if n > 255:
+        raise ValueError("degree must be at most 255, as each value is packed in one byte")
+
+
+def _packed(p: Permutation) -> bytes:
+    """The values of `p` as the cores take them, one byte each."""
+    _require_one_byte(p.n)
+    return bytes(p.values)
+
+
+def _packed_split(d: Decomposition, n: int) -> Decomposition | None:
+    """`d` as the compose cores take it, each block as bytes; None unless it
+    has three parts in increasing order and three patterns, of byte values,
+    and the degree n is an int of at least 2."""
+    if type(n) is not int or n < 2 or len(d.parts) != 3 or len(d.patterns) != 3:
+        return None
+    _require_one_byte(n)
+    try:
+        parts, patterns = tuple(map(bytes, d.parts)), tuple(map(bytes, d.patterns))
+    except (TypeError, ValueError):  # a value below 0 or above 255, or no int
+        return None
+    if any(part != bytes(sorted(set(part))) for part in parts):
+        return None
+    return Decomposition(parts, patterns)
+
+
+def _unpacked(d: Decomposition) -> Decomposition:
+    return Decomposition(tuple(map(tuple, d.parts)), tuple(map(tuple, d.patterns)))
+
+
+def _split(vals: bytes, first: int, second: int) -> Decomposition:
+    """Cut `vals` around the 0-based indices ``first`` < ``second``; each
+    block's pattern relabels its values, sorted, as the ranks 1..k."""
     a, b, c = vals[:first], vals[first + 1:second], vals[second + 1:]
-    part_a, part_b, part_c = sorted(a), sorted(b), sorted(c)
-    return Decomposition((tuple(part_a), tuple(part_b), tuple(part_c)),
-                         (_ranked(a, part_a), _ranked(b, part_b), _ranked(c, part_c)))
+    part_a, part_b, part_c = bytes(sorted(a)), bytes(sorted(b)), bytes(sorted(c))
+    table, ranks = bytes.maketrans, _RANKS
+    return Decomposition((part_a, part_b, part_c),
+                         (a.translate(table(part_a, ranks[len(a)])),
+                          b.translate(table(part_b, ranks[len(b)])),
+                          c.translate(table(part_c, ranks[len(c)]))))
+
+
+def _joined(d: Decomposition, n: int, first: int, second: int) -> bytes | None:
+    """Block 1, ``first``, block 2, ``second``, block 3, if each pattern is as
+    long as its part and the result is a permutation of 1..n; else None.
+
+    The parts must be in increasing order, as :func:`_split` and
+    :func:`_packed_split` give them.  A table realizes each pattern: rank r
+    goes to the r-th value of the part, and any other rank to 0, which no
+    permutation of 1..n holds.
+    """
+    (a, b, c), (pat_a, pat_b, pat_c) = d
+    if len(pat_a) != len(a) or len(pat_b) != len(b) or len(pat_c) != len(c):
+        return None
+    zero = b"\0"
+    vals = b"".join((pat_a.translate((zero + a).ljust(256, zero)), bytes((first,)),
+                     pat_b.translate((zero + b).ljust(256, zero)), bytes((second,)),
+                     pat_c.translate((zero + c).ljust(256, zero))))
+    # n values that cover 1..n, none left when deleted, are exactly a permutation of 1..n.
+    return vals if len(vals) == n and not _RANKS[n].translate(None, vals) else None
 
 
 def _join(d: Decomposition, first: int, second: int) -> tuple[int, ...]:
     """Values of block 1, ``first``, block 2, ``second``, block 3."""
     (a, b, c), (pat_a, pat_b, pat_c) = d.parts, d.patterns
     return embed(pat_a, a) + (first,) + embed(pat_b, b) + (second,) + embed(pat_c, c)
-
-
-def _joined(d: Decomposition, n: int, first: int, second: int) -> tuple[int, ...] | None:
-    """What :func:`_join` gives, if each pattern holds one rank of at least 1
-    per value of its part and the result is a permutation of 1..n; else None."""
-    try:
-        (a, b, c), (pat_a, pat_b, pat_c) = d
-        if (len(pat_a) != len(a) or len(pat_b) != len(b) or len(pat_c) != len(c)
-                or min(*pat_a, *pat_b, *pat_c, 1) < 1):
-            return None
-        # Rank r reads index r - 1 of the sorted part, so rank 0 would read
-        # its last value: only the check above keeps ranks below 1 out.
-        index = (-1).__add__
-        vals = (*map(sorted(a).__getitem__, map(index, pat_a)), first,
-                *map(sorted(b).__getitem__, map(index, pat_b)), second,
-                *map(sorted(c).__getitem__, map(index, pat_c)))
-        if len(vals) == n and set(vals).issuperset(range(1, n + 1)):
-            return vals
-    except (IndexError, TypeError, ValueError):  # a rank above its part, or no three blocks of ints
-        pass
-    return None
 
 
 def _check_parts(d: Decomposition, free_values: range) -> None:
@@ -144,7 +186,7 @@ def _check_parts(d: Decomposition, free_values: range) -> None:
         raise ValueError(f"parts {d.parts} do not partition the non-landmark values")
 
 
-def _require_smu(vals: tuple[int, ...]) -> None:
+def _require_smu(vals: bytes) -> None:
     """Reject values that are not up-down with n-1 at a peak (an odd 0-based index)."""
     if not _zigzags(vals, True):
         raise ValueError(f"{_text(vals)} is not up-down")
@@ -152,24 +194,22 @@ def _require_smu(vals: tuple[int, ...]) -> None:
         raise ValueError(f"{_text(vals)} has its second-largest value off the peaks")
 
 
-def _require_updown_smu(p: Permutation) -> None:
+def _require_updown_smu(p: Permutation) -> bytes:
+    """The packed values of `p`, refused unless up-down with n-1 at a peak."""
+    vals = _packed(p)
     classify(p)  # rejects a degree below 2 and a permutation that does not alternate
-    _require_smu(p.values)
+    _require_smu(vals)
+    return vals
 
 
 def swap_top_two(p: Permutation) -> Permutation:
     """Exchange the values n-1 and n; involution on the second-max-upper set."""
-    _require_updown_smu(p)
-    return Permutation(_swapped(p.values))
+    return Permutation(tuple(_swapped(_require_updown_smu(p))))
 
 
-def _swapped(vals: tuple[int, ...]) -> tuple[int, ...]:
+def _swapped(vals: bytes) -> bytes:
     """`vals` with the values n-1 and n exchanged."""
-    n = len(vals)
-    swapped = list(vals)
-    second, top = swapped.index(n - 1), swapped.index(n)
-    swapped[second], swapped[top] = n, n - 1
-    return tuple(swapped)
+    return vals.translate(_SWAPS[len(vals)])
 
 
 def decompose_smu(p: Permutation) -> Decomposition:
@@ -179,33 +219,45 @@ def decompose_smu(p: Permutation) -> Decomposition:
     reached through :func:`swap_top_two` first.  The block sizes are
     (odd, odd, rest) and the landmark positions are determined by them.
     """
-    _require_updown_smu(p)
+    vals = _require_updown_smu(p)
     n = p.n
     if p.position_of(n) < p.position_of(n - 1):
         raise ValueError(
             f"{p} carries {n} left of {n - 1}; apply swap_top_two before decomposing"
         )
-    return _decompose_smu(p.values)
+    return _unpacked(_decompose_smu(vals))
 
 
-def _decompose_smu(vals: tuple[int, ...]) -> Decomposition:
+def _decompose_smu(vals: bytes) -> Decomposition:
     n = len(vals)
     return _split(vals, vals.index(n - 1), vals.index(n))
 
 
 def compose_smu(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n-1, block2, n, block3 from a second-max-upper split."""
-    return Permutation(_compose_smu(d, n))
+    packed = _packed_split(d, n)
+    if packed is None:
+        return Permutation(_checked_smu(d, n))
+    return Permutation(tuple(_compose_smu(packed, n, d)))
 
 
-def _compose_smu(d: Decomposition, n: int) -> tuple[int, ...]:
+def _compose_smu(d: Decomposition, n: int, given: Decomposition | None = None) -> bytes:
+    """The values that the packed split `d` joins to; a rejected split raises
+    what :func:`_checked_smu` raises on `given`, by default `d` as tuples."""
+    s1, s2, _ = d.sizes
+    if s1 % 2 and s2 % 2:
+        vals = _joined(d, n, n - 1, n)
+        if vals is not None and _zigzags(vals, True):
+            return vals
+    return bytes(_checked_smu(_unpacked(d) if given is None else given, n))
+
+
+def _checked_smu(d: Decomposition, n: int) -> tuple[int, ...]:
+    """The checks of a second-max-upper split one by one, to name the first
+    fault, on its tuple form; the joined values if it has none."""
     s1, s2, _ = d.sizes
     if s1 % 2 == 0 or s2 % 2 == 0:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
-    vals = _joined(d, n, n - 1, n)
-    if vals is not None and _zigzags(vals, True):
-        return vals
-    # Rejected: the checks one by one, to name what is wrong.
     _check_parts(d, range(1, n - 1))
     for pattern in d.patterns:
         if not _zigzags(pattern, True):
@@ -221,12 +273,12 @@ def decompose_maxmin(p: Permutation) -> Decomposition:
     read as up-down and down-up patterns respectively, the middle one
     as up-down.
     """
-    _require_maxmin(p)
-    return _decompose_maxmin(p.values)
+    return _unpacked(_decompose_maxmin(_require_maxmin(p)))
 
 
-def _require_maxmin(p: Permutation) -> None:
-    """Reject what is not a max-min up-down permutation of even degree."""
+def _require_maxmin(p: Permutation) -> bytes:
+    """The packed values of `p`, refused unless max-min up-down of even degree."""
+    vals = _packed(p)
     c = classify(p)
     if c.kind is not AltKind.UP_DOWN:
         raise ValueError(f"{p} is not up-down")
@@ -234,27 +286,38 @@ def _require_maxmin(p: Permutation) -> None:
         raise ValueError("max-min splitting requires even degree")
     if c.minmax is not MinMaxKind.MAX_MIN:
         raise ValueError(f"{p} is min-max; the largest value must precede 1")
+    return vals
 
 
-def _decompose_maxmin(vals: tuple[int, ...]) -> Decomposition:
+def _decompose_maxmin(vals: bytes) -> Decomposition:
     return _split(vals, vals.index(len(vals)), vals.index(1))
 
 
 def compose_maxmin(d: Decomposition, n: int) -> Permutation:
     """Rebuild block1, n, block2, 1, block3 from a max-min split."""
-    return Permutation(_compose_maxmin(d, n))
+    packed = _packed_split(d, n)
+    if packed is None:
+        return Permutation(_checked_maxmin(d, n))
+    return Permutation(tuple(_compose_maxmin(packed, n, d)))
 
 
-def _compose_maxmin(d: Decomposition, n: int) -> tuple[int, ...]:
+def _compose_maxmin(d: Decomposition, n: int, given: Decomposition | None = None) -> bytes:
+    """As :func:`_compose_smu`, for a max-min split."""
+    s1, s2, s3 = d.sizes
+    if n % 2 == 0 and s1 % 2 and s2 % 2 == 0 and s3 % 2:
+        vals = _joined(d, n, n, 1)
+        if vals is not None and _zigzags(vals, True):
+            return vals
+    return bytes(_checked_maxmin(_unpacked(d) if given is None else given, n))
+
+
+def _checked_maxmin(d: Decomposition, n: int) -> tuple[int, ...]:
+    """The checks of a max-min split one by one, as :func:`_checked_smu`."""
     if n % 2 != 0:
         raise ValueError("max-min composition requires even degree")
     s1, s2, s3 = d.sizes
     if s1 % 2 == 0 or s2 % 2 != 0 or s3 % 2 == 0:
         raise ValueError(f"block sizes must be (odd, even, odd), got {d.sizes}")
-    vals = _joined(d, n, n, 1)
-    if vals is not None and _zigzags(vals, True):
-        return vals
-    # Rejected: the checks one by one, to name what is wrong.
     _check_parts(d, range(2, n))
     if not (_zigzags(d.patterns[0], True) and _zigzags(d.patterns[1], True)):
         raise ValueError("the blocks before 1 must carry up-down patterns")
@@ -281,24 +344,24 @@ def maxmin_to_smu(p: Permutation, side: int) -> Permutation:
     Over both bit values this is a bijection onto the second-max-upper
     up-down permutations of the same degree.
     """
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side}")
-    _require_maxmin(p)
-    image = _doubled(p.values)
-    return Permutation(_swapped(image) if side else image)
+    if type(side) is not int or side not in (0, 1):  # a bool or a float may equal an int
+        raise ValueError(f"side must be 0 or 1, got {side!r}")
+    image = _doubled(_require_maxmin(p))
+    return Permutation(tuple(_swapped(image) if side else image))
 
 
-def _doubled(v: tuple[int, ...]) -> tuple[int, ...]:
+def _doubled(v: bytes) -> bytes:
     """The side-0 image of the max-min values v: A-1, n-1, flip(C)-1, n, B-1."""
     n = len(v)
     i, j = v.index(n), v.index(1)
-    return tuple([x - 1 for x in (*v[:i], n, *_flipped(v[j + 1:]), n + 1, *v[i + 1:j])])
+    # n + 1 fits in a byte, as the degree is even.
+    return b"".join((v[:i + 1], _flipped(v[j + 1:]), bytes((n + 1,)), v[i + 1:j])).translate(_DOWN)
 
 
-def _flipped(block: tuple[int, ...]) -> Iterator[int]:
-    """The values of `block`, the k-th smallest replaced by the k-th largest."""
-    ordered = sorted(block)
-    return map(dict(zip(ordered, reversed(ordered))).__getitem__, block)
+def _flipped(block: bytes) -> bytes:
+    """`block` with its k-th smallest value replaced by its k-th largest."""
+    ordered = bytes(sorted(block))
+    return block.translate(bytes.maketrans(ordered, ordered[::-1]))
 
 
 def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
@@ -310,19 +373,19 @@ def smu_to_maxmin(p: Permutation) -> tuple[Permutation, int]:
     """
     if p.n % 2 != 0:
         raise ValueError("the doubling map is defined for even degree")
-    _require_updown_smu(p)
-    left, side = _oriented(p.values)
-    return Permutation(_halved(left)), side
+    left, side = _oriented(_require_updown_smu(p))
+    return Permutation(tuple(_halved(left))), side
 
 
-def _halved(left: tuple[int, ...]) -> tuple[int, ...]:
+def _halved(left: bytes) -> bytes:
     """The max-min source of the side-0 image `left`: A'+1, n, B'+1, 1, flip(C')+1."""
     n = len(left)
     i, j = left.index(n - 1), left.index(n)
-    return tuple([x + 1 for x in (*left[:i], n - 1, *left[j + 1:], 0, *_flipped(left[i + 1:j]))])
+    # The 0 goes up to the value 1.
+    return b"".join((left[:i + 1], left[j + 1:], b"\0", _flipped(left[i + 1:j]))).translate(_UP)
 
 
-def _oriented(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def _oriented(vals: bytes) -> tuple[bytes, int]:
     """`vals` with n-1 left of n, and the side: 1 if n-1 and n were swapped for it."""
     n = len(vals)
     if vals.index(n - 1) < vals.index(n):
@@ -400,24 +463,25 @@ def _list_text(blob: bytes, n: int) -> str:
 
 def _check_subtree(unit: tuple[int, int]) -> _DegreeResult:
     """Walk the up-down permutations of degree n that start with one value,
-    given as the unit (n, first), as value tuples, and check each as it
-    comes; only counts, witnesses and packed values are kept."""
+    given as the unit (n, first), pack the values of each as bytes and check
+    it as it comes; only counts, witnesses and packed values are kept."""
     n, first = unit
     r = _DegreeResult()
-    for v in perm._walk(n, AltKind.UP_DOWN, first):
+    for v in map(bytes, perm._walk(n, AltKind.UP_DOWN, first)):
         _check_one(v, n, r)
     r.smu_values = [b"".join(sorted(r.smu_values))]
     return r
 
 
-def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
+def _check_one(v: bytes, n: int, r: _DegreeResult) -> None:
     """Check the up-down permutation of degree n with values `v` into `r`.
 
     A second-max-upper permutation gets the involution check and its
     split round trip; at even n, a max-min one gets its split round trip
     and both sides of the doubling map.  The classes are read from the
-    positions of 1, n - 1 and n, and the maps run as their cores, on value
-    tuples: the doubling image is relabelled once, and its side-1 form is
+    positions of 1, n - 1 and n, and the maps run as their cores, on byte
+    strings, one byte per value, each relabelling one ``bytes.translate``:
+    the doubling image is relabelled once, and its side-1 form is
     that image with n - 1 and n swapped.  Each image must be second-max-upper
     up-down before its form with n - 1 left of n is inverted by
     :func:`_halved`; side 1 takes the source of side 0 when that form is
@@ -429,12 +493,12 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
     that permutation as a failure, with the reason in its witness.
     """
     even = n % 2 == 0
-    index = v.index
+    second, top = v.index(n - 1), v.index(n)
     # Up-down: the peaks sit at the odd 0-based indices.
-    if index(n - 1) % 2:
+    if second % 2:
         r.smu += 1
         if even:
-            r.smu_values.append(bytes(v))
+            r.smu_values.append(v)
         try:
             q = _swapped(v)
             if q == v:
@@ -444,14 +508,14 @@ def _check_one(v: tuple[int, ...], n: int, r: _DegreeResult) -> None:
                 r.involution_bad.append(_text(v))
         except Exception as exc:
             r.involution_bad.append(_raised(_text(v), exc))
-        if index(n - 1) < index(n):
+        if second < top:
             r.lefts += 1
             try:
                 if _compose_smu(_decompose_smu(v), n) != v:
                     r.smu_bad.append(_text(v))
             except Exception as exc:
                 r.smu_bad.append(_raised(_text(v), exc))
-    if not even or index(1) < index(n):
+    if not even or v.index(1) < top:
         return
     r.maxmin += 1
     try:

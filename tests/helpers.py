@@ -409,7 +409,7 @@ class _Split(NamedTuple):
         return tuple(map(len, self.parts))
 
 
-def _reference_split(values, first, second):
+def reference_split(values, first, second):
     """The split of `values` around the 0-based indices `first` < `second`:
     the sorted parts and the 1-based ranks of each block."""
     blocks = (values[:first], values[first + 1:second], values[second + 1:])
@@ -426,7 +426,7 @@ def _shifted(part, by):
     return tuple(v + by for v in part)
 
 
-def _top_two_swapped(values):
+def top_two_swapped(values):
     n = len(values)
     return tuple({n - 1: n, n: n - 1}.get(v, v) for v in values)
 
@@ -441,12 +441,12 @@ def split_doubling(values, side):
     The map ``bij.maxmin_to_smu`` ran before it became a relabelling of the
     values, kept as the oracle of ``bij._doubled``."""
     n = len(values)
-    (part_a, part_b, part_c), (pat_a, pat_b, pat_c) = _reference_split(
+    (part_a, part_b, part_c), (pat_a, pat_b, pat_c) = reference_split(
         values, values.index(n), values.index(1))
     image = checked_compose_smu(
         _Split((_shifted(part_a, -1), _shifted(part_c, -1), _shifted(part_b, -1)),
                (pat_a, _complemented(pat_c), pat_b)), n)
-    return _top_two_swapped(image) if side else image
+    return top_two_swapped(image) if side else image
 
 
 def split_halving(values):
@@ -455,8 +455,8 @@ def split_halving(values):
     form with n - 1 left of n.  The oracle of ``bij._halved``."""
     n = len(values)
     side = int(values.index(n) < values.index(n - 1))
-    left = _top_two_swapped(values) if side else values
-    (part_a, part_c, part_b), (pat_a, pat_c, pat_b) = _reference_split(
+    left = top_two_swapped(values) if side else values
+    (part_a, part_c, part_b), (pat_a, pat_c, pat_b) = reference_split(
         left, left.index(n - 1), left.index(n))
     source = checked_compose_maxmin(
         _Split((_shifted(part_a, 1), _shifted(part_b, 1), _shifted(part_c, 1)),

@@ -27,8 +27,9 @@ from euler_refine import (
 from euler_refine import bij
 from euler_refine.bij import embed, standardize
 
-from helpers import (checked_compose_maxmin, checked_compose_smu, maxmin_set, smu_set,
-                     split_doubling, split_halving, updown)
+from helpers import (checked_compose_maxmin, checked_compose_smu, maxmin_set, reference_split,
+                     reference_zigzags, smu_set, split_doubling, split_halving, top_two_swapped,
+                     updown)
 
 P = Permutation.from_text
 
@@ -42,13 +43,16 @@ def test_standardize_and_embed_invert():
 
 
 def test_block_patterns_are_their_ranks():
+    # The split core ranks each block; here the block comes first, and two
+    # zero bytes stand for the landmarks.
     blocks = {p.values[i:j] for n in range(1, 9) for p in updown(n)
               for i in range(n + 1) for j in range(i, n + 1)}
     for block in blocks:
         ordered = sorted(block)
         fresh = tuple(ordered.index(v) + 1 for v in block)
         assert standardize(block) == fresh, block
-        assert bij._ranked(block, ordered) == fresh, block
+        split = bij._split(bytes(block) + b"\0\0", len(block), len(block) + 1)
+        assert (split.parts[0], split.patterns[0]) == (bytes(ordered), bytes(fresh)), block
 
 
 def test_swap_example():
@@ -128,6 +132,10 @@ def _malformed(compose):
             (Decomposition(d.parts, ((1, 3, 2), d.patterns[1], d.patterns[2])), 5, "cannot use"),
             (Decomposition(((1,), (2,), (3, 4, 5)), ((1,), (1,), (3, 2, 1))), 7,
              r"block pattern \(3, 2, 1\) is not up-down"),
+            # Rank 3 of a one-value part: a translation that let it pass as
+            # the value 3 would join 1, 4, 2, 5, 3, an up-down permutation.
+            (_RANK_ABOVE_ITS_PART, 5,
+             r"parts \(\(1,\), \(2,\), \(7,\)\) do not partition the non-landmark values"),
         ]
     d = decompose_maxmin(P("3412"))
     return [
@@ -139,6 +147,9 @@ def _malformed(compose):
         (Decomposition(((3, 4, 5), (), (2,)), ((3, 2, 1), (), (1,))), 6, "up-down patterns"),
         (Decomposition(((5,), (), (2, 3, 4)), ((1,), (), (1, 2, 3))), 6, "down-up pattern"),
     ]
+
+
+_RANK_ABOVE_ITS_PART = Decomposition(((1,), (2,), (7,)), ((1,), (1,), (3,)))
 
 
 def test_compose_smu_rejects_malformed():
@@ -155,6 +166,20 @@ def test_compose_maxmin_rejects_malformed():
             compose_maxmin(d, n)
 
 
+@pytest.mark.parametrize("compose", [compose_smu, compose_maxmin], ids=lambda f: f.__name__)
+def test_a_rejected_split_is_named_as_given(compose):
+    # Blocks given as lists, or with True for the rank 1, pack as the tuple
+    # split does; a rejection still names the split as it was given.
+    oracle = {compose_smu: checked_compose_smu, compose_maxmin: checked_compose_maxmin}[compose]
+    for d, n, _ in _malformed(compose):
+        listed = Decomposition([list(part) for part in d.parts],
+                               [[True if rank == 1 else rank for rank in pattern]
+                                for pattern in d.patterns])
+        assert bij._packed_split(listed, n) == bij._packed_split(d, n) is not None
+        outcome = _outcome(compose, listed, n)
+        assert outcome[0] == "raised" and outcome == _outcome(oracle, listed, n), listed
+
+
 @lru_cache(maxsize=None)
 def _lefts(n):
     return tuple(p for p in smu_set(n) if p.position_of(n - 1) < p.position_of(n))
@@ -169,8 +194,8 @@ def _sources(n):
 def _doubled(values):
     """Both doubling images of a max-min value tuple, as the check loop
     builds them: side 1 is side 0 with n-1 and n swapped."""
-    image = bij._doubled(values)
-    return image, bij._swapped(image)
+    image = bij._doubled(bytes(values))
+    return tuple(image), tuple(bij._swapped(image))
 
 
 def _source_and_side(p):
@@ -179,20 +204,23 @@ def _source_and_side(p):
 
 
 # For each public map, (its output, its core's output) on every input of
-# degree n in its domain, outputs as value tuples.
+# degree n in its domain, outputs as value tuples and splits of tuples.  The
+# cores take and give bytes, one per value.
 _MAP_AND_CORE = {
     "swap_top_two": lambda n: [
-        (swap_top_two(p).values, bij._swapped(p.values)) for p in smu_set(n)],
+        (swap_top_two(p).values, tuple(bij._swapped(bytes(p.values)))) for p in smu_set(n)],
     "decompose_smu": lambda n: [
-        (decompose_smu(p), bij._decompose_smu(p.values)) for p in _lefts(n)],
+        (decompose_smu(p), bij._unpacked(bij._decompose_smu(bytes(p.values)))) for p in _lefts(n)],
     "compose_smu": lambda n: [
-        (compose_smu(d, n).values, bij._compose_smu(d, n))
-        for d in map(decompose_smu, _lefts(n))],
+        (compose_smu(decompose_smu(p), n).values,
+         tuple(bij._compose_smu(bij._decompose_smu(bytes(p.values)), n))) for p in _lefts(n)],
     "decompose_maxmin": lambda n: [
-        (decompose_maxmin(p), bij._decompose_maxmin(p.values)) for p in _sources(n)],
+        (decompose_maxmin(p), bij._unpacked(bij._decompose_maxmin(bytes(p.values))))
+        for p in _sources(n)],
     "compose_maxmin": lambda n: [
-        (compose_maxmin(d, n).values, bij._compose_maxmin(d, n))
-        for d in map(decompose_maxmin, _sources(n))],
+        (compose_maxmin(decompose_maxmin(p), n).values,
+         tuple(bij._compose_maxmin(bij._decompose_maxmin(bytes(p.values)), n)))
+        for p in _sources(n)],
     "maxmin_to_smu": lambda n: [
         ((maxmin_to_smu(p, 0).values, maxmin_to_smu(p, 1).values), _doubled(p.values))
         for p in _sources(n)],
@@ -201,14 +229,19 @@ _MAP_AND_CORE = {
         for p in (smu_set(n) if n % 2 == 0 else ())],
     # The first piece of smu_to_maxmin: the input with n-1 left of n, and the bit.
     "_oriented": lambda n: [
-        (_left_and_side(p), bij._oriented(p.values))
+        (_left_and_side(p), _oriented(p.values))
         for p in (smu_set(n) if n % 2 == 0 else ())],
 }
 
 
-def _halved_and_side(q):
-    left, side = bij._oriented(q)
-    return bij._halved(left), side
+def _oriented(values):
+    left, side = bij._oriented(bytes(values))
+    return tuple(left), side
+
+
+def _halved_and_side(values):
+    left, side = bij._oriented(bytes(values))
+    return tuple(bij._halved(left)), side
 
 
 def _left_and_side(p):
@@ -226,18 +259,24 @@ def test_each_core_gives_what_its_public_map_gives(name):
     assert checked > 100
 
 
+_CORES = {compose_smu: bij._compose_smu, compose_maxmin: bij._compose_maxmin}
+
+
 @pytest.mark.parametrize("compose", [compose_smu, compose_maxmin], ids=lambda f: f.__name__)
 def test_the_compose_cores_keep_every_check(compose):
-    # The check loop calls the cores directly, so they must refuse each
-    # malformed split that the public compositions refuse, for the same reason.
-    core = {compose_smu: bij._compose_smu, compose_maxmin: bij._compose_maxmin}[compose]
+    # The check loop calls the cores directly, on bytes, so they must refuse
+    # each malformed split that the public compositions refuse, for the same
+    # reason.  A byte holds no negative rank: 255 is above every part here.
+    core = _CORES[compose]
     for d, n, message in _malformed(compose):
+        packed = bij._packed_split(d, n)
+        assert packed is not None
         with pytest.raises(ValueError, match=message):
-            core(d, n)
-    for ranks in ((1, 1), (2,), (0, 1), (-1,), (1, -1), (1, 3, 2, 5)):
+            core(packed, n)
+    for ranks in ((1, 1), (2,), (0, 1), (255,), (1, 255), (1, 3, 2, 5)):
         d, n = _split_with(compose, ranks)
         with pytest.raises(ValueError):
-            core(d, n)
+            core(bij._packed_split(d, n), n)
 
 
 def _split_with(compose, ranks):
@@ -252,12 +291,11 @@ def _split_with(compose, ranks):
     return Decomposition(((2,), block, (k + 3,)), ((1,), ranks, (1,))), k + 4
 
 
-def _reference_split(values, first, second):
-    """The split of `values` around the 0-based indices `first` < `second`,
-    as lists: the sorted parts and the ranks of each block."""
-    blocks = (values[:first], values[first + 1:second], values[second + 1:])
-    parts = [sorted(block) for block in blocks]
-    return parts, [[part.index(v) + 1 for v in block] for block, part in zip(blocks, parts)]
+def _listed_split(values, first, second):
+    """The reference split of `values` around the 0-based indices `first` <
+    `second`, as lists: the sorted parts and the ranks of each block."""
+    return ([list(block) for block in blocks]
+            for blocks in reference_split(values, first, second))
 
 
 def _random_split(rng):
@@ -272,12 +310,11 @@ def _random_split(rng):
     n = rng.randrange(4, 10)
     if rng.random() < 0.5:
         p = rng.choice(_lefts(n))
-        parts, patterns = _reference_split(p.values, p.position_of(n - 1) - 1,
-                                           p.position_of(n) - 1)
+        parts, patterns = _listed_split(p.values, p.position_of(n - 1) - 1, p.position_of(n) - 1)
     else:
         n -= n % 2
         p = rng.choice(maxmin_set(n))
-        parts, patterns = _reference_split(p.values, p.position_of(n) - 1, p.position_of(1) - 1)
+        parts, patterns = _listed_split(p.values, p.position_of(n) - 1, p.position_of(1) - 1)
     for _ in range(rng.randint(1, 3) if rng.random() < 0.75 else 0):
         i, j = rng.sample(range(3), 2)
         pattern, part = patterns[i], parts[i]
@@ -318,24 +355,33 @@ def _outcome(compose, d, n):
 def test_the_compose_cores_agree_with_their_checked_forms():
     # Each core joins the blocks once and checks the joined values; the
     # oracles run every check on the split in turn.  Both cores see every
-    # split, so each sees the other's valid splits as malformed ones too.
+    # split that packs as bytes, with each part in increasing order, so each
+    # sees the other's valid splits as malformed ones too; both public maps
+    # see every split.  The first split carries a rank above its part.
     rng = random.Random(20191)
+    splits = [(_RANK_ABOVE_ITS_PART, 5)] + [_random_split(rng) for _ in range(50_000)]
     tally = Counter()
-    for _ in range(50_000):
-        d, n = _random_split(rng)
-        for core, oracle in ((bij._compose_smu, checked_compose_smu),
-                             (bij._compose_maxmin, checked_compose_maxmin)):
-            outcome = _outcome(core, d, n)
-            assert outcome == _outcome(oracle, d, n), (core.__name__, d, n)
+    for d, n in splits:
+        packed = bij._packed_split(d, n)
+        for compose, oracle in ((compose_smu, checked_compose_smu),
+                                (compose_maxmin, checked_compose_maxmin)):
+            expected = _outcome(oracle, d, n)
+            assert _outcome(lambda d, n: compose(d, n).values, d, n) == expected, (d, n)
+            if packed is None:
+                tally[compose.__name__, "unpacked"] += 1
+                continue
+            outcome = _outcome(lambda d, n: tuple(_CORES[compose](d, n)), packed, n)
+            assert outcome == expected, (compose.__name__, d, n)
             # The reason of a rejection, without the values it names.
             reason = re.sub(r"\(.*\)|-?\d+", "", outcome[-1]) if outcome[0] == "raised" else ""
-            tally[core.__name__, reason] += 1
+            tally[compose.__name__, reason] += 1
     # Each core accepted thousands of splits and refused some for each reason
-    # it can give: five for the smu split, seven for the max-min one.
-    for core, kinds in (("_compose_smu", 5), ("_compose_maxmin", 7)):
-        reasons = {reason: count for (name, reason), count in tally.items() if name == core}
-        assert reasons.pop("") > 5_000, core
-        assert len(reasons) == kinds and min(reasons.values()) > 100, (core, reasons)
+    # it can give: five for the smu split, seven for the max-min one; the
+    # public maps took thousands that do not pack.
+    for compose, kinds in (("compose_smu", 5), ("compose_maxmin", 7)):
+        reasons = {reason: count for (name, reason), count in tally.items() if name == compose}
+        assert reasons.pop("") > 5_000 and reasons.pop("unpacked") > 5_000, compose
+        assert len(reasons) == kinds and min(reasons.values()) > 100, (compose, reasons)
 
 
 def test_patterns_that_are_no_permutation_are_rejected():
@@ -413,6 +459,68 @@ def test_maxmin_to_smu_rejects_bad_input():
         maxmin_to_smu(P("3412"), 2)  # bad bit
 
 
+@pytest.mark.parametrize("side", [True, 1.0, False, "1"], ids=repr)
+def test_maxmin_to_smu_takes_only_an_int_side(side):
+    # True and 1.0 equal 1 and False equals 0, but the bit is an int, as
+    # every value of a Permutation is.
+    with pytest.raises(ValueError, match=re.escape(f"side must be 0 or 1, got {side!r}")):
+        maxmin_to_smu(P("3412"), side)
+
+
+def _above_one_byte():
+    """A max-min up-down permutation of degree 256 that is also second-max-upper."""
+    n = 256
+    peaks, valleys = range(n - 1, 128, -1), range(3, 129)
+    p = Permutation((2, n, 1, *(v for i in range(126) for v in (peaks[i], valleys[i])), peaks[126]))
+    c = classify(p)
+    assert (c.kind, c.minmax, c.secondmax) == (
+        AltKind.UP_DOWN, MinMaxKind.MAX_MIN, SecondMaxKind.UPPER)
+    return p
+
+
+@pytest.mark.parametrize("name", ["swap_top_two", "decompose_smu", "decompose_maxmin",
+                                  "maxmin_to_smu", "smu_to_maxmin", "compose_smu",
+                                  "compose_maxmin"])
+def test_a_map_of_a_degree_above_one_byte_names_the_limit(name):
+    # The cores hold one byte per value; the message is the one
+    # bijection_checks gives for a max_n above 255.
+    p = _above_one_byte()
+    d = Decomposition(((1,), tuple(range(2, 255)), ()), ((1,), tuple(range(1, 254)), ()))
+    call = {"swap_top_two": lambda: swap_top_two(p), "decompose_smu": lambda: decompose_smu(p),
+            "decompose_maxmin": lambda: decompose_maxmin(p),
+            "maxmin_to_smu": lambda: maxmin_to_smu(p, 0), "smu_to_maxmin": lambda: smu_to_maxmin(p),
+            "compose_smu": lambda: compose_smu(d, 256),
+            "compose_maxmin": lambda: compose_maxmin(d, 256)}[name]
+    with pytest.raises(ValueError, match="^degree must be at most 255, as each value is packed "
+                                         "in one byte$"):
+        call()
+
+
+@pytest.mark.parametrize("compose", [compose_smu, compose_maxmin], ids=lambda f: f.__name__)
+def test_a_split_that_does_not_pack_keeps_its_message(compose):
+    # A rank below 0, above 255 or that is no int, a part out of order, and
+    # a degree below 2 or that is no int do not pack as bytes: such a split
+    # takes the checks in turn, as given, and is refused as its tuple oracle
+    # refuses it, with the same message.
+    oracle = {compose_smu: checked_compose_smu, compose_maxmin: checked_compose_maxmin}[compose]
+    unsorted = {compose_smu: (Decomposition(((1,), (2,), (4, 3)), ((1,), (1,), (2, 1))), 5),
+                compose_maxmin: (Decomposition(((5,), (), (4, 3, 7)), ((1,), (), (3, 1, 2))), 6)}
+    shaped = _split_with(compose, (1,))[0]
+    cases = ([_split_with(compose, ranks) for ranks in ((-1,), (256,), (1.0,))]
+             + [(shaped, degree) for degree in (0, 1, 5.0)] + [unsorted[compose]])
+    for d, n in cases:
+        assert bij._packed_split(d, n) is None, d
+        outcome = _outcome(lambda d, n: compose(d, n).values, d, n)
+        assert outcome[0] == "raised" and outcome == _outcome(oracle, d, n), d
+    assert "(4, 3" in str(outcome[-1])
+    # A valid split with a part out of order composes as with the part sorted.
+    valid, n = _split_with(compose, (1, 2) if compose is compose_maxmin else (1, 3, 2))
+    (a, b, c), patterns = valid
+    shuffled = Decomposition((a, tuple(reversed(b)), tuple(reversed(c))), patterns)
+    assert bij._packed_split(shuffled, n) is None
+    assert compose(shuffled, n) == compose(valid, n)
+
+
 def test_doubling_map_is_bijective():
     for n in (4, 6, 8):
         sources = maxmin_set(n)
@@ -457,8 +565,8 @@ def test_smu_to_maxmin_and_the_check_run_one_inverse(monkeypatch):
     calls, inverse = [], bij._halved
     monkeypatch.setattr(bij, "_halved", lambda left: calls.append(left) or inverse(left))
     assert smu_to_maxmin(P("1423")) == (P("2413"), 1)
-    bij._check_one((2, 4, 1, 3), 4, bij._DegreeResult())
-    assert calls == [(1, 3, 2, 4), (1, 3, 2, 4)]
+    bij._check_one(bytes((2, 4, 1, 3)), 4, bij._DegreeResult())
+    assert calls == [bytes((1, 3, 2, 4)), bytes((1, 3, 2, 4))]
     assert not hasattr(bij, "_to_maxmin")
 
 
@@ -469,12 +577,66 @@ def test_the_doubling_cores_equal_the_split_map():
     checked = 0
     for n in range(2, 9, 2):
         for p in maxmin_set(n):
-            image = bij._doubled(p.values)
-            for side, q in enumerate((image, bij._swapped(image))):
+            for side, q in enumerate(_doubled(p.values)):
                 assert q == split_doubling(p.values, side), (p, side)
                 assert _halved_and_side(q) == split_halving(q) == (p.values, side), (p, side)
                 checked += 1
     assert checked == 2 * (2 + 28 + 662)
+
+
+def _cores_against_oracles(n):
+    """Run every core on every up-down permutation of degree n, as bytes, and
+    assert that each gives what its tuple oracle in tests/helpers gives: the
+    swap, both splits and the composition of each, whatever the order of its
+    landmarks, the second-max-upper check, and at even n both doubling
+    images of each max-min permutation and the inverse of each
+    second-max-upper one.  Returns how many of each ran."""
+    ran = Counter()
+    splits = (("smu", bij._decompose_smu, bij._compose_smu, checked_compose_smu, (n - 1, n)),
+              ("maxmin", bij._decompose_maxmin, bij._compose_maxmin, checked_compose_maxmin, (n, 1)))
+    for v in (p.values for p in updown(n)):
+        packed = bytes(v)
+        assert bij._swapped(packed) == bytes(top_two_swapped(v)), v
+        smu = reference_zigzags(v, True) and v.index(n - 1) % 2 == 1
+        assert _outcome(lambda v, n: bij._require_smu(v), packed, n)[0] == (
+            "values" if smu else "raised"), v
+        for name, decompose, compose, oracle, marks in splits:
+            first, second = sorted(map(v.index, marks))
+            reference = reference_split(v, first, second)
+            split = bij._split(packed, first, second)
+            assert bij._unpacked(split) == reference, (name, v)
+            if first == v.index(marks[0]):
+                assert decompose(packed) == split, (name, v)
+            outcome = _outcome(lambda d, n: tuple(compose(d, n)), split, n)
+            assert outcome == _outcome(oracle, reference, n), (name, v)
+            ran[name, outcome[0]] += 1
+        if n % 2:
+            continue
+        if v.index(n) < v.index(1):
+            image = bij._doubled(packed)
+            assert tuple(image) == split_doubling(v, 0), v
+            assert tuple(bij._swapped(image)) == split_doubling(v, 1), v
+            ran["doubled"] += 1
+        if smu:
+            left, side = bij._oriented(packed)
+            assert (tuple(bij._halved(left)), side) == split_halving(v), v
+            ran["halved"] += 1
+    return ran
+
+
+def test_every_core_agrees_with_its_tuple_oracle():
+    # Degree 10 (50,521 permutations) takes about 5 s and is left out.
+    ran = Counter()
+    for n in range(2, 9, 2):
+        ran.update(_cores_against_oracles(n))
+    # The split around n - 1 and n of each second-max-upper permutation
+    # composes, to its form with n - 1 left of n, and so does the max-min
+    # split of each max-min one; every other split is refused, as the oracles
+    # refuse it.
+    assert ran["smu", "values"] == sum(len(smu_set(n)) for n in range(2, 9, 2))
+    assert ran["maxmin", "values"] == ran["doubled"] == 2 + 28 + 662
+    assert ran["halved"] == 2 * ran["doubled"]
+    assert (ran["smu", "raised"], ran["maxmin", "raised"]) == (68, 760)
 
 
 def test_the_doubling_map_relabels_the_three_blocks():
@@ -482,9 +644,9 @@ def test_the_doubling_map_relabels_the_three_blocks():
     # flip(C) is (4, 9, 8): the image is A-1, 9, flip(C)-1, 10, B-1.
     v = (7, 10, 3, 5, 2, 6, 1, 9, 4, 8)
     assert classify(Permutation(v)).minmax is MinMaxKind.MAX_MIN
-    assert bij._doubled(v) == (6, 9, 3, 8, 7, 10, 2, 4, 1, 5)
+    assert bij._doubled(bytes(v)) == bytes((6, 9, 3, 8, 7, 10, 2, 4, 1, 5))
     assert smu_to_maxmin(Permutation((6, 10, 3, 8, 7, 9, 2, 4, 1, 5))) == (Permutation(v), 1)
-    assert bij._halved((6, 9, 3, 8, 7, 10, 2, 4, 1, 5)) == v
+    assert bij._halved(bytes((6, 9, 3, 8, 7, 10, 2, 4, 1, 5))) == bytes(v)
 
 
 def test_smu_to_maxmin_rejects_odd_degree():

@@ -114,7 +114,8 @@ def test_ci_runs_the_installed_script():
     lines = [argv for argv, _ in installed_script_runs()]
     assert [argv[1] for argv in lines] == ["--help", "table", "table", "bijection-check",
                                            "bijection-check", "bijection-check",
-                                           "bijection-check", "ratios", "verify"]
+                                           "bijection-check", "bijection-check", "ratios",
+                                           "verify"]
     assert any("--cap" in argv for argv in lines)  # an enumeration above its default cap
     # Every pinned output is written by one line.
     assert sorted(name for _, name in installed_script_runs() if name in PINNED) == sorted(PINNED)
