@@ -25,20 +25,22 @@ Three constructions, all exactly invertible on their stated domains:
 
 Positions are 1-based, and the cores index values from 0.  The cores
 work on byte strings, one byte per value, and each relabelling is one
-``bytes.translate`` through a table of 256 bytes.  Each public map checks
-its input, packs it with ``bytes``, which limits the degree to 255, runs
-its core and gives tuples back.  The cores assume a checked input, except
-the compositions, which keep every check on the split they are given.
-After the block-size parities, a composition joins the blocks once and
-accepts the joined values when every pattern is as long as its part and
-the values are an up-down permutation of 1..n; as ``translate`` passes a
-byte missing from its table through, the tables send every rank outside
-1..k to 0.  Given the parities, that is exactly when the parts partition
-the free values, each pattern is a permutation of its ranks and each
-zigzags as its block must, since the landmarks are the two extremes.
-Only a rejected split goes through those checks one by one, on the split
-as it was given, which name the fault, and so does a split that does not
-pack.  The cores of the doubling map, :func:`_doubled` and
+``bytes.translate`` through a table of 256 bytes.  Each public map but
+the compositions checks its input, packs it with ``bytes``, which limits
+the degree to 255, runs its core and gives tuples back.  A public
+composition takes its split from outside the program, so it runs every
+check on the split in turn, as given, then joins the blocks, with no
+limit on the degree.  The cores assume a checked input, except the
+compositions, which serve only the check loop and its splits from
+:func:`_split`: after the block-size parities, a core joins the blocks
+once and accepts the joined values when every pattern is as long as its
+part and the values are an up-down permutation of 1..n; as ``translate``
+passes a byte missing from its table through, the tables send every rank
+outside 1..k to 0.  Given the parities, that is exactly when the parts
+partition the free values, each pattern is a permutation of its ranks and
+each zigzags as its block must, since the landmarks are the two extremes.
+Only a rejected split goes through those checks one by one, which name
+the fault.  The cores of the doubling map, :func:`_doubled` and
 :func:`_halved`, relabel values and build no split: the splits they
 would pass between are the max-min splits and the second-max splits of
 the left-oriented second-max-upper permutations, which the two split
@@ -81,14 +83,8 @@ class Decomposition(NamedTuple):
         return tuple(map(len, self.parts))
 
 
-def standardize(block: Sequence[int]) -> tuple[int, ...]:
-    """Order-isomorphic pattern of a block: each value replaced by its rank."""
-    # A leading placeholder makes each index a 1-based rank.
-    return tuple(map((None, *sorted(block)).index, block))
-
-
 def embed(pattern: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
-    """Realize a pattern on a value set, inverse of :func:`standardize`."""
+    """Realize a pattern on a value set: rank r becomes the r-th smallest value."""
     # A leading placeholder lets the 1-based ranks index the sorted values.
     ordered = [None, *sorted(values)]
     k = len(ordered) - 1
@@ -110,31 +106,11 @@ _SWAPS = (bytes(range(256)),
           *(bytes.maketrans(bytes((n - 1, n)), bytes((n, n - 1))) for n in range(1, 256)))
 
 
-def _require_one_byte(n: int) -> None:
-    if n > 255:
-        raise ValueError("degree must be at most 255, as each value is packed in one byte")
-
-
 def _packed(p: Permutation) -> bytes:
     """The values of `p` as the cores take them, one byte each."""
-    _require_one_byte(p.n)
+    if p.n > 255:
+        raise ValueError("degree must be at most 255, as each value is packed in one byte")
     return bytes(p.values)
-
-
-def _packed_split(d: Decomposition, n: int) -> Decomposition | None:
-    """`d` as the compose cores take it, each block as bytes; None unless it
-    has three parts in increasing order and three patterns, of byte values,
-    and the degree n is an int of at least 2."""
-    if type(n) is not int or n < 2 or len(d.parts) != 3 or len(d.patterns) != 3:
-        return None
-    _require_one_byte(n)
-    try:
-        parts, patterns = tuple(map(bytes, d.parts)), tuple(map(bytes, d.patterns))
-    except (TypeError, ValueError):  # a value below 0 or above 255, or no int
-        return None
-    if any(part != bytes(sorted(set(part))) for part in parts):
-        return None
-    return Decomposition(parts, patterns)
 
 
 def _unpacked(d: Decomposition) -> Decomposition:
@@ -157,10 +133,9 @@ def _joined(d: Decomposition, n: int, first: int, second: int) -> bytes | None:
     """Block 1, ``first``, block 2, ``second``, block 3, if each pattern is as
     long as its part and the result is a permutation of 1..n; else None.
 
-    The parts must be in increasing order, as :func:`_split` and
-    :func:`_packed_split` give them.  A table realizes each pattern: rank r
-    goes to the r-th value of the part, and any other rank to 0, which no
-    permutation of 1..n holds.
+    The parts must be in increasing order, as :func:`_split` gives them.
+    A table realizes each pattern: rank r goes to the r-th value of the
+    part, and any other rank to 0, which no permutation of 1..n holds.
     """
     (a, b, c), (pat_a, pat_b, pat_c) = d
     if len(pat_a) != len(a) or len(pat_b) != len(b) or len(pat_c) != len(c):
@@ -234,27 +209,25 @@ def _decompose_smu(vals: bytes) -> Decomposition:
 
 
 def compose_smu(d: Decomposition, n: int) -> Permutation:
-    """Rebuild block1, n-1, block2, n, block3 from a second-max-upper split."""
-    packed = _packed_split(d, n)
-    if packed is None:
-        return Permutation(_checked_smu(d, n))
-    return Permutation(tuple(_compose_smu(packed, n, d)))
+    """Rebuild block1, n-1, block2, n, block3 from a second-max-upper split,
+    checking it in turn as :func:`_checked_smu` does."""
+    return Permutation(_checked_smu(d, n))
 
 
-def _compose_smu(d: Decomposition, n: int, given: Decomposition | None = None) -> bytes:
-    """The values that the packed split `d` joins to; a rejected split raises
-    what :func:`_checked_smu` raises on `given`, by default `d` as tuples."""
+def _compose_smu(d: Decomposition, n: int) -> bytes:
+    """The values that the packed split `d`, parts in increasing order, joins
+    to; a rejected split raises what :func:`_checked_smu` raises on it as tuples."""
     s1, s2, _ = d.sizes
     if s1 % 2 and s2 % 2:
         vals = _joined(d, n, n - 1, n)
         if vals is not None and _zigzags(vals, True):
             return vals
-    return bytes(_checked_smu(_unpacked(d) if given is None else given, n))
+    return bytes(_checked_smu(_unpacked(d), n))
 
 
 def _checked_smu(d: Decomposition, n: int) -> tuple[int, ...]:
     """The checks of a second-max-upper split one by one, to name the first
-    fault, on its tuple form; the joined values if it has none."""
+    fault; the joined values if it has none."""
     s1, s2, _ = d.sizes
     if s1 % 2 == 0 or s2 % 2 == 0:
         raise ValueError(f"first two block sizes must be odd, got {d.sizes}")
@@ -294,21 +267,19 @@ def _decompose_maxmin(vals: bytes) -> Decomposition:
 
 
 def compose_maxmin(d: Decomposition, n: int) -> Permutation:
-    """Rebuild block1, n, block2, 1, block3 from a max-min split."""
-    packed = _packed_split(d, n)
-    if packed is None:
-        return Permutation(_checked_maxmin(d, n))
-    return Permutation(tuple(_compose_maxmin(packed, n, d)))
+    """Rebuild block1, n, block2, 1, block3 from a max-min split, checking
+    it in turn as :func:`_checked_maxmin` does."""
+    return Permutation(_checked_maxmin(d, n))
 
 
-def _compose_maxmin(d: Decomposition, n: int, given: Decomposition | None = None) -> bytes:
+def _compose_maxmin(d: Decomposition, n: int) -> bytes:
     """As :func:`_compose_smu`, for a max-min split."""
     s1, s2, s3 = d.sizes
     if n % 2 == 0 and s1 % 2 and s2 % 2 == 0 and s3 % 2:
         vals = _joined(d, n, n, 1)
         if vals is not None and _zigzags(vals, True):
             return vals
-    return bytes(_checked_maxmin(_unpacked(d) if given is None else given, n))
+    return bytes(_checked_maxmin(_unpacked(d), n))
 
 
 def _checked_maxmin(d: Decomposition, n: int) -> tuple[int, ...]:

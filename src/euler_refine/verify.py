@@ -106,6 +106,14 @@ SEQUENCES: dict[str, SequenceRoutes] = {
 DOWN_UP = ("Dup", "Ddown")
 
 
+def _require_degree(name: str, value: object) -> None:
+    """Refuse a `value` that is not an int of at least 2, before comparing it."""
+    if type(value) is not int:  # a bool or a float may equal an int
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 2:
+        raise ValueError(f"{name} must be at least 2")
+
+
 def run_verification(
     max_n: int = 10,
     egf_order: int = 20,
@@ -127,10 +135,8 @@ def run_verification(
     """
     from . import perm
 
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
-    if egf_order < 2:
-        raise ValueError("egf_order must be at least 2")
+    _require_degree("max_n", max_n)
+    _require_degree("egf_order", egf_order)
     ee = euler if euler is not None else seq.euler_numbers(max(max_n, egf_order + 2))
     ns = range(2, max_n + 1)
     table = perm.count_refinements
@@ -204,15 +210,15 @@ def bijection_checks(max_n: int = 8) -> list[VerifyReport]:
 
     The work is cut into units, one per degree and first value, dealt in
     turn to one shard per CPU this process may run on (see
-    :func:`euler_refine.workers.map_dealt`).  Each unit enumerates, classifies
-    and checks its subtree in :func:`euler_refine.bij._check_subtree` and
-    returns what it found, the values packed; the results are merged in
-    enumeration order, so the reports do not depend on the CPU count.
+    :func:`euler_refine.workers.map_dealt`).  Each unit walks its subtree in
+    :func:`euler_refine.bij._check_subtree`, reads the classes of each
+    permutation from the positions of 1, n - 1 and n, checks it and returns
+    what it found, the values packed; the results are merged in enumeration
+    order, so the reports do not depend on the CPU count.
     """
     from . import bij, workers
 
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+    _require_degree("max_n", max_n)
     if max_n > 255:
         raise ValueError("max_n must be at most 255, as each value is packed in one byte")
     degrees = range(2, max_n + 1)

@@ -398,6 +398,22 @@ def checked_compose_maxmin(d, n):
     return _checked_join(d, n, 1)
 
 
+def packed_split(d, n):
+    """`d` as the compose cores ``bij._compose_smu`` / ``bij._compose_maxmin``
+    take it, each block as bytes; None unless it has three parts in
+    increasing order and three patterns, of byte values, and the degree n is
+    an int in 2..255.  The cores' inputs, beyond the splits ``bij._split`` makes."""
+    if type(n) is not int or not 2 <= n <= 255 or len(d.parts) != 3 or len(d.patterns) != 3:
+        return None
+    try:
+        parts, patterns = tuple(map(bytes, d.parts)), tuple(map(bytes, d.patterns))
+    except (TypeError, ValueError):  # a value below 0 or above 255, or no int
+        return None
+    if any(part != bytes(sorted(set(part))) for part in parts):
+        return None
+    return bij.Decomposition(parts, patterns)
+
+
 class _Split(NamedTuple):
     """Three blocks around two landmarks, as ``bij.Decomposition`` holds them."""
 

@@ -25,21 +25,18 @@ from euler_refine import (
     swap_top_two,
 )
 from euler_refine import bij
-from euler_refine.bij import embed, standardize
+from euler_refine.bij import embed
 
-from helpers import (checked_compose_maxmin, checked_compose_smu, maxmin_set, reference_split,
-                     reference_zigzags, smu_set, split_doubling, split_halving, top_two_swapped,
-                     updown)
+from helpers import (checked_compose_maxmin, checked_compose_smu, maxmin_set, packed_split,
+                     reference_split, reference_zigzags, smu_set, split_doubling,
+                     split_halving, top_two_swapped, updown)
 
 P = Permutation.from_text
 
 
-def test_standardize_and_embed_invert():
-    block = (5, 2, 7)
-    pattern = standardize(block)
-    assert pattern == (2, 1, 3)
-    assert embed(pattern, sorted(block)) == block
-    assert standardize(()) == ()
+def test_embed_realizes_a_pattern_on_its_values():
+    assert embed((2, 1, 3), sorted((5, 2, 7))) == (5, 2, 7)
+    assert embed((), ()) == ()
 
 
 def test_block_patterns_are_their_ranks():
@@ -50,7 +47,6 @@ def test_block_patterns_are_their_ranks():
     for block in blocks:
         ordered = sorted(block)
         fresh = tuple(ordered.index(v) + 1 for v in block)
-        assert standardize(block) == fresh, block
         split = bij._split(bytes(block) + b"\0\0", len(block), len(block) + 1)
         assert (split.parts[0], split.patterns[0]) == (bytes(ordered), bytes(fresh)), block
 
@@ -168,16 +164,18 @@ def test_compose_maxmin_rejects_malformed():
 
 @pytest.mark.parametrize("compose", [compose_smu, compose_maxmin], ids=lambda f: f.__name__)
 def test_a_rejected_split_is_named_as_given(compose):
-    # Blocks given as lists, or with True for the rank 1, pack as the tuple
-    # split does; a rejection still names the split as it was given.
+    # Blocks given as lists, or with True for the rank 1, take the checks in
+    # turn as they are given: a rejection names the split in that form, as
+    # its tuple oracle does.
     oracle = {compose_smu: checked_compose_smu, compose_maxmin: checked_compose_maxmin}[compose]
     for d, n, _ in _malformed(compose):
         listed = Decomposition([list(part) for part in d.parts],
                                [[True if rank == 1 else rank for rank in pattern]
                                 for pattern in d.patterns])
-        assert bij._packed_split(listed, n) == bij._packed_split(d, n) is not None
         outcome = _outcome(compose, listed, n)
         assert outcome[0] == "raised" and outcome == _outcome(oracle, listed, n), listed
+    if compose is compose_smu:
+        assert outcome[-1] == "parts [[1], [2], [7]] do not partition the non-landmark values"
 
 
 @lru_cache(maxsize=None)
@@ -269,14 +267,14 @@ def test_the_compose_cores_keep_every_check(compose):
     # reason.  A byte holds no negative rank: 255 is above every part here.
     core = _CORES[compose]
     for d, n, message in _malformed(compose):
-        packed = bij._packed_split(d, n)
+        packed = packed_split(d, n)
         assert packed is not None
         with pytest.raises(ValueError, match=message):
             core(packed, n)
     for ranks in ((1, 1), (2,), (0, 1), (255,), (1, 255), (1, 3, 2, 5)):
         d, n = _split_with(compose, ranks)
         with pytest.raises(ValueError):
-            core(bij._packed_split(d, n), n)
+            core(packed_split(d, n), n)
 
 
 def _split_with(compose, ranks):
@@ -354,15 +352,16 @@ def _outcome(compose, d, n):
 
 def test_the_compose_cores_agree_with_their_checked_forms():
     # Each core joins the blocks once and checks the joined values; the
-    # oracles run every check on the split in turn.  Both cores see every
-    # split that packs as bytes, with each part in increasing order, so each
-    # sees the other's valid splits as malformed ones too; both public maps
-    # see every split.  The first split carries a rank above its part.
+    # oracles, like the public maps, run every check on the split in turn.
+    # Both cores see every split that packs as bytes, with each part in
+    # increasing order, so each sees the other's valid splits as malformed
+    # ones too; both public maps see every split.  The first split carries a
+    # rank above its part.
     rng = random.Random(20191)
     splits = [(_RANK_ABOVE_ITS_PART, 5)] + [_random_split(rng) for _ in range(50_000)]
     tally = Counter()
     for d, n in splits:
-        packed = bij._packed_split(d, n)
+        packed = packed_split(d, n)
         for compose, oracle in ((compose_smu, checked_compose_smu),
                                 (compose_maxmin, checked_compose_maxmin)):
             expected = _outcome(oracle, d, n)
@@ -479,28 +478,37 @@ def _above_one_byte():
 
 
 @pytest.mark.parametrize("name", ["swap_top_two", "decompose_smu", "decompose_maxmin",
-                                  "maxmin_to_smu", "smu_to_maxmin", "compose_smu",
-                                  "compose_maxmin"])
+                                  "maxmin_to_smu", "smu_to_maxmin"])
 def test_a_map_of_a_degree_above_one_byte_names_the_limit(name):
     # The cores hold one byte per value; the message is the one
     # bijection_checks gives for a max_n above 255.
     p = _above_one_byte()
-    d = Decomposition(((1,), tuple(range(2, 255)), ()), ((1,), tuple(range(1, 254)), ()))
     call = {"swap_top_two": lambda: swap_top_two(p), "decompose_smu": lambda: decompose_smu(p),
             "decompose_maxmin": lambda: decompose_maxmin(p),
-            "maxmin_to_smu": lambda: maxmin_to_smu(p, 0), "smu_to_maxmin": lambda: smu_to_maxmin(p),
-            "compose_smu": lambda: compose_smu(d, 256),
-            "compose_maxmin": lambda: compose_maxmin(d, 256)}[name]
+            "maxmin_to_smu": lambda: maxmin_to_smu(p, 0),
+            "smu_to_maxmin": lambda: smu_to_maxmin(p)}[name]
     with pytest.raises(ValueError, match="^degree must be at most 255, as each value is packed "
                                          "in one byte$"):
         call()
 
 
+def test_a_split_of_degree_256_composes_under_both_maps():
+    # The public compositions run the checks on the split as given and pack
+    # nothing, so they take any degree.
+    v = _above_one_byte().values
+    n = len(v)
+    left = top_two_swapped(v)  # n - 1 left of n
+    smu = Decomposition(*reference_split(left, left.index(n - 1), left.index(n)))
+    maxmin = Decomposition(*reference_split(v, v.index(n), v.index(1)))
+    assert compose_smu(smu, n).values == left
+    assert compose_maxmin(maxmin, n).values == v
+
+
 @pytest.mark.parametrize("compose", [compose_smu, compose_maxmin], ids=lambda f: f.__name__)
 def test_a_split_that_does_not_pack_keeps_its_message(compose):
     # A rank below 0, above 255 or that is no int, a part out of order, and
-    # a degree below 2 or that is no int do not pack as bytes: such a split
-    # takes the checks in turn, as given, and is refused as its tuple oracle
+    # a degree below 2 or that is no int do not pack as bytes, so no core
+    # could take such a split: the public maps refuse it as its tuple oracle
     # refuses it, with the same message.
     oracle = {compose_smu: checked_compose_smu, compose_maxmin: checked_compose_maxmin}[compose]
     unsorted = {compose_smu: (Decomposition(((1,), (2,), (4, 3)), ((1,), (1,), (2, 1))), 5),
@@ -509,7 +517,7 @@ def test_a_split_that_does_not_pack_keeps_its_message(compose):
     cases = ([_split_with(compose, ranks) for ranks in ((-1,), (256,), (1.0,))]
              + [(shaped, degree) for degree in (0, 1, 5.0)] + [unsorted[compose]])
     for d, n in cases:
-        assert bij._packed_split(d, n) is None, d
+        assert packed_split(d, n) is None, d
         outcome = _outcome(lambda d, n: compose(d, n).values, d, n)
         assert outcome[0] == "raised" and outcome == _outcome(oracle, d, n), d
     assert "(4, 3" in str(outcome[-1])
@@ -517,7 +525,7 @@ def test_a_split_that_does_not_pack_keeps_its_message(compose):
     valid, n = _split_with(compose, (1, 2) if compose is compose_maxmin else (1, 3, 2))
     (a, b, c), patterns = valid
     shuffled = Decomposition((a, tuple(reversed(b)), tuple(reversed(c))), patterns)
-    assert bij._packed_split(shuffled, n) is None
+    assert packed_split(shuffled, n) is None
     assert compose(shuffled, n) == compose(valid, n)
 
 

@@ -4,6 +4,7 @@ from another's.  Imports under ``if TYPE_CHECKING:`` are for annotations
 only and are not counted."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,27 @@ def test_verify_runs_the_bijection_check_of_bij_and_no_module_binds_globals():
              if any(isinstance(node, ast.Global)
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
     assert bound == set()
+
+
+def _names(node):
+    """How often each name is read in `node`: as a Name, an Attribute or an import."""
+    return Counter(
+        (n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name)
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_module_level_function_and_class_is_named_in_the_package():
+    """No function or class at module level is dead: code in the package names
+    each one outside its own definition, or ``__init__._EXPORTS`` lists it.
+    The module hooks ``__getattr__`` and ``__dir__`` are called by Python."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    named = sum(map(_names, trees), Counter())
+    exported = {name for names in euler_refine._EXPORTS.values() for name in names}
+    unnamed = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name not in exported | {"__getattr__", "__dir__"}
+               and named[node.name] == _names(node)[node.name]]
+    assert unnamed == []
 
 
 def test_verify_handles_no_packed_record():

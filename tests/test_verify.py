@@ -382,6 +382,19 @@ def test_a_degree_above_one_byte_is_refused_before_any_unit_runs(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("value", [3.0, "3", True], ids=repr)
+@pytest.mark.parametrize("check, name", [(bijection_checks, "max_n"),
+                                         (run_verification, "max_n"),
+                                         (run_verification, "egf_order")],
+                         ids=["bijection_checks-max_n", "run_verification-max_n",
+                              "run_verification-egf_order"])
+def test_a_degree_that_is_no_int_is_refused_by_name(check, name, value):
+    # 3.0 and True compare as ints do, and "3" compares with no int; each is
+    # refused before any comparison, with its name and its value.
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        check(**{name: value})
+
+
 def _doubling_failures_at_8(images, smu):
     """The failing degree-8 entries of the doubling report, each side of
     the set entry asserted to be rendered as from the lists `images` and
